@@ -46,6 +46,7 @@ from .sets import ConvexSet
 from .stability import (
     SupportingTranslate,
     TubeFound,
+    direction_ratios,
     halfline_in_intersection,
     is_stable,
     tube_or_support,
@@ -127,9 +128,14 @@ class SamplingPlan:
 
 
 class Hyperplane:
-    """Complex affine hyperplane {z : coeffs . z = offset} (bilinear pairing)."""
+    """Complex affine hyperplane {z : coeffs . z = offset} (bilinear pairing).
 
-    __slots__ = ("coeffs", "offset")
+    ``stripped_theta`` is the phase divided out of the given coefficients:
+    ``real_eta(stripped_theta)`` is the real covector of the coefficients as
+    given, which for ``from_real_normal`` is the real normal itself.
+    """
+
+    __slots__ = ("coeffs", "offset", "stripped_theta")
 
     def __init__(self, coeffs, offset):
         c = np.asarray(coeffs, dtype=complex).ravel()
@@ -139,7 +145,8 @@ class Hyperplane:
         c = c / norm
         offset = complex(offset) / norm
         idx = int(np.argmax(np.abs(c) > 1e-12))
-        phase = np.exp(-1j * np.angle(c[idx]))
+        self.stripped_theta = -float(np.angle(c[idx]))
+        phase = np.exp(1j * self.stripped_theta)
         self.coeffs = c * phase
         self.offset = offset * phase
 
@@ -171,14 +178,20 @@ class Hyperplane:
 
     def real_eta(self, theta: float) -> np.ndarray:
         """Real covector of x -> Re(e^{-i theta} (coeffs . z))."""
-        alpha = np.exp(-1j * theta) * self.coeffs
-        eta = np.empty(2 * self.n)
-        eta[0::2] = alpha.real
-        eta[1::2] = -alpha.imag
+        return self.real_etas([theta])[0]
+
+    def real_etas(self, thetas) -> np.ndarray:
+        """``real_eta`` of every angle in ``thetas``, one row each."""
+        alpha = np.exp(-1j * np.asarray(thetas, dtype=float))[:, None] * self.coeffs
+        eta = np.empty((alpha.shape[0], 2 * self.n))
+        eta[:, 0::2] = alpha.real
+        eta[:, 1::2] = -alpha.imag
         return eta
 
     def translated(self, delta_offset: complex) -> "Hyperplane":
-        return Hyperplane(self.coeffs, self.offset + delta_offset)
+        H = Hyperplane(self.coeffs, self.offset + delta_offset)
+        H.stripped_theta = self.stripped_theta
+        return H
 
     def key(self):
         parts = [round(float(v), 6) for pair in
@@ -199,36 +212,46 @@ class Hyperplane:
         return cls(c, beta)
 
 
+def _separating_angle(E: ConvexSet, H: Hyperplane, thetas):
+    """Scan ``thetas`` in order for one with sup_E Re(e^{-i theta}(coeffs.z - offset)) < 0.
+
+    Returns (True, theta, margin) at the first margin below
+    -1e-10 (1 + |offset|), else (False, best_theta, best_margin) over the
+    finite support values, with (False, 0.0, inf) when none is finite.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    shifts = np.real(np.exp(-1j * thetas) * H.offset)
+    tol = -1e-10 * (1.0 + abs(H.offset))
+    best = (np.inf, 0.0)
+    for theta, value, shift in zip(thetas, E.support_values(H.real_etas(thetas)), shifts):
+        if not np.isfinite(value):
+            continue
+        margin = value - shift
+        if margin < best[0]:
+            best = (margin, theta)
+        if margin < tol:
+            return True, float(theta), float(margin)
+    return False, float(best[1]), float(best[0])
+
+
 def hyperplane_disjoint(E: ConvexSet, H: Hyperplane, grid: int = 96):
     """Try to prove E and H are disjoint.
 
     The linear image z -> coeffs.z - offset maps E to a convex planar set;
     H misses E iff that image omits the origin, which is witnessed by a
     rotation angle theta with sup_E Re(e^{-i theta}(coeffs.z - offset)) < 0.
-    Returns (True, theta, margin) on success, (False, best_theta, best_margin)
-    when no separating angle was found on the candidate set.
+    Candidates, in order: a ``grid`` of angles, four angles per nonzero
+    coefficient, and ``H.stripped_theta``.  Returns (True, theta, margin) at
+    the first separating candidate, (False, best_theta, best_margin) when
+    none separates.
     """
-    offs = H.offset
     thetas = list(np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False))
     for a in H.coeffs:
         if abs(a) > 1e-12:
             ang = float(np.angle(a))
             thetas.extend([ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2])
-    best = (np.inf, 0.0)
-    scale = 1.0 + abs(offs)
-    for theta in thetas:
-        eta = H.real_eta(theta)
-        res = E.support(eta)
-        if not res.finite:
-            continue
-        margin = res.value - float(np.real(np.exp(-1j * theta) * offs))
-        if margin < best[0]:
-            best = (margin, theta)
-        if margin < -1e-10 * scale:
-            return True, float(theta), float(margin)
-    if not np.isfinite(best[0]):
-        return False, 0.0, np.inf
-    return False, float(best[1]), float(best[0])
+    thetas.append(H.stripped_theta)
+    return _separating_angle(E, H, thetas)
 
 
 def hyperplane_common_point(E: ConvexSet, H: Hyperplane):
@@ -527,6 +550,10 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         H_off = H.translated(shift)
         ok, theta, margin = hyperplane_disjoint(E, H_off)
         if not ok:
+            if not np.isfinite(margin):
+                # no finite support value at any angle: no evidence either way
+                skipped += 1
+                continue
             witnesses.append({
                 "kind": "lift-not-disjoint",
                 "line_direction": _cvec(d),
@@ -581,7 +608,7 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
                 continue
             try:
                 H, _ = _canonical_exterior_hyperplane(E, qs[0])
-            except Exception:
+            except (ProjectionDidNotConverge, PointInsideSet, UnsupportedVariant, ZeroGradient):
                 continue
             if H is None:
                 continue
@@ -650,39 +677,20 @@ def _edge_ok(E, Hi, Hj, steps, theta_hints):
             return False, float(t)
         if not is_stable(E, H.subspace()).stable:
             return False, float(t)
-        hit = False
-        scale = 1.0 + abs(H.offset)
-        for theta in theta_hints:
-            res = E.support(H.real_eta(theta))
-            if res.finite and res.value - float(np.real(np.exp(-1j * theta) * H.offset)) < -1e-10 * scale:
-                hit = True
-                break
-        if not hit:
-            ok, _, _ = hyperplane_disjoint(E, H)
-            if not ok:
-                return False, float(t)
+        if not _separating_angle(E, H, theta_hints)[0] and not hyperplane_disjoint(E, H)[0]:
+            return False, float(t)
     return True, None
 
 
-def _retract_to_contact(E, H, theta, bisections=48):
+def _retract_to_contact(E, H, theta):
     """Offset distance along e^{i theta} at which the translated hyperplane
-    first touches E (bisection on the disjointness margin)."""
+    first touches E.  Translating H by -s e^{i theta} raises its margin at
+    theta from m to m + s, so the contact is at s = -m."""
     res = E.support(H.real_eta(theta))
     if not res.finite:
         return None
     margin = res.value - float(np.real(np.exp(-1j * theta) * H.offset))
-    if margin >= 0:
-        return 0.0
-    lo, hi = 0.0, -margin
-    for _ in range(bisections):
-        mid = 0.5 * (lo + hi)
-        shifted = H.translated(-mid * np.exp(1j * theta))
-        m = res.value - float(np.real(np.exp(-1j * theta) * shifted.offset))
-        if m < 0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return max(0.0, -margin)
 
 
 def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckResult:
@@ -762,18 +770,12 @@ def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None,
         return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
                            detail="no candidate hyperplanes available")
     rng = plan.rng("chart")
-    rays = list(E.recession_cone().sample_members(rng, 200))
+    rays = E.recession_cone().sample_members(rng, 200)
     witnesses = []
     refuted = []
     for H in candidates[:3]:
-        D = H.subspace().to_real().directions
-        ratios = []
-        for r in rays:
-            along = (r @ D.T) @ D
-            na = np.linalg.norm(along)
-            nc = np.linalg.norm(r - along)
-            ratios.append(np.inf if na < 1e-12 else nc / na)
-        passing = [c for c in c_grid if all(t > c for t in ratios)]
+        ratios = direction_ratios(rays, H.subspace().to_real().directions)
+        passing = [c for c in c_grid if np.all(ratios > c)]
         if passing:
             witnesses.append({
                 "kind": "compact-chart",
@@ -781,7 +783,7 @@ def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None,
                 "aperture": min(passing),
             })
         else:
-            worst = int(np.argmin(ratios)) if rays else -1
+            worst = int(np.argmin(ratios)) if len(rays) else -1
             refuted.append({
                 "kind": "cone-ray",
                 "hyperplane": H.to_jsonable(),

@@ -330,6 +330,15 @@ class ConvexSet:
     def support(self, c) -> SupportResult:
         raise NotImplementedError
 
+    def support_values(self, C):
+        """Support values of the rows of C, in order.
+
+        Variants with a closed form return an array.  Here the values come
+        lazily, one ``support`` call per row, so a caller that stops at the
+        first value it needs solves no further LPs.
+        """
+        return (self.support(c).value for c in np.atleast_2d(C))
+
     def nearest_boundary(self, q):
         raise NotImplementedError
 
@@ -571,6 +580,11 @@ class QuadricBall(ConvexSet):
         return SupportResult(float(c @ self.center + self.radius * nc),
                              self.center + self.radius * c / nc)
 
+    def support_values(self, C):
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        nc = np.linalg.norm(C, axis=1)
+        return np.where(nc < 1e-14, 0.0, C @ self.center + self.radius * nc)
+
     def nearest_boundary(self, q):
         q = np.asarray(q, dtype=float)
         if self.contains(q):
@@ -674,6 +688,31 @@ class Epigraph(ConvexSet):
             return SupportResult(np.inf, None)
         p = self.assemble(ustar, float(self.phi.value(ustar)))
         return SupportResult(float(c @ p), p)
+
+    def support_values(self, C):
+        """Closed form for a quadratic phi: one multi-RHS ``lstsq`` with the
+        residual test of ``Quadratic.conjugate_attain``; other phi lazily."""
+        if not isinstance(self.phi, Quadratic):
+            return super().support_values(C)
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        cb, cg = C[:, self.bi], C[:, self.gi]
+        out = np.full(C.shape[0], np.inf)
+        bounded = (cg <= 1e-12) & (np.max(np.abs(C[:, self.fi]), axis=1, initial=0.0) <= 1e-12)
+        flat = bounded & (np.abs(cg) <= 1e-12)
+        vertex = flat & (np.max(np.abs(cb), axis=1, initial=0.0) <= 1e-12)
+        out[vertex] = cg[vertex] * self.phi.value(np.zeros(self.phi.k))
+        rows = np.flatnonzero(bounded & ~flat)
+        if rows.shape[0]:
+            Q, l = self.phi.Q, self.phi.l
+            rhs = cb[rows] / (-cg[rows])[:, None] - l
+            U, *_ = np.linalg.lstsq(2.0 * Q, rhs.T, rcond=None)
+            U = U.T
+            resid = np.linalg.norm(U @ (2.0 * Q).T - rhs, axis=1)
+            ok = resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, axis=1))
+            rows, U = rows[ok], U[ok]
+            out[rows] = (np.sum(cb[rows] * U, axis=1)
+                         + cg[rows] * self.phi.value(U))
+        return out
 
     def nearest_boundary(self, q, max_iter=300):
         q = np.asarray(q, dtype=float)
@@ -904,6 +943,17 @@ class Tube(ConvexSet):
         pt = self._lift(res.point, np.zeros(self.fi.shape[0])) if res.point is not None else None
         return SupportResult(res.value, pt)
 
+    def support_values(self, C):
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        bounded = np.max(np.abs(C[:, self.fi]), axis=1, initial=0.0) <= 1e-12
+        inner = self.base.support_values(C[bounded][:, self.bi])
+        if isinstance(inner, np.ndarray):
+            out = np.full(C.shape[0], np.inf)
+            out[bounded] = inner
+            return out
+        inner = iter(inner)
+        return (next(inner) if b else np.inf for b in bounded)
+
     def nearest_boundary(self, q):
         q = np.asarray(q, dtype=float)
         if self.contains(q):
@@ -996,6 +1046,14 @@ class Dilation(ConvexSet):
         val = float(c @ self.center + self.factor * (res.value - c @ self.center))
         pt = self.push(res.point) if res.point is not None else None
         return SupportResult(val, pt)
+
+    def support_values(self, C):
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        cc = C @ self.center
+        inner = self.base.support_values(C)
+        if isinstance(inner, np.ndarray):
+            return cc + self.factor * (inner - cc)
+        return (float(a + self.factor * (v - a)) for a, v in zip(cc, inner))
 
     def nearest_boundary(self, q):
         if self.contains(q):

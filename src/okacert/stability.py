@@ -127,36 +127,32 @@ def _recession_samples(E: ConvexSet, count=64, seed=20240811):
     return cache[key]
 
 
-def _direction_ratios(E: ConvexSet, S: AffineSubspaceR, count=64, seed=20240811):
-    """|r''| / |r'| over sampled recession directions, in the split induced by S."""
-    D = S.directions
-    ratios = []
-    for r in _recession_samples(E, count, seed):
-        along = (r @ D.T) @ D
-        across = r - along
-        na, nc = np.linalg.norm(along), np.linalg.norm(across)
-        if na < 1e-12:
-            ratios.append(np.inf)
-        else:
-            ratios.append(nc / na)
-    return ratios
+def direction_ratios(rays: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """|r''| / |r'| for each row r of ``rays``, split by the orthonormal rows of D.
+
+    r' is the component of r in span(D) and r'' the rest; rows whose r' is
+    shorter than 1e-12 get ``inf``.
+    """
+    along = (rays @ D.T) @ D
+    na = np.linalg.norm(along, axis=1)
+    nc = np.linalg.norm(rays - along, axis=1)
+    out = np.full(rays.shape[0], np.inf)
+    ok = na >= 1e-12
+    out[ok] = nc[ok] / na[ok]
+    return out
 
 
-def _aperture_bisect(ratios):
-    """Largest aperture (up to bisection resolution) violated by all ratios."""
-    finite = [r for r in ratios if np.isfinite(r)]
-    if not finite:
+def _aperture(ratios: np.ndarray) -> float:
+    """Aperture c violated by every sampled recession direction: |r''| > c |r'|.
+
+    c = max(0.999 * min(min finite ratio, 2**30), 1e-12), or 1.0 when no ratio
+    is finite.  Every sampled finite ratio is strictly greater than c, except
+    when the smallest one is at or below the 1e-12 floor.
+    """
+    finite = ratios[np.isfinite(ratios)]
+    if not finite.shape[0]:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while all(r > hi for r in finite) and hi < 2 ** 30:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if all(r > mid for r in finite):
-            lo = mid
-        else:
-            hi = mid
-    return max(lo * 0.999, 1e-12)
+    return max(0.999 * min(float(finite.min()), 2.0 ** 30), 1e-12)
 
 
 def is_stable(E: ConvexSet, subspace) -> StabilityVerdict:
@@ -172,7 +168,7 @@ def is_stable(E: ConvexSet, subspace) -> StabilityVerdict:
     v = E.recession_cone().intersect_subspace(S.directions)
     if v is not None:
         return StabilityVerdict("unstable", witness=v)
-    aperture = _aperture_bisect(_direction_ratios(E, S))
+    aperture = _aperture(direction_ratios(_recession_samples(E), S.directions))
     return StabilityVerdict("stable", aperture=aperture)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from okacert import certify
 from okacert.certify import (
     Hyperplane,
     SamplingPlan,
@@ -19,10 +20,17 @@ from okacert.certify import (
 from okacert.errors import PathBlocked
 from okacert.gallery import build_example, expected_overall, gallery_names
 from okacert.geometry import AffineSubspaceC, complexify
-from okacert.sets import QuadricBall, SiegelClosure
+from okacert.sets import HPolyhedron, QuadricBall, SiegelClosure
 from okacert.specjson import canonical_json
 
 SMALL = SamplingPlan().scaled(100)
+
+# A pointed six-facet cone {A x <= b} in C^2 (realified).
+POINTED_CONE_A = [
+    [0.832695, 0.342572, -0.221863, -0.374219], [0.683274, 0.711058, -0.161042, -0.039976],
+    [0.651092, 0.546447, -0.463249, -0.25075], [0.324265, 0.243151, -0.856319, -0.320075],
+    [-0.043702, 0.810131, -0.584399, 0.015959], [0.449397, 0.516027, -0.394933, -0.613013]]
+POINTED_CONE_B = [0.120099, -0.170765, -0.028719, 0.090641, -0.363966, 0.012728]
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +87,33 @@ def test_hyperplane_disjoint_and_common_point():
     assert x is not None
     assert E.contains(x, tol=1e-6)
     assert abs(near.eval(complexify(x))) < 1e-6
+
+
+def test_hyperplane_disjoint_tries_the_stripped_phase():
+    """A projection hyperplane is separated at the phase its constructor
+    strips; the 96-angle grid alone reports it as meeting this cone."""
+    E = HPolyhedron(POINTED_CONE_A, POINTED_CONE_B)
+    res = check_weak_projective(E, SamplingPlan().scaled(30))
+    assert res.samples > 0
+    assert not [w for w in res.witnesses if w["kind"] == "hyperplane-meets-set"]
+
+
+def test_line_lift_without_finite_support_is_skipped(monkeypatch):
+    """No finite support value at any angle is no evidence: the line is
+    skipped, and the certificate stays finite JSON."""
+    monkeypatch.setattr(certify, "hyperplane_disjoint", lambda E, H: (False, 0.0, np.inf))
+    cert = certify_oka_complement(QuadricBall(np.zeros(4), 1.0), SamplingPlan().scaled(30))
+    canonical_json(cert.to_jsonable())
+
+    def floats(node):
+        if isinstance(node, dict):
+            return [x for v in node.values() for x in floats(v)]
+        if isinstance(node, list):
+            return [x for v in node for x in floats(v)]
+        return [node] if isinstance(node, float) else []
+
+    assert all(np.isfinite(x) for c in cert.checks for w in c.witnesses for x in floats(w))
+    assert not cert.check("line_lift").witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,44 @@ def test_support_halfspace_directions():
     assert not side.finite
 
 
+def _support_cases(rng, m, zero=(), graph=None):
+    """Covector rows reaching every support branch: random rows, rows vanishing
+    on the ``zero`` coordinates with a negative ``graph`` coordinate, rows
+    vanishing except at ``graph``, and the zero row."""
+    C = rng.normal(size=(24, m))
+    B = rng.normal(size=(24, m))
+    B[:, list(zero)] = 0.0
+    V = np.zeros((2, m))
+    if graph is not None:
+        B[:, graph] = -np.abs(B[:, graph])
+        V[0, graph] = -1.0
+    return np.vstack([C, B, V])
+
+
+def test_support_values_match_support():
+    rng = np.random.default_rng(309)
+    siegel2 = SiegelClosure(2)
+    cases = [
+        (QuadricBall(np.array([1.0, -1.0, 0.5, 0.0]), 2.0), (), None),
+        (siegel2, (2,), 3),
+        (SiegelClosure(3), (4,), 5),
+        (Tube(QuadricBall(np.array([0.2, -0.1, 0.3]), 0.8), [1, 2, 3], [0]), (0,), None),
+        (Dilation(siegel2, 2.5, center=np.array([0.3, -0.4, 0.1, 1.0])), (2,), 3),
+        (_box([-1, -2, -1, 0], [1, 1, 2, 3]), (), None),
+        (HPolyhedron(np.array([[0.0, 0.0, 0.0, -1.0]]), np.array([0.0])), (0, 1, 2), 3),
+        (normcombo_cone_set(2, [1.0], [1.0], 1.0), (), 3),
+    ]
+    for E, zero, graph in cases:
+        C = _support_cases(rng, E.m, zero, graph)
+        got = np.array(list(E.support_values(C)), dtype=float)
+        want = np.array([E.support(c).value for c in C])
+        assert got.shape == want.shape
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.isfinite(want).any()
+        fin = np.isfinite(want)
+        np.testing.assert_allclose(got[fin], want[fin], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # nearest boundary
 # ---------------------------------------------------------------------------

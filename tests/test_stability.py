@@ -9,13 +9,18 @@ from okacert.geometry import (
     AffineSubspaceR,
     adapt_frame,
     complex_tangent,
+    mgs,
     realify,
 )
+from okacert.gallery import build_example
 from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure
 from okacert.stability import (
     SupportingTranslate,
     TubeFound,
+    _aperture,
+    _recession_samples,
     cone_membership,
+    direction_ratios,
     halfline_in_intersection,
     is_stable,
     tube_or_support,
@@ -116,6 +121,63 @@ def test_stable_verdict_is_open_under_direction_perturbation():
         d /= np.linalg.norm(d)
         S = AffineSubspaceC(np.zeros(2, dtype=complex), d[None, :])
         assert is_stable(E, S).stable
+
+
+def _ratios_loop(rays, D):
+    """Reference: the scalar per-ray loop the vectorized kernel replaced."""
+    ratios = []
+    for r in rays:
+        along = (r @ D.T) @ D
+        na, nc = np.linalg.norm(along), np.linalg.norm(r - along)
+        ratios.append(np.inf if na < 1e-12 else nc / na)
+    return ratios
+
+
+def _aperture_bisect(ratios):
+    """Reference: the 60-step bisection the closed-form aperture replaced."""
+    finite = [r for r in ratios if np.isfinite(r)]
+    if not finite:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while all(r > hi for r in finite) and hi < 2 ** 30:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if all(r > mid for r in finite):
+            lo = mid
+        else:
+            hi = mid
+    return max(lo * 0.999, 1e-12)
+
+
+def _random_subspaces(rng, count):
+    """Real direction matrices: complex lines of C^2 and real subspaces of R^4."""
+    out = []
+    for _ in range(count):
+        d = rng.normal(size=2) + 1j * rng.normal(size=2)
+        d /= np.linalg.norm(d)
+        out.append(AffineSubspaceC(np.zeros(2, dtype=complex), d[None, :]).to_real().directions)
+        out.append(mgs(rng.normal(size=(int(rng.integers(1, 4)), 4))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["siegel2", "disc-tube-prop49", "cone-ex14"])
+def test_vectorized_ratios_and_aperture_match_reference_loop(name):
+    E = build_example(name)
+    rays = _recession_samples(E)
+    rng = np.random.default_rng(731)
+    compared = 0
+    for D in _random_subspaces(rng, 40):
+        got = direction_ratios(rays, D)
+        want = np.array(_ratios_loop(rays, D))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got[np.isfinite(got)], want[np.isfinite(want)], rtol=1e-12)
+        c = _aperture(got)
+        if c > 1e-6:
+            compared += 1
+            assert c == pytest.approx(_aperture_bisect(want), rel=1e-9)
+            assert np.all(got[np.isfinite(got)] > c)
+    assert compared > 0
 
 
 # ---------------------------------------------------------------------------
