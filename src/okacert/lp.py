@@ -2,14 +2,12 @@
 
 Small self-contained solver used for support functions, feasibility probes and
 recession-cone tests. Variables are free (internally split into positive
-parts). ``exact=True`` runs the same algorithm over ``fractions.Fraction``
-entries, which keeps polyhedron verdicts exact for rational data.
+parts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,18 +20,11 @@ _MAX_ITER = 20000
 class LPResult:
     status: str  # "optimal" | "unbounded" | "infeasible"
     x: np.ndarray | None
-    value: float | Fraction | None
+    value: float | None
 
     @property
     def optimal(self):
         return self.status == "optimal"
-
-
-def _to_fraction_array(a):
-    flat = [Fraction(v) for v in np.asarray(a).ravel().tolist()]
-    out = np.empty(len(flat), dtype=object)
-    out[:] = flat
-    return out.reshape(np.asarray(a).shape)
 
 
 def _pivot(T, r, j):
@@ -69,7 +60,7 @@ def _run_simplex(T, basis, tol):
     raise LPNumericalFailure("simplex iteration budget exhausted")
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False, exact=False):
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False):
     """Solve min (or max) c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x free."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -90,32 +81,22 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False, exac
     m = len(rows)
     nslack = sum(1 for k in kinds if k == "ub")
     # columns: x+ (n) | x- (n) | slacks (nslack) | artificials (<= m)
+    # ub rows come first, so ub row i owns slack column 2n + i
     width = 2 * n + nslack
-    if exact:
-        zero, one = Fraction(0), Fraction(1)
-        A = np.full((m, width), zero, dtype=object)
-        b = np.array([Fraction(v) for v in rhs] or [], dtype=object)
-        cc = _to_fraction_array(-c if maximize else c)
-        tol = Fraction(0)
-    else:
-        zero, one = 0.0, 1.0
-        A = np.zeros((m, width))
-        b = np.asarray(rhs, dtype=float)
-        cc = (-c if maximize else c).astype(float)
-        tol = 1e-9
+    A = np.zeros((m, width))
+    b = np.asarray(rhs, dtype=float)
+    cc = (-c if maximize else c).astype(float)
+    tol = 1e-9
 
-    si = 0
     for i, row in enumerate(rows):
-        r = _to_fraction_array(row) if exact else np.asarray(row, dtype=float)
-        A[i, :n] = r
-        A[i, n:2 * n] = -r
+        A[i, :n] = row
+        A[i, n:2 * n] = -row
         if kinds[i] == "ub":
-            A[i, 2 * n + si] = one
-            si += 1
+            A[i, 2 * n + i] = 1.0
 
     # make rhs nonnegative
     for i in range(m):
-        if b[i] < zero:
+        if b[i] < 0.0:
             A[i] = -A[i]
             b[i] = -b[i]
 
@@ -123,10 +104,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False, exac
     basis, art_cols, art_rows = [], [], []
     for i in range(m):
         col = -1
-        if kinds[i] == "ub":
-            j = 2 * n + sum(1 for k in kinds[:i] if k == "ub")
-            if A[i][j] == one:
-                col = j
+        if kinds[i] == "ub" and A[i][2 * n + i] == 1.0:
+            col = 2 * n + i
         if col < 0:
             art_rows.append(i)
             col = width + len(art_cols)
@@ -134,19 +113,16 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False, exac
         basis.append(col)
 
     total = width + len(art_cols)
-    if exact:
-        T = np.full((m + 1, total + 1), zero, dtype=object)
-    else:
-        T = np.zeros((m + 1, total + 1))
+    T = np.zeros((m + 1, total + 1))
     T[:m, :width] = A
     T[:m, -1] = b
-    for r_i, c_i in zip(art_rows, [col for col in art_cols]):
-        T[r_i, c_i] = one
+    for r_i, c_i in zip(art_rows, art_cols):
+        T[r_i, c_i] = 1.0
 
     if art_cols:
         # phase 1: minimize sum of artificials
         for j in art_cols:
-            T[-1, j] = one
+            T[-1, j] = 1.0
         for i in range(m):
             if basis[i] in art_cols:
                 T[-1] = T[-1] - T[i]
@@ -154,7 +130,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False, exac
         if status != "optimal":
             raise LPNumericalFailure("phase-1 simplex did not terminate optimal")
         phase1 = -T[-1][-1]
-        if phase1 > (tol if not exact else zero):
+        if phase1 > tol:
             return LPResult("infeasible", None, None)
         # drive remaining artificials out of the basis
         drop = []
@@ -162,7 +138,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False, exac
             if basis[i] in art_cols:
                 piv = -1
                 for j in range(width):
-                    if abs(T[i][j]) > (tol if not exact else zero):
+                    if abs(T[i][j]) > tol:
                         piv = j
                         break
                 if piv >= 0:
@@ -178,35 +154,25 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False, exac
         T = np.hstack([T[:, :width], T[:, -1:]])
 
     # phase 2 objective
-    T[-1, :] = zero
+    T[-1, :] = 0.0
     T[-1, :n] = cc
     T[-1, n:2 * n] = -cc
-    T[-1, -1] = zero
     for i in range(m):
-        if T[-1][basis[i]] != zero:
+        if T[-1][basis[i]] != 0.0:
             T[-1] = T[-1] - T[-1][basis[i]] * T[i]
     status = _run_simplex(T, basis, tol)
     if status == "unbounded":
         return LPResult("unbounded", None, None)
 
-    if exact:
-        x = np.full(2 * n, Fraction(0), dtype=object)
-    else:
-        x = np.zeros(2 * n)
+    x = np.zeros(2 * n)
     for i in range(m):
         if basis[i] < 2 * n:
             x[basis[i]] = T[i][-1]
-    sol = x[:n] - x[n:2 * n]
-    val = -T[-1][-1]
-    if maximize:
-        val = -val
-    if not exact:
-        sol = np.asarray(sol, dtype=float)
-        val = float(val)
-    return LPResult("optimal", sol, val)
+    val = float(-T[-1][-1])
+    return LPResult("optimal", x[:n] - x[n:2 * n], -val if maximize else val)
 
 
-def feasible_point(A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False):
+def feasible_point(A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """A point satisfying the system, or None."""
     n = None
     if A_ub is not None and len(np.atleast_2d(A_ub)):
@@ -215,5 +181,5 @@ def feasible_point(A_ub=None, b_ub=None, A_eq=None, b_eq=None, exact=False):
         n = np.atleast_2d(A_eq).shape[1]
     if n is None:
         return np.zeros(0)
-    res = solve_lp(np.zeros(n), A_ub, b_ub, A_eq, b_eq, exact=exact)
+    res = solve_lp(np.zeros(n), A_ub, b_ub, A_eq, b_eq)
     return res.x if res.optimal else None

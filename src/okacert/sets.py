@@ -8,6 +8,8 @@ interleaved realification from :mod:`okacert.geometry` (m = 2n).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from .geometry import AffineSubspaceR, mgs
 from .lp import feasible_point, solve_lp
 
 DEFAULT_TOL = 1e-9
+# Bounded polyhedra with more m-row subsystems than this keep LP support
+MAX_VERTEX_SUBSYSTEMS = 4096
 
 
 @dataclass
@@ -39,6 +43,7 @@ class RecessionCone:
         self.m = m
         self.eq = np.zeros((0, m)) if eq is None or not len(eq) else np.atleast_2d(np.asarray(eq, float))
         self.ineq = np.zeros((0, m)) if ineq is None or not len(ineq) else np.atleast_2d(np.asarray(ineq, float))
+        self._is_zero = None
 
     def member(self, v, tol=1e-9):
         v = np.asarray(v, dtype=float)
@@ -61,8 +66,25 @@ class RecessionCone:
             return np.eye(self.m)
         return _nullspace_rows(self.eq)
 
+    @property
+    def is_zero(self):
+        """True when the cone is {0}: the full-space member search finds nothing.
+
+        Memoized; the search is the one ``intersect_subspace`` runs, so it
+        costs at most 2m box LPs for an inequality cone and none when ``eq``
+        has full rank (a ball).
+        """
+        if self._is_zero is None:
+            self._is_zero = self._member_in_span(np.eye(self.m)) is None
+        return self._is_zero
+
     def intersect_subspace(self, directions, tol=1e-9):
         """A unit cone member inside span(directions), or None if only {0}."""
+        if self.is_zero:
+            return None
+        return self._member_in_span(directions)
+
+    def _member_in_span(self, directions):
         B = mgs(np.atleast_2d(np.asarray(directions, float)))
         if not B.shape[0]:
             return None
@@ -94,7 +116,11 @@ class RecessionCone:
         return None
 
     def sample_members(self, rng, count):
-        """Unit cone members: subspace combinations plus LP vertex rays."""
+        """Unit cone members: subspace combinations plus LP vertex rays.
+
+        A {0} cone has none.  It skips the LPs but still draws their 3 * need
+        objectives, so the caller's rng advances as if they had run.
+        """
         out = []
         sub = self.subspace_rows()
         for _ in range(count):
@@ -111,6 +137,9 @@ class RecessionCone:
         need = count - len(out)
         if need > 0 and (self.ineq.shape[0] or self.eq.shape[0]):
             m = self.m
+            if self.is_zero:
+                rng.normal(size=(3 * need, m))
+                return np.zeros((0, m))
             box = np.vstack([np.eye(m), -np.eye(m)])
             Aub = np.vstack([self.ineq, box]) if self.ineq.shape[0] else box
             bub = np.concatenate([np.zeros(self.ineq.shape[0]), np.ones(2 * m)])
@@ -201,6 +230,8 @@ class RecessionCone:
 
     def _max_over_cone(self, eta):
         """Max <eta, v> over cone intersect box; None when ~0, else (val, v)."""
+        if self.is_zero:
+            return None
         m = self.m
         box = np.vstack([np.eye(m), -np.eye(m)])
         Aub = np.vstack([self.ineq, box]) if self.ineq.shape[0] else box
@@ -418,6 +449,7 @@ class HPolyhedron(ConvexSet):
         if feasible_point(A_ub=self.A, b_ub=self.b) is None:
             raise InfeasiblePolyhedron("no point satisfies the system")
         self._cheb = {}
+        self._verts = None
 
     @property
     def is_c1_boundary(self):
@@ -440,6 +472,29 @@ class HPolyhedron(ConvexSet):
         if not res.optimal:
             return SupportResult(np.inf, None)
         return SupportResult(float(res.value), res.x)
+
+    def support_values(self, C):
+        """Max of C @ V.T over the vertices V when the polyhedron is bounded
+        and small enough to enumerate; otherwise one lazy LP per row."""
+        V = self._vertex_array()
+        if V is None:
+            return super().support_values(C)
+        return np.max(np.atleast_2d(np.asarray(C, dtype=float)) @ V.T, axis=1)
+
+    def _vertex_array(self):
+        """Every vertex, from the nonsingular m-row subsystems of the normalized
+        rows whose solution is feasible to 1e-9; None (memoized as an empty
+        array) for unbounded polyhedra and too many subsystems."""
+        if self._verts is None:
+            k, m = self.A.shape
+            self._verts = np.zeros((0, m))
+            if 0 < math.comb(k, m) <= MAX_VERTEX_SUBSYSTEMS and self.recession_cone().is_zero:
+                idx = np.array(list(itertools.combinations(range(k), m)), dtype=int)
+                sub = self.A[idx]
+                ok = np.abs(np.linalg.det(sub)) > 1e-10
+                X = np.linalg.solve(sub[ok], self.b[idx[ok]][..., None])[..., 0]
+                self._verts = X[np.all(X @ self.A.T <= self.b + 1e-9, axis=1)]
+        return self._verts if self._verts.shape[0] else None
 
     def nearest_boundary(self, q, max_sweeps=10000):
         q = np.asarray(q, dtype=float)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SliceUnbounded, UnsupportedVariant
+from .errors import OkacertError, SliceUnbounded, UnsupportedVariant
 from .geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
@@ -38,6 +38,7 @@ from .sets import ConvexSet, _nullspace_rows
 # lining up along a candidate tube fiber.
 PROBE_OFFSETS = tuple(float(2 ** k) for k in range(11))
 RAY_FIT_TOL = 1e-6
+TUBE_SAMPLE_SEED = 20240823
 
 
 @dataclass
@@ -279,6 +280,28 @@ def tube_or_support(E: ConvexSet, subspace, rng=None):
     raise UnsupportedVariant("no finite supporting direction across the subspace")
 
 
+def _tube_sample(E: ConvexSet):
+    """(500-point boundary sample, rng positioned just after drawing it).
+
+    The sample is deterministic, so it is memoized per set instance together
+    with the generator state, and every call returns a fresh rng in the state
+    the sample left it in.
+    """
+    cached = getattr(E, "_tube_sample_cache", None)
+    if cached is None:
+        rng = np.random.default_rng(TUBE_SAMPLE_SEED)
+        try:
+            xs = E.sample_boundary(rng, 500, window=10.0)
+        except OkacertError:
+            xs = np.empty((0, E.m))
+        xs.flags.writeable = False  # shared by every later call
+        cached = (xs, rng.bit_generator.state)
+        E._tube_sample_cache = cached
+    rng = np.random.default_rng(TUBE_SAMPLE_SEED)
+    rng.bit_generator.state = cached[1]
+    return cached[0], rng
+
+
 def _try_tube(E: ConvexSet, S: AffineSubspaceR, D, W):
     lin = E.lineality()
     V = _fiber_from_lineality(lin, D, W)
@@ -299,15 +322,11 @@ def _try_tube(E: ConvexSet, S: AffineSubspaceR, D, W):
                 if viol > RAY_FIT_TOL * (1.0 + t):
                     return None
     # Sampled decomposition check: x in E iff its S-component is in E.
-    rng = np.random.default_rng(20240823)
     B = np.vstack([D, mgs(V)])
     if B.shape[0] != E.m or np.linalg.matrix_rank(B) != E.m:
         return None
     checked = 0
-    try:
-        xs = E.sample_boundary(rng, 500, window=10.0)
-    except Exception:
-        xs = np.empty((0, E.m))
+    xs, rng = _tube_sample(E)
     Vn = mgs(V)
     for x in xs:
         coords_v = (x - x0) @ Vn.T

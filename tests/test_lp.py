@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from okacert.lp import LPResult, feasible_point, solve_lp
 
@@ -82,17 +83,6 @@ def test_simplex_equality_constraints():
     assert abs(res.value - 2.0) < 1e-9
 
 
-def test_exact_mode_rational_value():
-    # vertices at rational coordinates: exact mode returns exact optimum
-    A = np.array([[3.0, 1.0], [1.0, 2.0], [-1.0, 0.0], [0.0, -1.0]])
-    b = np.array([6.0, 4.0, 0.0, 0.0])
-    res = solve_lp(np.array([-1.0, -1.0]), A_ub=A, b_ub=b, exact=True)
-    assert res.optimal
-    # optimum at (8/5, 6/5), value -(14/5)
-    from fractions import Fraction
-    assert res.value == Fraction(-14, 5)
-
-
 def test_free_variables_both_signs():
     rng = np.random.default_rng(202)
     for _ in range(30):
@@ -115,3 +105,47 @@ def test_feasible_point():
     assert x is not None and np.all(A @ x <= b + 1e-9)
     none = feasible_point(A_ub=np.array([[1.0], [-1.0]]), b_ub=np.array([-1.0, -1.0]))
     assert none is None
+
+
+def _seeded_lp(rng, kind):
+    """A random LP with 2-8 free variables whose status follows from ``kind``.
+
+    "bounded" adds the box |x_i| <= 10, "infeasible" adds a pair of rows
+    a x <= beta, a x >= beta + 1, "free" adds neither (optimal or unbounded).
+    Half the LPs also get one consistent equality row.
+    """
+    n = int(rng.integers(2, 9))
+    x0 = rng.normal(size=n)
+    A = rng.normal(size=(int(rng.integers(1, 2 * n + 3)), n))
+    b = A @ x0 + rng.uniform(0.0, 1.0, size=A.shape[0])
+    if kind == "bounded":
+        A = np.vstack([A, np.eye(n), -np.eye(n)])
+        b = np.concatenate([b, np.full(2 * n, 10.0)])
+    elif kind == "infeasible":
+        a = rng.normal(size=n)
+        beta = float(rng.normal())
+        A = np.vstack([A, a, -a])
+        b = np.concatenate([b, [beta, -beta - 1.0]])
+    A_eq = b_eq = None
+    if rng.uniform() < 0.5:
+        A_eq = rng.normal(size=(1, n))
+        b_eq = A_eq @ x0
+    return rng.normal(size=n), A, b, A_eq, b_eq
+
+
+def test_simplex_matches_highs_on_seeded_lps():
+    """Status and optimal value agree with SciPy's HiGHS on 500 seeded LPs."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(205)
+    status_of = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    seen = set()
+    for i in range(500):
+        c, A, b, A_eq, b_eq = _seeded_lp(rng, ("bounded", "free", "infeasible")[i % 3])
+        res = solve_lp(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq)
+        ref = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
+                      bounds=(None, None), method="highs")
+        assert res.status == status_of[ref.status], i
+        seen.add(res.status)
+        if res.optimal:
+            assert abs(res.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun)), i
+    assert seen == {"optimal", "infeasible", "unbounded"}

@@ -1,11 +1,15 @@
 """Convex set variants: membership, support, projection, recession, slices."""
 
+import types
+
 import numpy as np
 import pytest
 
 from okacert.errors import PointInsideSet
 from okacert.functions import NormCombo, Quadratic
+from okacert.gallery import build_example
 from okacert.geometry import AffineSubspaceR
+from okacert.lp import solve_lp
 from okacert.sets import (
     Dilation,
     Epigraph,
@@ -104,6 +108,98 @@ def test_support_values_match_support():
         assert np.isfinite(want).any()
         fin = np.isfinite(want)
         np.testing.assert_allclose(got[fin], want[fin], rtol=1e-12)
+
+
+def _cut_box(rng, m=4, cuts=4):
+    """A bounded polytope: a box with random offsets cut by random halfspaces."""
+    A = np.vstack([np.eye(m), -np.eye(m), rng.normal(size=(cuts, m))])
+    b = np.concatenate([rng.uniform(0.5, 1.5, size=2 * m), rng.uniform(0.3, 1.0, size=cuts)])
+    return HPolyhedron(A, b)
+
+
+def _pointed_cone(seed):
+    """{x : A x <= A x0} with six unit rows flipped so that A d <= 0 for one d."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(6, 4))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    d = rng.normal(size=4)
+    A[A @ d > 0] *= -1.0
+    return HPolyhedron(A, A @ rng.normal(size=4))
+
+
+def test_polytope_support_values_use_vertices():
+    """Bounded polyhedra answer support_values from their vertices, with the
+    LP support values to rtol 1e-9."""
+    rng = np.random.default_rng(311)
+    simplex = HPolyhedron(np.vstack([-np.eye(4), np.ones((1, 4))]), np.r_[np.zeros(4), 1.0])
+    flat = HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.r_[0.0, np.ones(3), 0.0, np.ones(3)])
+    cube = _box([-1, -1, -1, -1], [1, 1, 1, 1])
+    doubled = HPolyhedron(np.vstack([cube.A, cube.A[:3]]), np.r_[cube.b, cube.b[:3]])
+    polytopes = [cube, simplex, flat, doubled] + [_cut_box(rng) for _ in range(4)]
+    assert flat.is_degenerate
+    for E in polytopes:
+        C = rng.normal(size=(40, E.m))
+        got = E.support_values(C)
+        assert isinstance(got, np.ndarray)
+        want = np.array([E.support(c).value for c in C])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_unbounded_or_large_polyhedra_keep_lazy_support():
+    rng = np.random.default_rng(312)
+    big = _cut_box(rng, cuts=12)  # C(20, 4) = 4845 subsystems
+    for E in (build_example("halfspace"), _pointed_cone(5), build_example("r2-in-c2"), big):
+        C = rng.normal(size=(6, E.m))
+        got = E.support_values(C)
+        assert isinstance(got, types.GeneratorType)
+        want = [E.support(c).value for c in C]
+        assert np.allclose(list(got), want, rtol=1e-12)
+
+
+def test_is_zero_marks_bounded_sets():
+    rng = np.random.default_rng(313)
+    for E in (QuadricBall(np.zeros(4), 1.0), _box([-1] * 4, [1] * 4), _cut_box(rng)):
+        assert E.recession_cone().is_zero
+    unbounded = [_pointed_cone(3), _pointed_cone(4), build_example("halfspace"),
+                 build_example("r2-in-c2"), build_example("cone-ex14")]
+    for E in unbounded:
+        assert not E.recession_cone().is_zero
+
+
+def _sample_members_reference(cone, rng, count):
+    """The LP loop of ``sample_members`` as written before the {0} shortcut."""
+    sub = cone.subspace_rows()
+    out = []
+    for _ in range(count):
+        if not sub.shape[0]:
+            break
+        v = rng.normal(size=sub.shape[0]) @ sub
+        for cand in (v / np.linalg.norm(v), -v / np.linalg.norm(v)):
+            if cone.member(cand, tol=1e-9):
+                out.append(cand)
+                break
+    m = cone.m
+    box = np.vstack([np.eye(m), -np.eye(m)])
+    Aub = np.vstack([cone.ineq, box]) if cone.ineq.shape[0] else box
+    bub = np.concatenate([np.zeros(cone.ineq.shape[0]), np.ones(2 * m)])
+    Aeq = cone.eq if cone.eq.shape[0] else None
+    beq = np.zeros(cone.eq.shape[0]) if cone.eq.shape[0] else None
+    for _ in range(3 * (count - len(out))):
+        res = solve_lp(rng.normal(size=m), A_ub=Aub, b_ub=bub, A_eq=Aeq, b_eq=beq,
+                       maximize=True)
+        assert np.linalg.norm(res.x) <= 1e-7  # a {0} cone has only the zero vector
+    return out
+
+
+def test_sample_members_of_zero_cone_keep_rng_stream():
+    rng = np.random.default_rng(314)
+    for E in (QuadricBall(np.ones(4), 2.0), _box([-1] * 4, [1] * 4), _cut_box(rng)):
+        cone = E.recession_cone()
+        for count in (1, 8, 64):
+            fast, slow = np.random.default_rng(count), np.random.default_rng(count)
+            assert cone.sample_members(fast, count).shape == (0, E.m)
+            assert _sample_members_reference(cone, slow, count) == []
+            assert fast.normal() == slow.normal()
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,14 @@ from okacert.geometry import (
 from okacert.gallery import build_example
 from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure
 from okacert.stability import (
+    TUBE_SAMPLE_SEED,
     SupportingTranslate,
     TubeFound,
     _aperture,
+    _orth_complement,
     _recession_samples,
+    _try_tube,
+    _tube_sample,
     cone_membership,
     direction_ratios,
     halfline_in_intersection,
@@ -280,6 +284,30 @@ def test_siegel_supported_at_vertex():
 def test_unbounded_slice_is_rejected():
     with pytest.raises(SliceUnbounded):
         tube_or_support(_imz2_halfspace(), Z2_AXIS)
+
+
+def test_tube_sample_memo_changes_nothing():
+    """The memoized 500-point tube sample and the rng state after it match a
+    cold draw, and a second ``_try_tube`` call returns the same tube."""
+    E = build_example("r2-in-c2")
+    line = AffineSubspaceC(np.array([0.3 + 0.2j, -0.1 + 0.5j]),
+                           np.array([[1.0 + 0j, 1j]]) / np.sqrt(2.0))
+    S = line.to_real()
+    W = _orth_complement(S.directions, E.m)
+    first = _try_tube(E, S, S.directions, W)
+    assert isinstance(first, TubeFound)
+    second = _try_tube(E, S, S.directions, W)
+    assert np.array_equal(first.fiber, second.fiber)
+    assert (first.checked_samples, first.max_residual) == (second.checked_samples,
+                                                           second.max_residual)
+
+    cold = np.random.default_rng(TUBE_SAMPLE_SEED)
+    xs_cold = build_example("r2-in-c2").sample_boundary(cold, 500, window=10.0)
+    next_cold = cold.standard_normal(4)
+    for _ in range(2):
+        xs, rng = _tube_sample(E)
+        assert np.array_equal(xs, xs_cold)
+        assert np.array_equal(rng.standard_normal(4), next_cold)
 
 
 # ---------------------------------------------------------------------------
