@@ -15,7 +15,6 @@ from .errors import (  # noqa: F401
     NotStronglyConvex,
     OkacertError,
     Overflow,
-    PathBlocked,
     PointInsideSet,
     PointNotOnSubspace,
     ProjectionDidNotConverge,
@@ -70,7 +69,6 @@ from .certify import (  # noqa: F401
     Hyperplane,
     SamplingPlan,
     certify_oka_complement,
-    hull_sweep_witness,
     hyperplane_disjoint,
     recheck_certificate,
     recheck_witness,

@@ -15,7 +15,7 @@ adjacent to the fixed line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -323,24 +323,15 @@ def _k_samples(config: BasinConfig, count: int = 400) -> np.ndarray:
     R = config.k_radius + config.neighborhood
     c = config.k_center
     pts = [c.copy()]
-    n_dirs = max(1, count - 1)
-    golden = (1 + np.sqrt(5)) / 2
-    for i in range(n_dirs):
-        # deterministic direction on S^3 from a 3-angle lattice
-        t1 = 2 * np.pi * ((i / golden) % 1.0)
-        t2 = 2 * np.pi * ((i / golden ** 2) % 1.0)
-        u = np.arccos(1 - 2 * ((i + 0.5) / n_dirs))
-        d = np.array([np.cos(t1) * np.sin(u), np.sin(t1) * np.sin(u),
-                      np.cos(t2) * np.cos(u), np.sin(t2) * np.cos(u)])
-        d = d / np.linalg.norm(d)
+    for i, d in enumerate(_sphere_dirs(max(1, count - 1))):
         rho = R * (0.25 + 0.75 * (((i * 7) % 4) / 3.0))
-        z = c + rho * np.array([d[0] + 1j * d[1], d[2] + 1j * d[3]])
-        pts.append(z)
+        pts.append(c + rho * d)
     return np.array(pts)
 
 
 def _sphere_dirs(count: int = 60) -> np.ndarray:
-    """Deterministic unit directions in C^2 (as (count, 2) complex array)."""
+    """Deterministic unit directions in C^2 (as (count, 2) complex array),
+    from a 3-angle spherical Fibonacci lattice on S^3."""
     dirs = []
     golden = (1 + np.sqrt(5)) / 2
     for i in range(count):
@@ -352,6 +343,15 @@ def _sphere_dirs(count: int = 60) -> np.ndarray:
         d = d / np.linalg.norm(d)
         dirs.append([d[0] + 1j * d[1], d[2] + 1j * d[3]])
     return np.array(dirs)
+
+
+def _sphere_ratios(psi, f, radius):
+    """(rho, |psi(z) - f| / rho over 60 sphere directions) for the spheres of
+    radius rho = radius/4, radius/2, radius around f, in that order."""
+    dirs = _sphere_dirs(60)
+    for rho in (radius / 4, radius / 2, radius):
+        z = f[None, :] + rho * dirs
+        yield rho, np.linalg.norm(psi.apply(z) - f[None, :], axis=-1) / rho
 
 
 def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: float):
@@ -423,13 +423,9 @@ def _verify_candidate(psi, config: BasinConfig, radius: float):
     if dev > config.epsilon:
         return None
     # sphere contraction ratios at the estimate radius
-    dirs = _sphere_dirs(60)
     margin = 1e-3
     ratios_all = {}
-    for rho in (radius / 4, radius / 2, radius):
-        z = f[None, :] + rho * dirs
-        w = psi.apply(z)
-        ratios = np.linalg.norm(w - f[None, :], axis=-1) / rho
+    for rho, ratios in _sphere_ratios(psi, f, radius):
         if np.min(ratios) < a + margin or np.max(ratios) > b - margin:
             return None
         ratios_all[rho] = (float(np.min(ratios)), float(np.max(ratios)))
@@ -472,12 +468,8 @@ def design_contraction_step(config: Optional[BasinConfig] = None) -> Contraction
 def verify_attracting_estimate(psi, config: BasinConfig, radius: float):
     """Recheck |psi(z) - f| / |z - f| in [a, b] on spheres of radius
     radius/4, radius/2, radius; returns the per-sphere (min, max) ratios."""
-    f = config.fixed_point
-    dirs = _sphere_dirs(60)
     out = {}
-    for rho in (radius / 4, radius / 2, radius):
-        z = f[None, :] + rho * dirs
-        ratios = np.linalg.norm(psi.apply(z) - f[None, :], axis=-1) / rho
+    for rho, ratios in _sphere_ratios(psi, config.fixed_point, radius):
         out[rho] = (float(np.min(ratios)), float(np.max(ratios)))
         if np.min(ratios) < config.rate_low or np.max(ratios) > config.rate_high:
             raise DesignFailed(f"attracting estimate fails at radius {rho:g}")

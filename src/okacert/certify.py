@@ -20,6 +20,7 @@ with Hermitian-unit, phase-canonical coefficients.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -27,7 +28,6 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import (
-    PathBlocked,
     PointInsideSet,
     ProjectionDidNotConverge,
     SliceUnbounded,
@@ -36,15 +36,12 @@ from .errors import (
 )
 from .geometry import (
     AffineSubspaceC,
-    adapt_frame,
     complex_gradient_from_real,
     complex_tangent,
     complexify,
-    realify,
 )
 from .sets import ConvexSet
 from .stability import (
-    SupportingTranslate,
     TubeFound,
     direction_ratios,
     halfline_in_intersection,
@@ -57,14 +54,15 @@ VERIFIED = "verified-sampled"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
-_CHECK_ORDER = (
-    "no_affine_line",
-    "tangent_slice_halflines",
-    "weak_projective",
-    "line_lift",
-    "connectivity",
-    "chart_compact",
-)
+# route -> the checks that must all verify for the route to certify.  A route
+# counts only when all its checks are in the certificate, so the smoothing
+# route exists only for norm-combination epigraphs.
+ROUTES = {
+    "lineality": ("no_affine_line",),
+    "tangent_slices": ("tangent_slice_halflines",),
+    "projective": ("weak_projective", "line_lift", "connectivity", "chart_compact"),
+    "normcombo_smoothing": ("normcombo_smoothing",),
+}
 
 _ANCHORS = {
     "no_affine_line": "no-affine-line",
@@ -319,16 +317,26 @@ class Certificate:
         }
 
 
-def _complex_dim(E: ConvexSet) -> Optional[int]:
-    try:
-        return E.complex_n()
-    except UnsupportedVariant:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
+
+def _needs_complex_plane(check):
+    """Make ``check`` inconclusive unless the ambient space is C^n, n >= 2."""
+    name = check.__name__[len("check_"):]
+
+    @functools.wraps(check)
+    def guarded(E: ConvexSet, plan: SamplingPlan, *args, **kwargs) -> CheckResult:
+        try:
+            applies = E.complex_n() >= 2
+        except UnsupportedVariant:
+            applies = False
+        if not applies:
+            return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
+                               detail="ambient space is not C^n with n >= 2")
+        return check(E, plan, *args, **kwargs)
+    return guarded
+
 
 def check_no_affine_line(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Does E contain an affine real line?  Empty lineality certifies the
@@ -346,14 +354,11 @@ def check_no_affine_line(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
                        detail="E contains affine lines; route does not apply")
 
 
+@_needs_complex_plane
 def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """At sampled boundary points p, the slice of E by the maximal complex
     subspace of the tangent hyperplane must not contain a halfline."""
     name = "tangent_slice_halflines"
-    n = _complex_dim(E)
-    if n is None or n < 2:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="ambient space is not C^n with n >= 2")
     if not E.is_c1_boundary:
         return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
                            detail="boundary is not C1; tangent data unavailable")
@@ -404,14 +409,11 @@ def _canonical_exterior_hyperplane(E: ConvexSet, q: np.ndarray):
     return Hyperplane.from_real_normal(q, nu), p
 
 
+@_needs_complex_plane
 def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Each sampled exterior point must lie on a stable complex hyperplane
     missing E; the hyperplane is constructed from the metric projection."""
     name = "weak_projective"
-    n = _complex_dim(E)
-    if n is None or n < 2:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="ambient space is not C^n with n >= 2")
     rng = plan.rng("projective")
     qs = E.sample_exterior(rng, plan.exterior, window=plan.window)
     if qs.shape[0] == 0:
@@ -472,6 +474,7 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
                        detail="stable disjoint hyperplane through every sampled exterior point")
 
 
+@_needs_complex_plane
 def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Every sampled stable complex line must admit a parallel translate inside
     a stable complex hyperplane disjoint from (a translate off) E.
@@ -482,10 +485,7 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     and re-verify disjointness.
     """
     name = "line_lift"
-    n = _complex_dim(E)
-    if n is None or n < 2:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="ambient space is not C^n with n >= 2")
+    n = E.complex_n()
     rng = plan.rng("lines")
     stable_lines = []
     attempts = 0
@@ -693,14 +693,11 @@ def _retract_to_contact(E, H, theta):
     return max(0.0, -margin)
 
 
+@_needs_complex_plane
 def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckResult:
     """The sampled family of stable disjoint hyperplanes must form a connected
     graph under stable-and-disjoint linear interpolation of their parameters."""
     name = "connectivity"
-    n = _complex_dim(E)
-    if n is None or n < 2:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="ambient space is not C^n with n >= 2")
     rng = plan.rng("connect")
     nodes = _collect_stable_disjoint(E, plan, rng, plan.hyperplanes, seeds=seeds)
     if len(nodes) < 2:
@@ -757,15 +754,12 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
                        detail=f"hyperplane graph has {len(roots)} components")
 
 
+@_needs_complex_plane
 def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None,
                         c_grid=(1.0, 0.5, 0.1, 0.01)) -> CheckResult:
     """Truncated cones around candidate hyperplanes must cut E compactly:
     no sampled recession direction may satisfy |r''| <= c |r'|."""
     name = "chart_compact"
-    n = _complex_dim(E)
-    if n is None or n < 2:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="ambient space is not C^n with n >= 2")
     if not candidates:
         return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
                            detail="no candidate hyperplanes available")
@@ -847,44 +841,33 @@ def check_normcombo_smoothing(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def certify_oka_complement(E: ConvexSet, plan: Optional[SamplingPlan] = None) -> Certificate:
-    """Run every check, group them into routes, and report the best verdict.
+    """Run every check, group them into ``ROUTES``, and report the best verdict.
 
-    Routes: (1) trivial lineality alone, (2) halfline-free tangent slices,
-    (3) projective-hull style evidence (exterior hyperplanes + line lifts +
-    connectivity + compact cone charts), (4) smoothing evidence for norm-
-    combination epigraphs.  Overall is refuted only when no route verifies
-    and at least one check produced an explicit witness.
+    Overall is the verdict of the best verified route: ``certified-exact``
+    when every check of some verified route is exact, else
+    ``verified-sampled``.  It is refuted only when no route verifies and at
+    least one check produced an explicit witness.
     """
+    from .functions import NormCombo
     from .specjson import digest
 
     plan = plan or SamplingPlan()
-    checks: List[CheckResult] = []
-    checks.append(check_no_affine_line(E, plan))
-    checks.append(check_tangent_slice_halflines(E, plan))
-    wp = check_weak_projective(E, plan)
-    checks.append(wp)
-    checks.append(check_line_lift(E, plan))
-    seeds = [w for w in wp.witnesses if w.get("kind") == "stable-hyperplane"]
+    checks = [check_no_affine_line(E, plan), check_tangent_slice_halflines(E, plan),
+              check_weak_projective(E, plan), check_line_lift(E, plan)]
+    seeds = [w for w in checks[2].witnesses if w.get("kind") == "stable-hyperplane"]
     checks.append(check_connectivity(E, plan, seeds=seeds))
     cand = [Hyperplane.from_jsonable(w["hyperplane"]) for w in seeds[:3]]
     checks.append(check_chart_compact(E, plan, candidates=cand))
-    from .functions import NormCombo
     if isinstance(getattr(E, "phi", None), NormCombo):
         checks.append(check_normcombo_smoothing(E, plan))
 
-    got = {c.name: c for c in checks}
-    routes = [
-        got["no_affine_line"].verified,
-        got["tangent_slice_halflines"].verified,
-        all(got[k].verified for k in
-            ("weak_projective", "line_lift", "connectivity", "chart_compact")),
-    ]
-    if "normcombo_smoothing" in got:
-        routes.append(got["normcombo_smoothing"].verified)
-
-    if any(routes):
-        overall = CERTIFIED if all(c.verdict == CERTIFIED for c in checks) else VERIFIED
-    elif any(c.verdict == REFUTED for c in checks):
+    got = {c.name: c.verdict for c in checks}
+    verified = [[got[k] for k in route] for route in ROUTES.values()
+                if all(got.get(k) in (CERTIFIED, VERIFIED) for k in route)]
+    if verified:
+        exact = any(all(v == CERTIFIED for v in route) for route in verified)
+        overall = CERTIFIED if exact else VERIFIED
+    elif REFUTED in got.values():
         overall = REFUTED
     else:
         overall = INCONCLUSIVE
@@ -955,90 +938,3 @@ def recheck_certificate(E: ConvexSet, cert: Certificate):
         for i, w in enumerate(c.witnesses):
             out.append((c.name, i, recheck_witness(E, w)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# hull sweep
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HullSweepPath:
-    hyperplanes: List[Hyperplane]
-    margins: List[float]
-    thetas: List[float]
-    offsets: List[float]
-
-    def to_jsonable(self):
-        return {
-            "steps": [h.to_jsonable() for h in self.hyperplanes],
-            "margins": self.margins,
-            "thetas": self.thetas,
-            "offsets": self.offsets,
-        }
-
-
-def hull_sweep_witness(K: ConvexSet, subspace0, p, steps: int = 64,
-                       window: float = 10.0) -> HullSweepPath:
-    """A discrete path of complex hyperplanes, all disjoint from the bounded
-    set K, carrying the starting hyperplane out past the window radius and
-    tilting it back to pass through the target point p.
-
-    Raises PathBlocked when K is unbounded, when the starting hyperplane
-    already meets K, or when some step cannot be certified disjoint.
-    """
-    rng = np.random.default_rng(20240829)
-    cone = K.recession_cone()
-    if cone.subspace_rows().shape[0] or list(cone.sample_members(rng, 8)):
-        raise PathBlocked("K has nontrivial recession; sweep requires a bounded set")
-    p = np.asarray(p, dtype=complex)
-    D = subspace0.directions
-    _, s, vh = np.linalg.svd(D)
-    conormals = np.conj(vh[D.shape[0]:])
-    if conormals.shape[0] != 1:
-        raise PathBlocked("starting subspace is not a complex hyperplane")
-    c0 = conormals[0]
-    H0 = Hyperplane(c0, np.dot(c0, subspace0.base))
-    ok, theta0, margin0 = hyperplane_disjoint(K, H0)
-    if not ok:
-        raise PathBlocked("starting hyperplane is not disjoint from K")
-
-    q_real = K.nearest_boundary(realify(p))
-    nu = realify(p) - q_real
-    nn = np.linalg.norm(nu)
-    if nn < 1e-12:
-        raise PathBlocked("target point lies on K")
-    H1 = Hyperplane.from_real_normal(realify(p), nu / nn)
-
-    far = max(8.0 * window, 8.0 * (abs(H0.offset) + abs(H1.offset) + 1.0))
-    half = max(2, steps // 2)
-    hyperplanes, margins, thetas, offsets = [], [], [], []
-
-    for t in np.linspace(0.0, 1.0, half):
-        H = H0.translated(t * far * np.exp(1j * theta0))
-        ok, th, mg = hyperplane_disjoint(K, H)
-        if not ok:
-            raise PathBlocked(f"outward translation blocked at t={t:.3f}")
-        hyperplanes.append(H)
-        margins.append(mg)
-        thetas.append(th)
-        offsets.append(abs(H.offset))
-
-    c_far, b_far = hyperplanes[-1].coeffs, hyperplanes[-1].offset
-    c1_al, phase = _phase_align(c_far, H1.coeffs)
-    b1_al = H1.offset * phase
-    for sgm in np.linspace(0.0, 1.0, steps - half)[1:]:
-        c = (1 - sgm) * c_far + sgm * c1_al
-        b = (1 - sgm) * b_far + sgm * b1_al
-        H = Hyperplane(c, b)
-        ok, th, mg = hyperplane_disjoint(K, H)
-        if not ok:
-            raise PathBlocked(f"tilting blocked at sigma={sgm:.3f}")
-        hyperplanes.append(H)
-        margins.append(mg)
-        thetas.append(th)
-        offsets.append(abs(H.offset))
-    # final step must pass through p exactly (same hyperplane as H1)
-    zchk = abs(hyperplanes[-1].eval(p))
-    if zchk > 1e-8 * (1 + np.linalg.norm(p)):
-        raise PathBlocked("final hyperplane missed the target point")
-    return HullSweepPath(hyperplanes, margins, thetas, offsets)

@@ -31,7 +31,7 @@ from .errors import (
 from .gallery import build_example, describe_examples, gallery_names
 from .geometry import cayley_forward, cayley_inverse, siegel_defect
 from .smoothing import outer_sequence
-from .specjson import canonical_json, digest, load_set, read_json, write_json
+from .specjson import canonical_json, load_set, read_json, write_json
 
 EXIT_OK = 0
 EXIT_REFUTED = 1

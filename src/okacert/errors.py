@@ -61,10 +61,6 @@ class DesignFailed(OkacertError):
     """No contraction-step candidate passed verification within the budget."""
 
 
-class PathBlocked(OkacertError):
-    """A requested hyperplane path hit the obstacle at some step."""
-
-
 class SchemaError(OkacertError):
     """Input JSON does not match the documented schema."""
 

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class RecessionCone:
         self.m = m
         self.eq = np.zeros((0, m)) if eq is None or not len(eq) else np.atleast_2d(np.asarray(eq, float))
         self.ineq = np.zeros((0, m)) if ineq is None or not len(ineq) else np.atleast_2d(np.asarray(ineq, float))
-        self._is_zero = None
 
     def member(self, v, tol=1e-9):
         v = np.asarray(v, dtype=float)
@@ -66,7 +66,7 @@ class RecessionCone:
             return np.eye(self.m)
         return _nullspace_rows(self.eq)
 
-    @property
+    @cached_property
     def is_zero(self):
         """True when the cone is {0}: the full-space member search finds nothing.
 
@@ -74,9 +74,15 @@ class RecessionCone:
         costs at most 2m box LPs for an inequality cone and none when ``eq``
         has full rank (a ball).
         """
-        if self._is_zero is None:
-            self._is_zero = self._member_in_span(np.eye(self.m)) is None
-        return self._is_zero
+        return self._member_in_span(np.eye(self.m)) is None
+
+    @cached_property
+    def _box_lp(self):
+        """(A_ub, b_ub, A_eq, b_eq) of the cone cut by the box [-1, 1]^m."""
+        A_ub, b_ub = _with_box(self.ineq, np.zeros(self.ineq.shape[0]), 1.0)
+        if not self.eq.shape[0]:
+            return A_ub, b_ub, None, None
+        return A_ub, b_ub, self.eq, np.zeros(self.eq.shape[0])
 
     def intersect_subspace(self, directions, tol=1e-9):
         """A unit cone member inside span(directions), or None if only {0}."""
@@ -100,9 +106,7 @@ class RecessionCone:
             return V[0] / np.linalg.norm(V[0])
         G = self.ineq @ V.T
         w = V.shape[0]
-        box = np.vstack([np.eye(w), -np.eye(w)])
-        Aub = np.vstack([G, box])
-        bub = np.concatenate([np.zeros(G.shape[0]), np.ones(2 * w)])
+        Aub, bub = _with_box(G, np.zeros(G.shape[0]), 1.0)
         for j in range(w):
             for sign in (1.0, -1.0):
                 obj = np.zeros(w)
@@ -140,14 +144,9 @@ class RecessionCone:
             if self.is_zero:
                 rng.normal(size=(3 * need, m))
                 return np.zeros((0, m))
-            box = np.vstack([np.eye(m), -np.eye(m)])
-            Aub = np.vstack([self.ineq, box]) if self.ineq.shape[0] else box
-            bub = np.concatenate([np.zeros(self.ineq.shape[0]), np.ones(2 * m)])
-            Aeq = self.eq if self.eq.shape[0] else None
-            beq = np.zeros(self.eq.shape[0]) if self.eq.shape[0] else None
             for _ in range(3 * need):
                 obj = rng.normal(size=m)
-                res = solve_lp(obj, A_ub=Aub, b_ub=bub, A_eq=Aeq, b_eq=beq, maximize=True)
+                res = solve_lp(obj, *self._box_lp, maximize=True)
                 if res.optimal and res.x is not None:
                     nv = np.linalg.norm(res.x)
                     if nv > 1e-7:
@@ -180,11 +179,8 @@ class RecessionCone:
             if rays:
                 R = np.array(rays)
                 Rp = R - (R @ L.T) @ L if L.shape[0] else R
-                G = R @ W.T
-                A_ub = np.hstack([G, np.linalg.norm(Rp, axis=1, keepdims=True)])
-                box = np.hstack([np.vstack([np.eye(w), -np.eye(w)]), np.zeros((2 * w, 1))])
-                A_ub = np.vstack([A_ub, box])
-                b_ub = np.concatenate([np.zeros(len(rays)), np.ones(2 * w)])
+                A_ub, b_ub = _with_box(np.hstack([R @ W.T, np.linalg.norm(Rp, axis=1, keepdims=True)]),
+                                       np.zeros(len(rays)), 1.0, width=w)
                 obj = np.zeros(w + 1)
                 obj[-1] = 1.0
                 eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]) if A_eq is not None and A_eq.shape[0] else None
@@ -232,16 +228,18 @@ class RecessionCone:
         """Max <eta, v> over cone intersect box; None when ~0, else (val, v)."""
         if self.is_zero:
             return None
-        m = self.m
-        box = np.vstack([np.eye(m), -np.eye(m)])
-        Aub = np.vstack([self.ineq, box]) if self.ineq.shape[0] else box
-        bub = np.concatenate([np.zeros(self.ineq.shape[0]), np.ones(2 * m)])
-        Aeq = self.eq if self.eq.shape[0] else None
-        beq = np.zeros(self.eq.shape[0]) if self.eq.shape[0] else None
-        res = solve_lp(eta, A_ub=Aub, b_ub=bub, A_eq=Aeq, b_eq=beq, maximize=True)
+        res = solve_lp(eta, *self._box_lp, maximize=True)
         if res.optimal and res.value > 1e-7:
             return res.value, res.x / max(np.linalg.norm(res.x), 1e-12)
         return None
+
+
+def _with_box(A, b, bound, width=None):
+    """A x <= b followed by the box rows x_j <= bound, then -x_j <= bound, on
+    the first ``width`` columns (all by default)."""
+    w = A.shape[1] if width is None else width
+    box = np.hstack([np.vstack([np.eye(w), -np.eye(w)]), np.zeros((2 * w, A.shape[1] - w))])
+    return np.vstack([A, box]), np.concatenate([b, np.full(2 * w, float(bound))])
 
 
 def _nullspace_rows(M, cols=None, tol=1e-9):
@@ -521,9 +519,7 @@ class HPolyhedron(ConvexSet):
         key = float(window)
         if key not in self._cheb:
             m = self.m
-            box = np.vstack([np.eye(m), -np.eye(m)])
-            A = np.vstack([self.A, box])
-            b = np.concatenate([self.b, np.full(2 * m, window)])
+            A, b = _with_box(self.A, self.b, window)
             rows = np.hstack([A, np.ones((A.shape[0], 1))])
             obj = np.zeros(m + 1)
             obj[-1] = 1.0
@@ -546,13 +542,10 @@ class HPolyhedron(ConvexSet):
         return x if t > 1e-10 else None
 
     def _vertices(self, rng, count, window):
-        m = self.m
-        box = np.vstack([np.eye(m), -np.eye(m)])
-        A = np.vstack([self.A, box])
-        b = np.concatenate([self.b, np.full(2 * m, window)])
+        A, b = _with_box(self.A, self.b, window)
         verts = []
         for _ in range(count):
-            obj = rng.normal(size=m)
+            obj = rng.normal(size=self.m)
             res = solve_lp(obj, A_ub=A, b_ub=b, maximize=True)
             if res.optimal:
                 verts.append(res.x)
@@ -1160,37 +1153,3 @@ def normcombo_cone_set(n, re_coefs, im_coefs, last_re_coef):
             "b": im_coefs.tolist(), "c": float(last_re_coef)}
     return Epigraph(phi, 2 * n, graph_index=2 * n - 1,
                     base_indices=list(range(2 * n - 1)), free_indices=[], meta=meta)
-
-
-# ----------------------------------------------------------------------------
-# module-level operation surface
-
-def contains(convex_set, x, tol=DEFAULT_TOL):
-    return convex_set.contains(x, tol=tol)
-
-
-def recession_member(convex_set, v, tol=DEFAULT_TOL):
-    return convex_set.recession_member(v, tol=tol)
-
-
-def lineality(convex_set):
-    return convex_set.lineality()
-
-
-def support_sup(convex_set, c):
-    return convex_set.support(c).value
-
-
-def nearest_boundary(convex_set, q):
-    return convex_set.nearest_boundary(q)
-
-
-def halfline_direction_in(convex_set, S: AffineSubspaceR):
-    """Unit v with {x0 + t v : t >= 0} inside set ∩ S for some x0, else None."""
-    S = S.to_real()
-    v = convex_set.recession_cone().intersect_subspace(S.directions)
-    if v is None:
-        return None
-    if convex_set.slice_point(S) is None:
-        return None
-    return v

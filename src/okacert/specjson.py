@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import OkacertError, SchemaError
 from .functions import function_from_jsonable
 from .sets import (
     ConvexSet,
@@ -129,7 +129,7 @@ def parse_set_spec(data, path: str = "$") -> ConvexSet:
             raise SchemaError(f"{path}.b", "length must match the number of rows of A")
         try:
             return HPolyhedron(A, b)
-        except Exception as exc:
+        except (OkacertError, ValueError) as exc:
             raise SchemaError(path, f"invalid polyhedron: {exc}")
     if kind == "ball":
         center = _vector(_req(data, "center", path), f"{path}.center")
@@ -151,7 +151,7 @@ def parse_set_spec(data, path: str = "$") -> ConvexSet:
             raise SchemaError(f"{path}.a", "coefficient lists need length n-1")
         try:
             return normcombo_cone_set(n, a, b, c)
-        except Exception as exc:
+        except (OkacertError, ValueError) as exc:
             raise SchemaError(path, f"invalid coefficients: {exc}")
     if kind == "epigraph":
         m = _integer(_req(data, "m", path), f"{path}.m")
@@ -163,11 +163,11 @@ def parse_set_spec(data, path: str = "$") -> ConvexSet:
             raise SchemaError(f"{path}.phi", "expected an object")
         try:
             phi = function_from_jsonable(phi_data)
-        except Exception as exc:
+        except (OkacertError, ValueError, LookupError, TypeError) as exc:
             raise SchemaError(f"{path}.phi", str(exc))
         try:
             return Epigraph(phi, m, graph_index=gi, base_indices=bi, free_indices=fi)
-        except Exception as exc:
+        except (OkacertError, ValueError) as exc:
             raise SchemaError(path, f"invalid epigraph: {exc}")
     if kind == "tube":
         base = parse_set_spec(_req(data, "base", path), f"{path}.base")
@@ -175,7 +175,7 @@ def parse_set_spec(data, path: str = "$") -> ConvexSet:
         fi = _indices(_req(data, "fiber_indices", path), f"{path}.fiber_indices")
         try:
             return Tube(base, bi, fi)
-        except Exception as exc:
+        except (OkacertError, ValueError) as exc:
             raise SchemaError(path, f"invalid tube: {exc}")
     if kind == "dilation":
         base = parse_set_spec(_req(data, "base", path), f"{path}.base")
@@ -183,9 +183,11 @@ def parse_set_spec(data, path: str = "$") -> ConvexSet:
         center = data.get("center")
         if center is not None:
             center = _vector(center, f"{path}.center")
+            if center.shape[0] != base.m:
+                raise SchemaError(f"{path}.center", "length must match the base dimension")
         try:
             return Dilation(base, factor, center)
-        except Exception as exc:
+        except (OkacertError, ValueError) as exc:
             raise SchemaError(path, f"invalid dilation: {exc}")
     raise SchemaError(f"{path}.type", f"unknown set type {kind!r}")
 

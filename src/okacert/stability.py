@@ -18,7 +18,7 @@ arithmetic happens on the interleaved realification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ from .geometry import (
     adapt_frame,
     complexify,
     mgs,
-    realify,
 )
 from .sets import ConvexSet, _nullspace_rows
 

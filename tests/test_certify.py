@@ -1,4 +1,7 @@
-"""Certification pipeline: hyperplanes, checks, routes, witness rechecks, sweep."""
+"""Certification pipeline: hyperplanes, checks, routes, witness rechecks."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,19 +14,18 @@ from okacert.certify import (
     check_connectivity,
     check_line_lift,
     check_weak_projective,
-    hull_sweep_witness,
     hyperplane_common_point,
     hyperplane_disjoint,
     recheck_certificate,
     recheck_witness,
 )
-from okacert.errors import PathBlocked
 from okacert.gallery import build_example, expected_overall, gallery_names
-from okacert.geometry import AffineSubspaceC, complexify
+from okacert.geometry import complexify
 from okacert.sets import HPolyhedron, QuadricBall, SiegelClosure
 from okacert.specjson import canonical_json
 
 SMALL = SamplingPlan().scaled(100)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # A pointed six-facet cone {A x <= b} in C^2 (realified).
 POINTED_CONE_A = [
@@ -167,12 +169,53 @@ def test_connectivity_with_seeds_on_ball():
 # full pipeline over the gallery
 # ---------------------------------------------------------------------------
 
+def _assert_matches_golden(got, want, where):
+    """Same structure, strings, ints and bools; floats equal to rtol 1e-9."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and np.isclose(got, want, rtol=1e-9, atol=0.0), (
+            f"{where}: {got!r} != {want!r}")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
 def test_gallery_overall_verdicts_small_plan():
+    """Every gallery certificate has its expected overall verdict and matches
+    its golden file in tests/golden: verdicts, witness kinds and counts,
+    samples, details and digest exactly, floats to rtol 1e-9."""
     for name in gallery_names():
         E = build_example(name)
         cert = certify_oka_complement(E, SMALL)
         assert cert.overall == expected_overall(name), (
             f"{name}: got {cert.overall}, expected {expected_overall(name)}")
+        golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        _assert_matches_golden(json.loads(canonical_json(cert.to_jsonable())), golden, name)
+
+
+def test_line_free_polytope_is_certified_exactly():
+    """The cube has exactly trivial lineality, so route 1 decides exactly."""
+    cube = HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
+    cert = certify_oka_complement(cube, SamplingPlan().scaled(30))
+    assert cert.check("no_affine_line").verdict == "certified-exact"
+    assert cert.overall == "certified-exact"
+
+
+@pytest.mark.parametrize("E", [QuadricBall(np.zeros(3), 1.0), QuadricBall(np.zeros(2), 1.0)],
+                         ids=["odd-dimension", "C^1"])
+def test_checks_need_complex_dimension_two(E):
+    plan = SamplingPlan(seed=5, tol=1e-7)
+    for check in (certify.check_tangent_slice_halflines, check_weak_projective,
+                  check_line_lift, check_connectivity, certify.check_chart_compact):
+        res = check(E, plan)
+        assert (res.verdict, res.detail, res.seed, res.tol, res.samples, res.witnesses) == (
+            "inconclusive", "ambient space is not C^n with n >= 2", 5, 1e-7, 0, [])
 
 
 def test_certificate_structure_and_route_logic():
@@ -245,33 +288,3 @@ def test_recheck_rejects_corrupted_witnesses():
                     "direction": [0.0, 0.0, 0.0, -1.0]}  # exits E
     assert not recheck_witness(E, bad_halfline)
     assert not recheck_witness(E, {"kind": "unknown-kind"})
-
-
-# ---------------------------------------------------------------------------
-# hull sweep
-# ---------------------------------------------------------------------------
-
-def test_hull_sweep_reaches_target_point():
-    K = QuadricBall(np.zeros(4), 1.0)
-    start = AffineSubspaceC(np.array([3.0 + 0j, 0.0]),
-                            np.array([[0.0 + 0j, 1.0]]))  # {z1 = 3}
-    p = np.array([6.0 + 0j, 0.0 + 0j])
-    path = hull_sweep_witness(K, start, p, steps=32)
-    assert len(path.hyperplanes) == len(path.margins) == len(path.thetas)
-    assert all(m < 0 for m in path.margins)  # every step disjoint from K
-    assert abs(path.hyperplanes[-1].eval(p)) < 1e-7
-    # the sweep goes far out before tilting back
-    assert max(path.offsets) > 8.0
-
-
-def test_hull_sweep_blocked_cases():
-    K = QuadricBall(np.zeros(4), 1.0)
-    inside = AffineSubspaceC(np.array([0.5 + 0j, 0.0]),
-                             np.array([[0.0 + 0j, 1.0]]))
-    with pytest.raises(PathBlocked):
-        hull_sweep_witness(K, inside, np.array([6.0 + 0j, 0.0]))
-    with pytest.raises(PathBlocked):  # unbounded set
-        hull_sweep_witness(SiegelClosure(2),
-                           AffineSubspaceC(np.array([3.0 + 0j, 0.0]),
-                                           np.array([[0.0 + 0j, 1.0]])),
-                           np.array([6.0 + 0j, 0.0]))

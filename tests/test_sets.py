@@ -10,6 +10,7 @@ from okacert.functions import NormCombo, Quadratic
 from okacert.gallery import build_example
 from okacert.geometry import AffineSubspaceR
 from okacert.lp import solve_lp
+from okacert.stability import halfline_in_intersection
 from okacert.sets import (
     Dilation,
     Epigraph,
@@ -17,7 +18,6 @@ from okacert.sets import (
     QuadricBall,
     SiegelClosure,
     Tube,
-    halfline_direction_in,
     normcombo_cone_set,
 )
 
@@ -360,12 +360,14 @@ def test_siegel_boundary_gradient_matches_graph():
 def test_slice_point_and_halfline_direction():
     E = HPolyhedron(np.array([[0.0, 1.0]]), np.array([0.0]))  # lower halfplane
     S_in = AffineSubspaceR(np.array([0.0, -1.0]), np.array([[1.0, 0.0]]))
-    v = halfline_direction_in(E, S_in)
-    assert v is not None and abs(v[1]) < 1e-9
+    hit = halfline_in_intersection(E, S_in)
+    assert hit is not None
+    x0, v = hit
+    assert E.contains(x0) and abs(x0[1] + 1.0) < 1e-9 and abs(v[1]) < 1e-9
     # a line strictly above the halfplane misses it
     S_out = AffineSubspaceR(np.array([0.0, 2.0]), np.array([[1.0, 0.0]]))
     assert E.slice_point(S_out) is None
-    assert halfline_direction_in(E, S_out) is None
+    assert halfline_in_intersection(E, S_out) is None
 
 
 def test_exterior_sampling_is_exterior():

@@ -112,11 +112,27 @@ def test_parse_polyhedron_and_ball():
       "base_indices": [0, 1]}, "$.fiber_indices"),
     ({"type": "dilation", "base": {"type": "made-up"}, "factor": 2.0},
      "$.base.type"),
+    ({"type": "dilation", "base": {"type": "siegel", "n": 2}, "factor": 2.0,
+      "center": [0.0, 1.0]}, "$.center"),
+    ({"type": "epigraph", "m": 2, "graph_index": 1, "base_indices": [0],
+      "phi": {"kind": "maxaffine", "A": [[1.0]], "b": 1.0}}, "$.phi"),
 ])
 def test_schema_errors_pinpoint_location(data, loc):
     with pytest.raises(SchemaError) as exc_info:
         parse_set_spec(data)
     assert exc_info.value.path == loc
+
+
+def test_programming_errors_are_not_schema_errors(monkeypatch):
+    """Only input errors become SchemaError; a bug in a constructor propagates."""
+    from okacert import specjson
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(specjson, "HPolyhedron", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        parse_set_spec({"type": "polyhedron", "A": [[1.0, 0.0]], "b": [1.0]})
 
 
 def test_load_set_reports_invalid_json(tmp_path):
