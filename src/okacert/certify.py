@@ -171,8 +171,7 @@ class Hyperplane:
         return self.offset * np.conj(c) / float(np.sum(np.abs(c) ** 2))
 
     def subspace(self) -> AffineSubspaceC:
-        _, _, vh = np.linalg.svd(self.coeffs[None, :])
-        return AffineSubspaceC(base=self.base_point(), directions=np.conj(vh[1:]))
+        return complex_tangent(self.coeffs, self.base_point())
 
     def real_eta(self, theta: float) -> np.ndarray:
         """Real covector of x -> Re(e^{-i theta} (coeffs . z))."""
@@ -401,12 +400,15 @@ def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResu
 
 
 def _canonical_exterior_hyperplane(E: ConvexSet, q: np.ndarray):
-    """Translate of the complex tangent at the metric projection of q, through q."""
-    p = E.nearest_boundary(q)
-    nu = q - p
-    if np.linalg.norm(nu) < 1e-12:
-        return None, p
-    return Hyperplane.from_real_normal(q, nu), p
+    """Translate of the complex tangent at the metric projection of q, through
+    q; None when the projection fails or lands on q."""
+    try:
+        nu = q - E.nearest_boundary(q)
+        if np.linalg.norm(nu) < 1e-12:
+            return None
+        return Hyperplane.from_real_normal(q, nu)
+    except (ProjectionDidNotConverge, PointInsideSet, UnsupportedVariant, ZeroGradient):
+        return None
 
 
 @_needs_complex_plane
@@ -424,11 +426,7 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     failures = []
     skipped = 0
     for q in qs:
-        try:
-            H, p = _canonical_exterior_hyperplane(E, q)
-        except (ProjectionDidNotConverge, PointInsideSet, UnsupportedVariant, ZeroGradient):
-            skipped += 1
-            continue
+        H = _canonical_exterior_hyperplane(E, q)
         if H is None:
             skipped += 1
             continue
@@ -507,7 +505,7 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     witnesses = []
     for line in stable_lines:
         try:
-            outcome = tube_or_support(E, line, rng=rng)
+            outcome = tube_or_support(E, line)
         except SliceUnbounded:
             unbounded += 1
             continue
@@ -606,10 +604,7 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
             qs = E.sample_exterior(rng, 1, window=plan.window)
             if qs.shape[0] == 0:
                 continue
-            try:
-                H, _ = _canonical_exterior_hyperplane(E, qs[0])
-            except (ProjectionDidNotConverge, PointInsideSet, UnsupportedVariant, ZeroGradient):
-                continue
+            H = _canonical_exterior_hyperplane(E, qs[0])
             if H is None:
                 continue
         else:

@@ -157,72 +157,41 @@ class RecessionCone:
                     break
         return np.array(out) if out else np.zeros((0, self.m))
 
-    def polar_direction_in(self, W, rng, tol=1e-9):
-        """eta in span(W rows) with <eta, v> <= 0 on the whole cone, found by a
-        cutting-plane loop over sampled rays; None if no such direction.
+    def polar_direction_in(self, W, tol=1e-9):
+        """Unit eta in span(W rows) with <eta, v> <= 0 on the whole cone, or None.
 
-        eta is forced orthogonal to the lineality space (necessary: +-v in the
-        cone); strict negativity is requested only on the non-lineal ray parts.
+        By Farkas' lemma the polar cone is {ineq^T lam + eq^T mu : lam >= 0},
+        so one LP over (c, lam, mu, t) -- W^T c = ineq^T lam + eq^T mu,
+        t <= lam <= 1, maximize t -- finds eta = W^T c, strictly negative on
+        every ray outside the lineality space, whenever t > tol.  Otherwise
+        the candidates are the directions of span(W) orthogonal to the
+        lineality space, each checked by one LP.  A {0} cone takes W[0].
         """
         W = mgs(np.atleast_2d(np.asarray(W, float)))
         if not W.shape[0]:
             return None
+        if self.is_zero:
+            return W[0] / np.linalg.norm(W[0])
+        (w, m), k, e = W.shape, self.ineq.shape[0], self.eq.shape[0]
+        if k:
+            lam = np.hstack([np.zeros((k, w)), np.eye(k), np.zeros((k, e + 1))])
+            t = np.zeros_like(lam)
+            t[:, -1] = 1.0
+            res = solve_lp(t[0], A_ub=np.vstack([lam, t - lam]),
+                           b_ub=np.concatenate([np.ones(k), np.zeros(k)]),
+                           A_eq=np.hstack([W.T, -self.ineq.T, -self.eq.T, np.zeros((m, 1))]),
+                           b_eq=np.zeros(m), maximize=True)
+            if res.optimal and res.value > tol:
+                eta = res.x[:w] @ W
+                nv = np.linalg.norm(eta)
+                if nv > 1e-10:
+                    return eta / nv
         L = self.lineality_rows()
-        w = W.shape[0]
-        A_eq = L @ W.T if L.shape[0] else None  # <W^T c, l> = 0 rows
-        rays = []
-        for r in self.sample_members(rng, max(8, 2 * self.m)):
-            r_perp = r - (L @ r) @ L if L.shape[0] else r
-            if np.linalg.norm(r_perp) > 1e-9:
-                rays.append(r)
-        for _ in range(25):
-            if rays:
-                R = np.array(rays)
-                Rp = R - (R @ L.T) @ L if L.shape[0] else R
-                A_ub, b_ub = _with_box(np.hstack([R @ W.T, np.linalg.norm(Rp, axis=1, keepdims=True)]),
-                                       np.zeros(len(rays)), 1.0, width=w)
-                obj = np.zeros(w + 1)
-                obj[-1] = 1.0
-                eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]) if A_eq is not None and A_eq.shape[0] else None
-                res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub,
-                               A_eq=eq, b_eq=np.zeros(eq.shape[0]) if eq is not None else None,
-                               maximize=True)
-                if not res.optimal or res.value <= tol:
-                    c = self._polar_fallback(W, A_eq)
-                    if c is None:
-                        return None
-                else:
-                    c = res.x[:w]
-            else:
-                c = self._polar_fallback(W, A_eq)
-                if c is None:
-                    return None
+        for c in _nullspace_rows(L @ W.T, cols=w):
             eta = c @ W
-            nv = np.linalg.norm(eta)
-            if nv < 1e-10:
-                return None
-            eta = eta / nv
-            viol = self._max_over_cone(eta)
-            if viol is None:
-                return eta
-            rays.append(viol[1])
-        return None
-
-    def _polar_fallback(self, W, A_eq):
-        """A candidate coefficient vector orthogonal to the lineality rows."""
-        w = W.shape[0]
-        if A_eq is None or not A_eq.shape[0]:
-            c = np.zeros(w)
-            c[0] = 1.0
-            return c
-        ns = _nullspace_rows(A_eq, cols=w)
-        if not ns.shape[0]:
-            return None
-        for cand in ns:
-            eta = cand @ W
             if np.linalg.norm(eta) > 1e-10 and self._max_over_cone(eta) is None:
-                return cand
-        return ns[0]
+                return eta / np.linalg.norm(eta)
+        return None
 
     def _max_over_cone(self, eta):
         """Max <eta, v> over cone intersect box; None when ~0, else (val, v)."""
@@ -234,12 +203,11 @@ class RecessionCone:
         return None
 
 
-def _with_box(A, b, bound, width=None):
-    """A x <= b followed by the box rows x_j <= bound, then -x_j <= bound, on
-    the first ``width`` columns (all by default)."""
-    w = A.shape[1] if width is None else width
-    box = np.hstack([np.vstack([np.eye(w), -np.eye(w)]), np.zeros((2 * w, A.shape[1] - w))])
-    return np.vstack([A, box]), np.concatenate([b, np.full(2 * w, float(bound))])
+def _with_box(A, b, bound):
+    """A x <= b followed by the box rows x_j <= bound, then -x_j <= bound."""
+    w = A.shape[1]
+    return (np.vstack([A, np.eye(w), -np.eye(w)]),
+            np.concatenate([b, np.full(2 * w, float(bound))]))
 
 
 def _nullspace_rows(M, cols=None, tol=1e-9):

@@ -38,6 +38,9 @@ from .sets import ConvexSet, _nullspace_rows
 PROBE_OFFSETS = tuple(float(2 ** k) for k in range(11))
 RAY_FIT_TOL = 1e-6
 TUBE_SAMPLE_SEED = 20240823
+# Fixed recession-ray sample behind every stable verdict's aperture
+RECESSION_SAMPLE_COUNT = 64
+RECESSION_SAMPLE_SEED = 20240811
 
 
 @dataclass
@@ -110,21 +113,18 @@ def cone_membership(subspace, p, c, x, tol=1e-12):
     return bool(across <= c * along + tol * (1.0 + np.linalg.norm(w)))
 
 
-def _recession_samples(E: ConvexSet, count=64, seed=20240811):
-    """Sampled unit recession directions, memoized per set instance.
+def _recession_samples(E: ConvexSet):
+    """RECESSION_SAMPLE_COUNT unit recession directions, memoized per set instance.
 
-    The sample is deterministic in (count, seed), so reusing it across
-    repeated stability queries on the same set changes nothing but speed.
+    The sample is deterministic (fixed seed), so reusing it across repeated
+    stability queries on the same set changes nothing but speed.
     """
-    cache = getattr(E, "_recession_sample_cache", None)
-    if cache is None:
-        cache = {}
-        E._recession_sample_cache = cache
-    key = (count, seed)
-    if key not in cache:
-        rng = np.random.default_rng(seed)
-        cache[key] = E.recession_cone().sample_members(rng, count)
-    return cache[key]
+    rays = getattr(E, "_recession_sample", None)
+    if rays is None:
+        rng = np.random.default_rng(RECESSION_SAMPLE_SEED)
+        rays = E.recession_cone().sample_members(rng, RECESSION_SAMPLE_COUNT)
+        E._recession_sample = rays
+    return rays
 
 
 def direction_ratios(rays: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -222,61 +222,37 @@ def _fiber_from_lineality(L: np.ndarray, D: np.ndarray, W: np.ndarray):
     return np.array(fibers)
 
 
-def tube_or_support(E: ConvexSet, subspace, rng=None):
+def tube_or_support(E: ConvexSet, subspace):
     """Dichotomy for a subspace whose slice of E is bounded.
 
     Either E decomposes as (E intersect L) + V for a fiber subspace V
     complementary to L (``TubeFound``), or some parallel translate of L
-    supports E at a contact point (``SupportingTranslate``).  Raises
-    ``SliceUnbounded`` when E intersect L already contains a halfline.
+    supports E at a contact point (``SupportingTranslate``): the support of E
+    in the recession cone's polar direction across L, when it is finite.
+    Raises ``SliceUnbounded`` when E intersect L already contains a halfline
+    and ``UnsupportedVariant`` when no finite supporting direction is found.
     """
     S = _to_real_subspace(subspace)
-    m = E.m
     if halfline_in_intersection(E, subspace) is not None:
         raise SliceUnbounded("E meets the subspace along a halfline")
-    rng = np.random.default_rng(20240817) if rng is None else rng
     D = S.directions
-    W = _orth_complement(D, m)
+    W = _orth_complement(D, E.m)
 
     tube = _try_tube(E, S, D, W)
     if tube is not None:
         return tube
 
-    cone = E.recession_cone()
-    candidates = []
-    eta = cone.polar_direction_in(W, rng)
-    if eta is not None:
-        candidates.append(eta)
-    for w_row in W:
-        for sgn in (1.0, -1.0):
-            if cone._max_over_cone(sgn * w_row) is None:
-                candidates.append(sgn * w_row)
-    for _ in range(20):
-        c = rng.standard_normal(W.shape[0])
-        eta = c @ W
-        nv = np.linalg.norm(eta)
-        if nv > 1e-9 and cone._max_over_cone(eta / nv) is None:
-            candidates.append(eta / nv)
-
-    seen = []
-    for eta in candidates:
-        if any(np.linalg.norm(eta - s) < 1e-9 for s in seen):
-            continue
-        seen.append(eta)
-        try:
-            res = E.support(eta)
-        except UnsupportedVariant:
-            continue
-        if not res.finite or res.point is None:
-            continue
-        q = np.asarray(res.point, dtype=float)
-        if isinstance(subspace, AffineSubspaceC):
-            translate = AffineSubspaceC(base=complexify(q), directions=subspace.directions)
-        else:
-            translate = AffineSubspaceR(base=q, directions=S.directions)
-        return SupportingTranslate(translate=translate, contact=q,
-                                   normal=eta, support_value=float(res.value))
-    raise UnsupportedVariant("no finite supporting direction across the subspace")
+    eta = E.recession_cone().polar_direction_in(W)
+    res = E.support(eta) if eta is not None else None
+    if res is None or not res.finite or res.point is None:
+        raise UnsupportedVariant("no finite supporting direction across the subspace")
+    q = np.asarray(res.point, dtype=float)
+    if isinstance(subspace, AffineSubspaceC):
+        translate = AffineSubspaceC(base=complexify(q), directions=subspace.directions)
+    else:
+        translate = AffineSubspaceR(base=q, directions=S.directions)
+    return SupportingTranslate(translate=translate, contact=q,
+                               normal=eta, support_value=float(res.value))
 
 
 def _tube_sample(E: ConvexSet):

@@ -34,3 +34,33 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """``_``-prefixed (non-dunder) functions and methods that no module of
+    ``sources`` (name -> text) names, as a variable or an attribute."""
+    defined, used = {}, set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.setdefault(node.name, f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{fn} ({where})" for fn, where in defined.items() if fn not in used)
+
+
+def test_unreferenced_private_function_detector():
+    srcs = {"a.py": "def _dead():\n    pass\n\ndef _used():\n    pass\n\n"
+                    "class K:\n    def _gone(self):\n        pass\n\n"
+                    "    def __init__(self):\n        self._kept()\n\n"
+                    "    def _kept(self):\n        pass\n",
+            "b.py": "from a import _used\n_used()\n"}
+    assert unreferenced_private_functions(srcs) == ["_dead (a.py:1)", "_gone (a.py:8)"]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []

@@ -8,7 +8,7 @@ import pytest
 from okacert.errors import PointInsideSet
 from okacert.functions import NormCombo, Quadratic
 from okacert.gallery import build_example
-from okacert.geometry import AffineSubspaceR
+from okacert.geometry import AffineSubspaceR, mgs
 from okacert.lp import solve_lp
 from okacert.stability import halfline_in_intersection
 from okacert.sets import (
@@ -16,6 +16,7 @@ from okacert.sets import (
     Epigraph,
     HPolyhedron,
     QuadricBall,
+    RecessionCone,
     SiegelClosure,
     Tube,
     normcombo_cone_set,
@@ -279,6 +280,58 @@ def test_recession_cones():
     L = sieg.lineality()
     assert L.shape[0] == 1
     assert np.allclose(np.abs(L[0]), [0.0, 0.0, 1.0, 0.0], atol=1e-9)
+
+
+def _seeded_cones(seed, m=5):
+    """(name, cone, W) on seeded data: W is orthonormal and holds a polar
+    direction (a positive combination of the rows) among random ones."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=m)
+    pointed = rng.normal(size=(7, m))
+    pointed[pointed @ d > 0] *= -1.0
+    eq = rng.normal(size=(2, m))
+    cones = [("pointed", RecessionCone(m, ineq=pointed)),
+             ("lineality", RecessionCone(m, ineq=rng.normal(size=(3, m)))),
+             ("mixed", RecessionCone(m, eq=eq[:1], ineq=rng.normal(size=(2, m)))),
+             ("zero", RecessionCone(m, ineq=np.vstack([np.eye(m), -np.ones((1, m))]))),
+             ("ball", RecessionCone(m, eq=np.eye(m))),
+             ("eq-only", RecessionCone(m, eq=eq))]
+    out = []
+    for name, cone in cones:
+        rows = np.vstack([cone.eq, cone.ineq])
+        weights = rng.uniform(0.5, 1.0, size=rows.shape[0])
+        weights[:cone.eq.shape[0]] = rng.normal(size=cone.eq.shape[0])
+        W = mgs(np.vstack([weights @ rows, rng.normal(size=(2, m))]))
+        out.append((name, cone, W))
+    return out
+
+
+@pytest.mark.parametrize("seed", [401, 402, 403])
+def test_polar_direction_in_is_a_unit_polar_direction_in_span(seed):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for name, cone, W in _seeded_cones(seed):
+        eta = cone.polar_direction_in(W)
+        assert eta is not None, name
+        assert abs(np.linalg.norm(eta) - 1.0) < 1e-12, name
+        assert np.linalg.norm(eta - (eta @ W.T) @ W) < 1e-9, name
+        L = cone.lineality_rows()
+        assert not L.shape[0] or np.max(np.abs(L @ eta)) < 1e-9, name
+        res = linprog(-eta, A_ub=cone.ineq if cone.ineq.shape[0] else None,
+                      b_ub=np.zeros(cone.ineq.shape[0]) if cone.ineq.shape[0] else None,
+                      A_eq=cone.eq if cone.eq.shape[0] else None,
+                      b_eq=np.zeros(cone.eq.shape[0]) if cone.eq.shape[0] else None,
+                      bounds=(-1.0, 1.0), method="highs")
+        assert res.status == 0 and -res.fun <= 1e-7, name
+
+
+def test_polar_direction_in_is_none_without_one():
+    """The polar of {v_3 <= 0} is the ray e_3, which misses span(e_0, e_1),
+    and the whole space has no polar direction at all."""
+    half = RecessionCone(4, ineq=np.array([[0.0, 0.0, 0.0, 1.0]]))
+    assert half.polar_direction_in(np.eye(4)[:2]) is None
+    assert RecessionCone(4).polar_direction_in(np.eye(4)) is None
+    eta = half.polar_direction_in(np.eye(4)[2:])
+    assert np.allclose(eta, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_lineality_exact_halfspace():

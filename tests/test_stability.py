@@ -281,6 +281,23 @@ def test_siegel_supported_at_vertex():
         assert out.normal @ x <= out.support_value + 1e-7
 
 
+@pytest.mark.parametrize("name", ["siegel2", "cone-ex14", "disc-tube-prop49", "ball"])
+def test_tube_or_support_is_deterministic(name):
+    """The supporting direction comes from an LP, not a random draw: repeated
+    calls, on one set and on a fresh copy, give the same contact and normal."""
+    line = AffineSubspaceC(np.array([0.4 - 0.3j, 0.2 + 0.1j]),
+                           np.array([[1.0 + 0j, 0.5 - 0.5j]]) / np.sqrt(1.5))
+    E = build_example(name)
+    assert is_stable(E, line).stable
+    outs = [tube_or_support(E, line), tube_or_support(E, line),
+            tube_or_support(build_example(name), line)]
+    assert all(isinstance(o, SupportingTranslate) for o in outs)
+    for o in outs[1:]:
+        assert np.array_equal(o.contact, outs[0].contact)
+        assert np.array_equal(o.normal, outs[0].normal)
+        assert o.support_value == outs[0].support_value
+
+
 def test_unbounded_slice_is_rejected():
     with pytest.raises(SliceUnbounded):
         tube_or_support(_imz2_halfspace(), Z2_AXIS)
