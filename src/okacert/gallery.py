@@ -22,13 +22,13 @@ _GALLERY = {
     ),
     "cone-ex14": (
         lambda: normcombo_cone_set(2, [1.0], [1.0], 1.0),
-        "verified-sampled",
+        "certified-exact",
         "{Im z2 >= |Re z1| + |Im z1| + |Re z2|} in C^2: pointed cone with "
         "non-smooth boundary, smoothable norm-combination graph",
     ),
     "tube-ex45": (
         lambda: QuadricBall(np.zeros(4), 1.0),
-        "verified-sampled",
+        "certified-exact",
         "bounded chart reduction of a tube around a totally real subspace; "
         "analyzed here through its reduced (ball) model in C^2",
     ),
@@ -54,7 +54,7 @@ _GALLERY = {
     ),
     "ball": (
         lambda: QuadricBall(np.zeros(4), 1.0),
-        "verified-sampled",
+        "certified-exact",
         "closed unit ball of C^2",
     ),
 }

@@ -276,8 +276,9 @@ def _normcombo_projection(phi, qu, qg):
 
 def _fraction_nullspace(A):
     """Exact rational nullspace basis rows of a float/int matrix."""
-    rows = [[Fraction(v) for v in row] for row in np.atleast_2d(A).tolist()]
-    ncols = len(rows[0]) if rows else 0
+    A = np.atleast_2d(A)
+    rows = [[Fraction(v) for v in row] for row in A.tolist()]
+    ncols = A.shape[1]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -376,8 +377,12 @@ class ConvexSet:
         return self.recession_cone().lineality_rows()
 
     def lineality_exact(self):
-        """(rows, exact_flag); exact only for rational polyhedral data."""
-        return self.lineality(), False
+        """(lineality rows, exact): exact when the rational nullspace of the
+        cone's stacked eq/ineq rows has as many rows as ``lineality()``."""
+        rows = self.lineality()
+        cone = self.recession_cone()
+        stacked = np.vstack([cone.eq, cone.ineq])
+        return rows, _fraction_nullspace(stacked).shape[0] == rows.shape[0]
 
     def complex_n(self):
         if self.m % 2:

@@ -341,6 +341,17 @@ def test_lineality_exact_halfspace():
     assert certified
 
 
+def test_structural_lineality_is_exact():
+    """Non-polyhedral sets report their cone's lineality rows, and exact when
+    the rational nullspace of the cone rows has the same dimension."""
+    for name, dim in (("ball", 0), ("cone-ex14", 0), ("siegel2", 1), ("disc-tube-prop49", 1)):
+        E = build_example(name)
+        rows, exact = E.lineality_exact()
+        assert exact, name
+        assert rows.shape == (dim, E.m), name
+        assert np.array_equal(rows, E.lineality()), name
+
+
 def test_tube_splits_membership():
     base = QuadricBall(np.zeros(3), 1.0)
     E = Tube(base, [1, 2, 3], [0])
