@@ -173,7 +173,7 @@ class RecessionCone:
         if self.is_zero:
             return W[0] / np.linalg.norm(W[0])
         (w, m), k, e = W.shape, self.ineq.shape[0], self.eq.shape[0]
-        if k:
+        if k:  # variables (c, lam, mu, t); rows lam <= 1, then t - lam <= 0
             lam = np.hstack([np.zeros((k, w)), np.eye(k), np.zeros((k, e + 1))])
             t = np.zeros_like(lam)
             t[:, -1] = 1.0
@@ -189,17 +189,11 @@ class RecessionCone:
         L = self.lineality_rows()
         for c in _nullspace_rows(L @ W.T, cols=w):
             eta = c @ W
-            if np.linalg.norm(eta) > 1e-10 and self._max_over_cone(eta) is None:
-                return eta / np.linalg.norm(eta)
-        return None
-
-    def _max_over_cone(self, eta):
-        """Max <eta, v> over cone intersect box; None when ~0, else (val, v)."""
-        if self.is_zero:
-            return None
-        res = solve_lp(eta, *self._box_lp, maximize=True)
-        if res.optimal and res.value > 1e-7:
-            return res.value, res.x / max(np.linalg.norm(res.x), 1e-12)
+            nv = np.linalg.norm(eta)
+            if nv > 1e-10:
+                res = solve_lp(eta, *self._box_lp, maximize=True)  # max over cone and box
+                if not res.optimal or res.value <= 1e-7:
+                    return eta / nv
         return None
 
 
@@ -276,9 +270,8 @@ def _normcombo_projection(phi, qu, qg):
 
 def _fraction_nullspace(A):
     """Exact rational nullspace basis rows of a float/int matrix."""
-    A = np.atleast_2d(A)
-    rows = [[Fraction(v) for v in row] for row in A.tolist()]
-    ncols = A.shape[1]
+    rows = [[Fraction(v) for v in row] for row in np.atleast_2d(A).tolist()]
+    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
