@@ -164,8 +164,9 @@ class RecessionCone:
         so one LP over (c, lam, mu, t) -- W^T c = ineq^T lam + eq^T mu,
         t <= lam <= 1, maximize t -- finds eta = W^T c, strictly negative on
         every ray outside the lineality space, whenever t > tol.  Otherwise
-        the candidates are the directions of span(W) orthogonal to the
-        lineality space, each checked by one LP.  A {0} cone takes W[0].
+        (a polar direction in span(W) may need some lam_i = 0) the candidates
+        are +-each nullspace direction of span(W) orthogonal to the lineality
+        space, each checked by one LP.  A {0} cone takes W[0].
         """
         W = mgs(np.atleast_2d(np.asarray(W, float)))
         if not W.shape[0]:
@@ -188,12 +189,12 @@ class RecessionCone:
                     return eta / nv
         L = self.lineality_rows()
         for c in _nullspace_rows(L @ W.T, cols=w):
-            eta = c @ W
-            nv = np.linalg.norm(eta)
-            if nv > 1e-10:
-                res = solve_lp(eta, *self._box_lp, maximize=True)  # max over cone and box
-                if not res.optimal or res.value <= 1e-7:
-                    return eta / nv
+            for eta in (c @ W, -c @ W):
+                nv = np.linalg.norm(eta)
+                if nv > 1e-10:
+                    res = solve_lp(eta, *self._box_lp, maximize=True)  # max over cone and box
+                    if not res.optimal or res.value <= 1e-7:
+                        return eta / nv
         return None
 
 

@@ -334,6 +334,15 @@ def test_polar_direction_in_is_none_without_one():
     assert np.allclose(eta, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
+def test_polar_direction_in_on_a_face_of_the_polar():
+    """The polar of the quadrant {v <= 0} is cone(e_0, e_1); in span(-e_0)
+    the only polar direction is e_0, which needs lam_1 = 0, so the Farkas LP
+    has t = 0 and the nullspace candidates must be tried with both signs."""
+    quadrant = RecessionCone(2, ineq=np.eye(2))
+    for W in (np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])):
+        assert np.allclose(quadrant.polar_direction_in(W), [1.0, 0.0], atol=1e-12)
+
+
 def test_lineality_exact_halfspace():
     E = HPolyhedron(np.array([[0.0, 0.0, 0.0, -1.0]]), np.array([0.0]))
     rows, certified = E.lineality_exact()
