@@ -96,7 +96,6 @@ from .basin import (  # noqa: F401
     classify_points,
     design_contraction_step,
     rate_brackets,
-    verify_attracting_estimate,
 )
 from .gallery import build_example, describe_examples, gallery_names  # noqa: F401
 from .specjson import canonical_json, digest, load_set, parse_set_spec  # noqa: F401

@@ -465,17 +465,6 @@ def design_contraction_step(config: Optional[BasinConfig] = None) -> Contraction
 # simulation
 # ---------------------------------------------------------------------------
 
-def verify_attracting_estimate(psi, config: BasinConfig, radius: float):
-    """Recheck |psi(z) - f| / |z - f| in [a, b] on spheres of radius
-    radius/4, radius/2, radius; returns the per-sphere (min, max) ratios."""
-    out = {}
-    for rho, ratios in _sphere_ratios(psi, config.fixed_point, radius):
-        out[rho] = (float(np.min(ratios)), float(np.max(ratios)))
-        if np.min(ratios) < config.rate_low or np.max(ratios) > config.rate_high:
-            raise DesignFailed(f"attracting estimate fails at radius {rho:g}")
-    return out
-
-
 def slice_grid(config: BasinConfig):
     """Grid of complex start points in the configured 2-plane slice.
 
@@ -575,7 +564,7 @@ def _csv_rows(points, labels, steps):
 _SVG_COLORS = {BASIN: "#2a9d8f", ESCAPE: "#e76f51", UNDECIDED: "#dddddd"}
 
 
-def _svg_raster(labels_grid, xs, ys):
+def _svg_raster(labels_grid):
     """Run-length encoded 3-color slice picture."""
     n = labels_grid.shape[0]
     cell = max(1, 800 // n)
@@ -617,10 +606,10 @@ def basin_report(config: Optional[BasinConfig] = None, want_svg: bool = False):
     report["design"] = {"status": "ok", "params": design.params,
                         "diagnostics": design.diagnostics,
                         "psi": psi.to_jsonable()}
-    spheres = verify_attracting_estimate(psi, config, radius)
-    report["attracting_estimate"] = {f"{rho:g}": list(v) for rho, v in spheres.items()}
+    # _verify_candidate already held these ratios inside [a, b] with a margin
+    report["attracting_estimate"] = dict(design.diagnostics["sphere_ratios"])
 
-    points, xs, ys = slice_grid(config)
+    points, _, _ = slice_grid(config)
     labels, steps = classify_points(psi, points, config)
     n = config.grid_n
     labels_grid = labels.reshape(n, n)
@@ -641,5 +630,5 @@ def basin_report(config: Optional[BasinConfig] = None, want_svg: bool = False):
     report["brackets"] = rate_brackets(psi, config, radius / 2)
     report["status"] = "ok"
     csv_text = _csv_rows(points, labels, steps)
-    svg_text = _svg_raster(labels_grid, xs, ys) if want_svg else None
+    svg_text = _svg_raster(labels_grid) if want_svg else None
     return report, csv_text, svg_text

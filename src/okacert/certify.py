@@ -54,6 +54,11 @@ VERIFIED = "verified-sampled"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
+# Evenly spaced rotation angles that hyperplane_disjoint tries first
+SEPARATION_GRID = 96
+# Apertures c that check_chart_compact tries for each candidate cone
+CHART_APERTURES = (1.0, 0.5, 0.1, 0.01)
+
 # route -> the checks that must all verify for the route to certify.  A route
 # counts only when all its checks are in the certificate, so the smoothing
 # route exists only for norm-combination epigraphs.
@@ -231,18 +236,18 @@ def _separating_angle(E: ConvexSet, H: Hyperplane, thetas):
     return False, float(best[1]), float(best[0])
 
 
-def hyperplane_disjoint(E: ConvexSet, H: Hyperplane, grid: int = 96):
+def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
     """Try to prove E and H are disjoint.
 
     The linear image z -> coeffs.z - offset maps E to a convex planar set;
     H misses E iff that image omits the origin, which is witnessed by a
     rotation angle theta with sup_E Re(e^{-i theta}(coeffs.z - offset)) < 0.
-    Candidates, in order: a ``grid`` of angles, four angles per nonzero
-    coefficient, and ``H.stripped_theta``.  Returns (True, theta, margin) at
+    Candidates, in order: ``SEPARATION_GRID`` evenly spaced angles, four
+    angles per nonzero coefficient, and ``H.stripped_theta``.  Returns (True, theta, margin) at
     the first separating candidate, (False, best_theta, best_margin) when
     none separates.
     """
-    thetas = list(np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False))
+    thetas = list(np.linspace(0.0, 2.0 * np.pi, SEPARATION_GRID, endpoint=False))
     for a in H.coeffs:
         if abs(a) > 1e-12:
             ang = float(np.angle(a))
@@ -750,8 +755,7 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
 
 
 @_needs_complex_plane
-def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None,
-                        c_grid=(1.0, 0.5, 0.1, 0.01)) -> CheckResult:
+def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None) -> CheckResult:
     """Truncated cones around candidate hyperplanes must cut E compactly:
     no sampled recession direction may satisfy |r''| <= c |r'|."""
     name = "chart_compact"
@@ -764,7 +768,7 @@ def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None,
     refuted = []
     for H in candidates[:3]:
         ratios = direction_ratios(rays, H.subspace().to_real().directions)
-        passing = [c for c in c_grid if np.all(ratios > c)]
+        passing = [c for c in CHART_APERTURES if np.all(ratios > c)]
         if passing:
             witnesses.append({
                 "kind": "compact-chart",

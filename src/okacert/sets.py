@@ -84,7 +84,7 @@ class RecessionCone:
             return A_ub, b_ub, None, None
         return A_ub, b_ub, self.eq, np.zeros(self.eq.shape[0])
 
-    def intersect_subspace(self, directions, tol=1e-9):
+    def intersect_subspace(self, directions):
         """A unit cone member inside span(directions), or None if only {0}."""
         if self.is_zero:
             return None

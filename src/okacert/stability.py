@@ -10,7 +10,9 @@ certification layer ultimately consumes.  This module provides:
   (an aperture for stable L, a recession direction inside L's span otherwise),
 * ``halfline_in_intersection`` -- a halfline witness inside E intersect L,
 * ``tube_or_support`` -- the dichotomy between "E is a tube over E intersect L"
-  and "some parallel translate of L supports E", with verified witnesses.
+  and "some parallel translate of L supports E", the first read off the
+  lineality space of E, the second from the support of E in a polar
+  direction of its recession cone.
 
 Subspaces may be given over C (``AffineSubspaceC``) or over R; all cone
 arithmetic happens on the interleaved realification.
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OkacertError, SliceUnbounded, UnsupportedVariant
+from .errors import SliceUnbounded, UnsupportedVariant
 from .geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
@@ -33,11 +35,6 @@ from .geometry import (
 )
 from .sets import ConvexSet, _nullspace_rows
 
-# Translation offsets probed when testing whether parallel slices of E keep
-# lining up along a candidate tube fiber.
-PROBE_OFFSETS = tuple(float(2 ** k) for k in range(11))
-RAY_FIT_TOL = 1e-6
-TUBE_SAMPLE_SEED = 20240823
 # Fixed recession-ray sample behind every stable verdict's aperture
 RECESSION_SAMPLE_COUNT = 64
 RECESSION_SAMPLE_SEED = 20240811
@@ -47,33 +44,21 @@ RECESSION_SAMPLE_SEED = 20240811
 class StabilityVerdict:
     """Outcome of the stability test for one affine subspace."""
 
-    tag: str  # "stable" | "unstable" | "inconclusive"
+    tag: str  # "stable" | "unstable"
     aperture: Optional[float] = None
     witness: Optional[np.ndarray] = None  # real unit recession direction
-    reason: str = ""
 
     @property
     def stable(self) -> bool:
         return self.tag == "stable"
 
-    def to_jsonable(self):
-        out = {"tag": self.tag}
-        if self.aperture is not None:
-            out["aperture"] = float(self.aperture)
-        if self.witness is not None:
-            out["witness"] = [float(t) for t in self.witness]
-        if self.reason:
-            out["reason"] = self.reason
-        return out
-
 
 @dataclass
 class TubeFound:
-    """E equals (E intersect L) + span(fiber rows); fiber rows are orthonormal."""
+    """E equals (E intersect L) + span(fiber rows); fiber rows are orthonormal
+    and lie in the lineality space of E."""
 
     fiber: np.ndarray
-    checked_samples: int = 0
-    max_residual: float = 0.0
 
 
 @dataclass
@@ -199,27 +184,16 @@ def halfline_in_intersection(E: ConvexSet, subspace, base_point=None):
     return x0, v
 
 
-def _orth_complement(D: np.ndarray, m: int) -> np.ndarray:
-    if not D.shape[0]:
-        return np.eye(m)
-    return _nullspace_rows(D, cols=m)
-
-
-def _fiber_from_lineality(L: np.ndarray, D: np.ndarray, W: np.ndarray):
-    """Rows v_j in span(L) with component w_j across D; None if rank-deficient."""
+def _fiber_from_lineality(L: np.ndarray, W: np.ndarray):
+    """Rows v_j in span(L) with v_j . w_k = delta_jk, or None if there are none."""
     if not L.shape[0] or not W.shape[0]:
         return None
-    M = W @ L.T  # (|W|, |L|)
-    fibers = []
-    for j in range(W.shape[0]):
-        rhs = np.zeros(W.shape[0])
-        rhs[j] = 1.0
-        gamma, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
-        v = gamma @ L
-        if np.linalg.norm(v @ W.T - rhs) > 1e-9:
-            return None
-        fibers.append(v)
-    return np.array(fibers)
+    I = np.eye(W.shape[0])
+    gamma, _, _, _ = np.linalg.lstsq(W @ L.T, I, rcond=None)
+    V = gamma.T @ L
+    if np.linalg.norm(V @ W.T - I, axis=1).max() > 1e-9:
+        return None
+    return V
 
 
 def tube_or_support(E: ConvexSet, subspace):
@@ -235,12 +209,13 @@ def tube_or_support(E: ConvexSet, subspace):
     S = _to_real_subspace(subspace)
     if halfline_in_intersection(E, subspace) is not None:
         raise SliceUnbounded("E meets the subspace along a halfline")
-    D = S.directions
-    W = _orth_complement(D, E.m)
+    W = _nullspace_rows(S.directions, cols=E.m)
 
-    tube = _try_tube(E, S, D, W)
-    if tube is not None:
-        return tube
+    V = _fiber_from_lineality(E.lineality(), W)
+    if V is not None:
+        # V spans a complement of L inside lin E, and E + lin E = E: every
+        # x in E is s + beta V with s in L, and s = x - beta V is in E.
+        return TubeFound(fiber=mgs(V))
 
     eta = E.recession_cone().polar_direction_in(W)
     res = E.support(eta) if eta is not None else None
@@ -253,68 +228,3 @@ def tube_or_support(E: ConvexSet, subspace):
         translate = AffineSubspaceR(base=q, directions=S.directions)
     return SupportingTranslate(translate=translate, contact=q,
                                normal=eta, support_value=float(res.value))
-
-
-def _tube_sample(E: ConvexSet):
-    """(500-point boundary sample, rng positioned just after drawing it).
-
-    The sample is deterministic, so it is memoized per set instance together
-    with the generator state, and every call returns a fresh rng in the state
-    the sample left it in.
-    """
-    cached = getattr(E, "_tube_sample_cache", None)
-    if cached is None:
-        rng = np.random.default_rng(TUBE_SAMPLE_SEED)
-        try:
-            xs = E.sample_boundary(rng, 500, window=10.0)
-        except OkacertError:
-            xs = np.empty((0, E.m))
-        xs.flags.writeable = False  # shared by every later call
-        cached = (xs, rng.bit_generator.state)
-        E._tube_sample_cache = cached
-    rng = np.random.default_rng(TUBE_SAMPLE_SEED)
-    rng.bit_generator.state = cached[1]
-    return cached[0], rng
-
-
-def _try_tube(E: ConvexSet, S: AffineSubspaceR, D, W):
-    lin = E.lineality()
-    V = _fiber_from_lineality(lin, D, W)
-    if V is None:
-        return None
-    x0 = E.slice_point(S)
-    if x0 is None:
-        return None
-    worst = 0.0
-    # Probe translated slices: along each fiber row the slice points of
-    # E intersect (S + t w_j) must line up on the ray x0 + t v_j.
-    for v in V:
-        for t in PROBE_OFFSETS:
-            for sgn in (1.0, -1.0):
-                pt = x0 + sgn * t * v
-                viol = float(np.max(np.atleast_1d(E._violation(pt[None, :]))))
-                worst = max(worst, viol)
-                if viol > RAY_FIT_TOL * (1.0 + t):
-                    return None
-    # Sampled decomposition check: x in E iff its S-component is in E.
-    B = np.vstack([D, mgs(V)])
-    if B.shape[0] != E.m or np.linalg.matrix_rank(B) != E.m:
-        return None
-    checked = 0
-    xs, rng = _tube_sample(E)
-    Vn = mgs(V)
-    for x in xs:
-        coords_v = (x - x0) @ Vn.T
-        y = x - coords_v @ Vn
-        checked += 1
-        if not E.contains(y, tol=1e-6):
-            return None
-    extra = rng.standard_normal((500, Vn.shape[0])) * 4.0
-    base_pts = [x0] + [x0 + d for d in 0.5 * rng.standard_normal((4, E.m)) @ np.diag(np.ones(E.m))
-                       if E.contains(x0 + d, tol=1e-9)]
-    for k, coeff in enumerate(extra):
-        y = base_pts[k % len(base_pts)]
-        checked += 1
-        if not E.contains(y + coeff @ Vn, tol=1e-6):
-            return None
-    return TubeFound(fiber=Vn, checked_samples=checked, max_residual=worst)

@@ -18,7 +18,6 @@ from okacert.basin import (
     design_contraction_step,
     rate_brackets,
     slice_grid,
-    verify_attracting_estimate,
 )
 from okacert.errors import DesignFailed
 
@@ -154,8 +153,7 @@ def test_attracting_estimate_and_iterated_brackets():
     cfg = BasinConfig()
     design = design_contraction_step(cfg)
     radius = design.diagnostics["estimate_radius"]
-    spheres = verify_attracting_estimate(design.psi, cfg, radius)
-    assert len(spheres) == 3
+    assert len(design.diagnostics["sphere_ratios"]) == 3
     brackets = rate_brackets(design.psi, cfg, radius / 2)
     assert [b["k"] for b in brackets] == [1, 2, 3, 4, 5, 6]
     for b in brackets:

@@ -64,3 +64,40 @@ def test_unreferenced_private_function_detector():
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+def unread_module_constants(sources: dict) -> list:
+    """Module-level UPPER_CASE names (a leading ``_`` allowed) bound by an
+    assignment that no module of ``sources`` (name -> text) reads, as a
+    variable or an attribute."""
+    defined, read = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.lstrip("_").isupper():
+                    defined.setdefault(t.id, f"{name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{c} ({where})" for c, where in defined.items() if c not in read)
+
+
+def test_unread_module_constant_detector():
+    srcs = {"a.py": "SEED = 1\n_CAP: int = 2\nKEPT = 3\nlower = 4\nSHARED = 5\n"
+                    "def f():\n    SEED = 6\n    return KEPT\n",
+            "b.py": "import a\nprint(a.SHARED)\n"}
+    assert unread_module_constants(srcs) == ["SEED (a.py:1)", "_CAP (a.py:2)"]
+
+
+def test_no_unread_module_constants():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_module_constants(sources) == []

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from okacert.errors import PointNotOnSubspace, SliceUnbounded
+from okacert.errors import (
+    OkacertError,
+    PointNotOnSubspace,
+    SliceUnbounded,
+    UnsupportedVariant,
+)
 from okacert.geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
@@ -13,16 +18,12 @@ from okacert.geometry import (
     realify,
 )
 from okacert.gallery import build_example
-from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure
+from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure, Tube, _nullspace_rows
 from okacert.stability import (
-    TUBE_SAMPLE_SEED,
     SupportingTranslate,
     TubeFound,
     _aperture,
-    _orth_complement,
     _recession_samples,
-    _try_tube,
-    _tube_sample,
     cone_membership,
     direction_ratios,
     halfline_in_intersection,
@@ -242,8 +243,6 @@ def test_slab_decomposes_as_vertical_tube():
     assert isinstance(out, TubeFound)
     assert out.fiber.shape == (1, 2)
     assert abs(abs(out.fiber[0, 1]) - 1.0) < 1e-9 and abs(out.fiber[0, 0]) < 1e-9
-    assert out.checked_samples > 0
-    assert out.max_residual <= 1e-6
     # independent decomposition check: strip the fiber component, membership
     # must be unchanged
     rng = np.random.default_rng(64)
@@ -303,28 +302,122 @@ def test_unbounded_slice_is_rejected():
         tube_or_support(_imz2_halfspace(), Z2_AXIS)
 
 
-def test_tube_sample_memo_changes_nothing():
-    """The memoized 500-point tube sample and the rng state after it match a
-    cold draw, and a second ``_try_tube`` call returns the same tube."""
-    E = build_example("r2-in-c2")
-    line = AffineSubspaceC(np.array([0.3 + 0.2j, -0.1 + 0.5j]),
-                           np.array([[1.0 + 0j, 1j]]) / np.sqrt(2.0))
-    S = line.to_real()
-    W = _orth_complement(S.directions, E.m)
-    first = _try_tube(E, S, S.directions, W)
-    assert isinstance(first, TubeFound)
-    second = _try_tube(E, S, S.directions, W)
-    assert np.array_equal(first.fiber, second.fiber)
-    assert (first.checked_samples, first.max_residual) == (second.checked_samples,
-                                                           second.max_residual)
+# Reference: the sampled tube test that the lineality-space decision replaced.
+# It probes translated slices along each candidate fiber row, checks the rank
+# of the split, and re-tests the decomposition on a 500-point boundary sample
+# and 500 random fiber points.
+_REF_PROBE_OFFSETS = tuple(float(2 ** k) for k in range(11))
+_REF_RAY_FIT_TOL = 1e-6
+_REF_TUBE_SAMPLE_SEED = 20240823
 
-    cold = np.random.default_rng(TUBE_SAMPLE_SEED)
-    xs_cold = build_example("r2-in-c2").sample_boundary(cold, 500, window=10.0)
-    next_cold = cold.standard_normal(4)
-    for _ in range(2):
-        xs, rng = _tube_sample(E)
-        assert np.array_equal(xs, xs_cold)
-        assert np.array_equal(rng.standard_normal(4), next_cold)
+
+def _ref_fiber_from_lineality(L, W):
+    if not L.shape[0] or not W.shape[0]:
+        return None
+    M = W @ L.T
+    fibers = []
+    for j in range(W.shape[0]):
+        rhs = np.zeros(W.shape[0])
+        rhs[j] = 1.0
+        gamma, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
+        v = gamma @ L
+        if np.linalg.norm(v @ W.T - rhs) > 1e-9:
+            return None
+        fibers.append(v)
+    return np.array(fibers)
+
+
+def _ref_tube_sample(E, memo):
+    """(boundary sample, rng just after drawing it); the sample is memoized."""
+    if id(E) not in memo:
+        rng = np.random.default_rng(_REF_TUBE_SAMPLE_SEED)
+        try:
+            xs = E.sample_boundary(rng, 500, window=10.0)
+        except OkacertError:
+            xs = np.empty((0, E.m))
+        memo[id(E)] = (E, xs, rng.bit_generator.state)
+    _, xs, state = memo[id(E)]
+    rng = np.random.default_rng(_REF_TUBE_SAMPLE_SEED)
+    rng.bit_generator.state = state
+    return xs, rng
+
+
+def _ref_try_tube(E, S, memo):
+    D = S.directions
+    W = _nullspace_rows(D, cols=E.m)
+    V = _ref_fiber_from_lineality(E.lineality(), W)
+    if V is None:
+        return None
+    x0 = E.slice_point(S)
+    if x0 is None:
+        return None
+    for v in V:
+        for t in _REF_PROBE_OFFSETS:
+            for sgn in (1.0, -1.0):
+                viol = float(np.max(np.atleast_1d(E._violation((x0 + sgn * t * v)[None, :]))))
+                if viol > _REF_RAY_FIT_TOL * (1.0 + t):
+                    return None
+    B = np.vstack([D, mgs(V)])
+    if B.shape[0] != E.m or np.linalg.matrix_rank(B) != E.m:
+        return None
+    xs, rng = _ref_tube_sample(E, memo)
+    Vn = mgs(V)
+    for x in xs:
+        if not E.contains(x - ((x - x0) @ Vn.T) @ Vn, tol=1e-6):
+            return None
+    extra = rng.standard_normal((500, Vn.shape[0])) * 4.0
+    base_pts = [x0] + [x0 + d for d in 0.5 * rng.standard_normal((4, E.m))
+                       if E.contains(x0 + d, tol=1e-9)]
+    for k, coeff in enumerate(extra):
+        if not E.contains(base_pts[k % len(base_pts)] + coeff @ Vn, tol=1e-6):
+            return None
+    return Vn
+
+
+def _polyhedron_with_lineality(rng, k, rows=8):
+    """{A x <= b} in R^4 whose rows are orthogonal to a random k-dim subspace."""
+    lin = mgs(rng.normal(size=(k, 4)))
+    A = rng.normal(size=(rows, 4))
+    A = A - (A @ lin.T) @ lin
+    return HPolyhedron(A, rng.uniform(0.5, 3.0, size=rows))
+
+
+def _agreement_sets():
+    rng = np.random.default_rng(8115)
+    sets = [build_example("r2-in-c2"),
+            Tube(QuadricBall(np.array([0.3, -0.2]), 1.5), [1, 3], [0, 2])]
+    for k in (1, 2, 3):
+        sets += [_polyhedron_with_lineality(rng, k) for _ in range(3)]
+    return sets
+
+
+def test_tube_decision_matches_sampled_reference():
+    """On seeded complex lines, ``tube_or_support`` finds a tube exactly when
+    the sampled reference does, with the same fiber rows."""
+    rng = np.random.default_rng(4471)
+    memo = {}
+    lines = tubes = supports = 0
+    for E in _agreement_sets():
+        for _ in range(50):
+            d = rng.normal(size=2) + 1j * rng.normal(size=2)
+            b = (rng.normal(size=2) + 1j * rng.normal(size=2)) * 1.5
+            line = AffineSubspaceC(b, d[None, :] / np.linalg.norm(d))
+            lines += 1
+            try:
+                out = tube_or_support(E, line)
+            except SliceUnbounded:
+                assert halfline_in_intersection(E, line) is not None
+                continue
+            except UnsupportedVariant:
+                out = None
+            ref = _ref_try_tube(E, line.to_real(), memo)
+            assert isinstance(out, TubeFound) == (ref is not None)
+            if ref is not None:
+                tubes += 1
+                np.testing.assert_allclose(out.fiber, ref, rtol=0, atol=1e-12)
+            elif out is not None:
+                supports += 1
+    assert lines >= 500 and tubes >= 40 and supports >= 40
 
 
 # ---------------------------------------------------------------------------
