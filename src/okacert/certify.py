@@ -28,6 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import (
+    LPNumericalFailure,
     PointInsideSet,
     ProjectionDidNotConverge,
     SliceUnbounded,
@@ -326,7 +327,7 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 def _needs_complex_plane(check):
-    """Make ``check`` inconclusive unless the ambient space is C^n, n >= 2."""
+    """Make ``check`` inconclusive off C^n, n >= 2, and on an LP numerical failure."""
     name = check.__name__[len("check_"):]
 
     @functools.wraps(check)
@@ -338,7 +339,11 @@ def _needs_complex_plane(check):
         if not applies:
             return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
                                detail="ambient space is not C^n with n >= 2")
-        return check(E, plan, *args, **kwargs)
+        try:
+            return check(E, plan, *args, **kwargs)
+        except LPNumericalFailure as exc:
+            return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
+                               detail=f"LP numerical failure: {exc}")
     return guarded
 
 
@@ -584,6 +589,11 @@ def _cvec(z):
     return [[float(v.real), float(v.imag)] for v in np.atleast_1d(z)]
 
 
+def _support_value(E, c):
+    """sup of <c, x> over E from one row of ``support_values``, for its closed forms."""
+    return float(next(iter(E.support_values(c))))
+
+
 def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
     """Stable hyperplanes disjoint from E: seeded list topped up by exterior
     projections and by random conormals with support-based offsets."""
@@ -618,13 +628,13 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
                 H0 = Hyperplane(c, 0.0)
             except ValueError:
                 continue
-            res = E.support(H0.real_eta(0.0))
-            if not res.finite:
-                res = E.support(Hyperplane(-c, 0.0).real_eta(0.0))
-                if not res.finite:
+            value = _support_value(E, H0.real_eta(0.0))
+            if not np.isfinite(value):
+                value = _support_value(E, Hyperplane(-c, 0.0).real_eta(0.0))
+                if not np.isfinite(value):
                     continue
                 H0 = Hyperplane(-H0.coeffs, 0.0)
-            beta = (res.value + 1.0 + float(rng.uniform(0, plan.window / 2))
+            beta = (value + 1.0 + float(rng.uniform(0, plan.window / 2))
                     + 1j * float(rng.uniform(-plan.window / 4, plan.window / 4)))
             H = Hyperplane(H0.coeffs, beta)
         verdict = is_stable(E, H.subspace())
@@ -686,10 +696,10 @@ def _retract_to_contact(E, H, theta):
     """Offset distance along e^{i theta} at which the translated hyperplane
     first touches E.  Translating H by -s e^{i theta} raises its margin at
     theta from m to m + s, so the contact is at s = -m."""
-    res = E.support(H.real_eta(theta))
-    if not res.finite:
+    value = _support_value(E, H.real_eta(theta))
+    if not np.isfinite(value):
         return None
-    margin = res.value - float(np.real(np.exp(-1j * theta) * H.offset))
+    margin = value - float(np.real(np.exp(-1j * theta) * H.offset))
     return max(0.0, -margin)
 
 

@@ -7,6 +7,10 @@ attainer), which is what the support-function code needs.
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NotIrreducibleFamily, UnsupportedVariant
@@ -14,6 +18,8 @@ from .lp import solve_lp
 
 PSD_TOL = 1e-10
 _SIGN_CAP = 12
+# Closed forms enumerate at most this many row subsystems; above it the LP stays
+MAX_VERTEX_SUBSYSTEMS = 4096
 
 
 class Quadratic:
@@ -119,6 +125,21 @@ class NormCombo:
         if res.optimal:
             return 0.0, np.zeros(self.k)
         return np.inf, None
+
+    @cached_property
+    def zonotope_facets(self):
+        """(N, h): unit facet normals N of the zonotope {sum_i g_i w_i :
+        |g_i| <= coef_i} and its support values h_j = sum_i coef_i |N_j . w_i|,
+        one normal per (k-1)-subset of the w_i spanning a hyperplane.  None
+        when the w_i do not span R^k or there are more than
+        MAX_VERTEX_SUBSYSTEMS subsets."""
+        W, k = self.vectors, self.k
+        if np.linalg.matrix_rank(W) < k or math.comb(self.terms, k - 1) > MAX_VERTEX_SUBSYSTEMS:
+            return None
+        idx = np.array(list(itertools.combinations(range(self.terms), k - 1)), dtype=int)
+        _, s, vh = np.linalg.svd(W[idx])
+        N = vh[np.all(s > 1e-10 * np.max(np.abs(W)), axis=1), -1]
+        return N, np.abs(N @ W.T) @ self.coefs
 
     def to_jsonable(self):
         return {"kind": "normcombo",

@@ -16,15 +16,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InfeasiblePolyhedron, PointInsideSet,
-                     ProjectionDidNotConverge, UnsupportedVariant)
-from .functions import MaxAffine, NormCombo, Quadratic, midpoint_convexity_check
+from .errors import (DimensionMismatch, InfeasiblePolyhedron, LPNumericalFailure,
+                     PointInsideSet, ProjectionDidNotConverge, UnsupportedVariant)
+from .functions import (MAX_VERTEX_SUBSYSTEMS, MaxAffine, NormCombo, Quadratic,
+                        midpoint_convexity_check)
 from .geometry import AffineSubspaceR, mgs
 from .lp import feasible_point, solve_lp
 
 DEFAULT_TOL = 1e-9
-# Bounded polyhedra with more m-row subsystems than this keep LP support
-MAX_VERTEX_SUBSYSTEMS = 4096
+# Angular margin (rad) of the planar stability test; rows of the projected
+# cone system shorter than this, relative to their own length, are dropped
+PLANAR_MARGIN = 1e-6
 
 
 @dataclass
@@ -106,6 +108,9 @@ class RecessionCone:
             return V[0] / np.linalg.norm(V[0])
         G = self.ineq @ V.T
         w = V.shape[0]
+        if w <= 2 and _planar_cone_is_zero(
+                G[np.linalg.norm(G, axis=1) > PLANAR_MARGIN * np.linalg.norm(self.ineq, axis=1)]):
+            return None
         Aub, bub = _with_box(G, np.zeros(G.shape[0]), 1.0)
         for j in range(w):
             for sign in (1.0, -1.0):
@@ -118,6 +123,26 @@ class RecessionCone:
                     if self.member(v, tol=1e-7):
                         return v
         return None
+
+    @cached_property
+    def extreme_rays(self):
+        """Unit extreme rays of a pointed cone, or None (memoized).
+
+        Each is the null line of an (m-1)-row subsystem of rank m-1 of the
+        unit ``ineq`` rows, with the sign that keeps every row <= 1e-9.  None
+        when the cone has ``eq`` rows or lineality, or more than
+        MAX_VERTEX_SUBSYSTEMS subsystems; a {0} cone has no rays.
+        """
+        k, m = self.ineq.shape
+        if self.eq.shape[0] or math.comb(k, m - 1) > MAX_VERTEX_SUBSYSTEMS \
+                or self.lineality_rows().shape[0]:
+            return None
+        U = self.ineq / np.linalg.norm(self.ineq, axis=1, keepdims=True)
+        idx = np.array(list(itertools.combinations(range(k), m - 1)), dtype=int)
+        _, s, vh = np.linalg.svd(U[idx])
+        d = vh[np.all(s > 1e-10, axis=1), -1]
+        P = U @ d.T
+        return np.vstack([d[np.all(P <= 1e-9, axis=0)], -d[np.all(P >= -1e-9, axis=0)]])
 
     def sample_members(self, rng, count):
         """Unit cone members: subspace combinations plus LP vertex rays.
@@ -196,6 +221,22 @@ class RecessionCone:
                     if not res.optimal or res.value <= 1e-7:
                         return eta / nv
         return None
+
+
+def _planar_cone_is_zero(G):
+    """True when {a : G a <= 0} is {0}, for G with one or two columns.
+
+    By Gordan's alternative that holds exactly when the rows positively span
+    the line or the plane: both signs occur (one column), or the row angles
+    leave no gap of pi (two columns).  The gap must miss pi by PLANAR_MARGIN,
+    so a True is never a rounding artefact.
+    """
+    if G.shape[0] <= G.shape[1]:  # w rows never positively span R^w
+        return False
+    if G.shape[1] == 1:
+        return bool(G.max() > 0 > G.min())
+    ang = np.sort(np.arctan2(G[:, 1], G[:, 0]))
+    return bool(np.diff(ang, append=ang[0] + 2 * np.pi).max() < np.pi - PLANAR_MARGIN)
 
 
 def _with_box(A, b, bound):
@@ -432,28 +473,35 @@ class HPolyhedron(ConvexSet):
 
     def support(self, c):
         res = solve_lp(np.asarray(c, float), A_ub=self.A, b_ub=self.b, maximize=True)
-        if res.status == "unbounded":
-            return SupportResult(np.inf, None)
+        if res.status == "infeasible":  # the constructor found a point
+            raise LPNumericalFailure("support LP reported a nonempty polyhedron infeasible")
         if not res.optimal:
             return SupportResult(np.inf, None)
         return SupportResult(float(res.value), res.x)
 
     def support_values(self, C):
-        """Max of C @ V.T over the vertices V when the polyhedron is bounded
-        and small enough to enumerate; otherwise one lazy LP per row."""
+        """Minkowski-Weyl form when the polyhedron is pointed and small
+        enough to enumerate: the max of C @ V.T over the vertices V, and +inf
+        on rows with C @ r > 1e-9 for an extreme ray r.  Otherwise one lazy
+        LP per row."""
         V = self._vertex_array()
         if V is None:
             return super().support_values(C)
-        return np.max(np.atleast_2d(np.asarray(C, dtype=float)) @ V.T, axis=1)
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        out = np.max(C @ V.T, axis=1)
+        R = self.recession_cone().extreme_rays
+        out[np.max(C @ R.T, axis=1, initial=-np.inf) > 1e-9] = np.inf
+        return out
 
     def _vertex_array(self):
         """Every vertex, from the nonsingular m-row subsystems of the normalized
         rows whose solution is feasible to 1e-9; None (memoized as an empty
-        array) for unbounded polyhedra and too many subsystems."""
+        array) for polyhedra that are not pointed and too many subsystems."""
         if self._verts is None:
             k, m = self.A.shape
             self._verts = np.zeros((0, m))
-            if 0 < math.comb(k, m) <= MAX_VERTEX_SUBSYSTEMS and self.recession_cone().is_zero:
+            if 0 < math.comb(k, m) <= MAX_VERTEX_SUBSYSTEMS \
+                    and self.recession_cone().extreme_rays is not None:
                 idx = np.array(list(itertools.combinations(range(k), m)), dtype=int)
                 sub = self.A[idx]
                 ok = np.abs(np.linalg.det(sub)) > 1e-10
@@ -705,9 +753,13 @@ class Epigraph(ConvexSet):
         return SupportResult(float(c @ p), p)
 
     def support_values(self, C):
-        """Closed form for a quadratic phi: one multi-RHS ``lstsq`` with the
-        residual test of ``Quadratic.conjugate_attain``; other phi lazily."""
-        if not isinstance(self.phi, Quadratic):
+        """Closed forms, else lazily.  A quadratic phi takes one multi-RHS
+        ``lstsq`` with the residual test of ``Quadratic.conjugate_attain``.  A
+        NormCombo phi of full rank, with no free coordinates, gives 0 where
+        y = cb / -cg lies in its zonotope, |N y| <= h on every facet, and +inf
+        elsewhere."""
+        facets = None if self.fi.shape[0] else getattr(self.phi, "zonotope_facets", None)
+        if facets is None and not isinstance(self.phi, Quadratic):
             return super().support_values(C)
         C = np.atleast_2d(np.asarray(C, dtype=float))
         cb, cg = C[:, self.bi], C[:, self.gi]
@@ -717,7 +769,10 @@ class Epigraph(ConvexSet):
         vertex = flat & (np.max(np.abs(cb), axis=1, initial=0.0) <= 1e-12)
         out[vertex] = cg[vertex] * self.phi.value(np.zeros(self.phi.k))
         rows = np.flatnonzero(bounded & ~flat)
-        if rows.shape[0]:
+        if rows.shape[0] and facets is not None:
+            Y = cb[rows] / (-cg[rows])[:, None]
+            out[rows[np.all(np.abs(Y @ facets[0].T) <= facets[1] + 1e-9, axis=1)]] = 0.0
+        elif rows.shape[0]:
             Q, l = self.phi.Q, self.phi.l
             rhs = cb[rows] / (-cg[rows])[:, None] - l
             U, *_ = np.linalg.lstsq(2.0 * Q, rhs.T, rcond=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from okacert import certify
+from okacert import certify, sets
 from okacert.certify import (
     Hyperplane,
     SamplingPlan,
@@ -21,6 +21,7 @@ from okacert.certify import (
 )
 from okacert.gallery import build_example, expected_overall, gallery_names
 from okacert.geometry import complexify
+from okacert.lp import LPResult
 from okacert.sets import HPolyhedron, QuadricBall, SiegelClosure
 from okacert.specjson import canonical_json
 
@@ -116,6 +117,28 @@ def test_line_lift_without_finite_support_is_skipped(monkeypatch):
 
     assert all(np.isfinite(x) for c in cert.checks for w in c.witnesses for x in floats(w))
     assert not cert.check("line_lift").witnesses
+
+
+def test_numerical_lp_failure_makes_the_check_inconclusive(monkeypatch):
+    """An infeasible support LP on a nonempty polyhedron is a solver failure:
+    the check that met it is inconclusive with the reason, and the
+    certificate is still written."""
+    E = build_example("halfspace")
+    real = sets.solve_lp
+
+    def broken(c, A_ub=None, *args, **kwargs):
+        if A_ub is E.A:  # the support LP of E
+            return LPResult("infeasible", None, None)
+        return real(c, A_ub, *args, **kwargs)
+
+    monkeypatch.setattr(sets, "solve_lp", broken)
+    plan = SamplingPlan().scaled(30)
+    res = check_connectivity(E, plan)
+    assert res.verdict == "inconclusive"
+    assert res.detail.startswith("LP numerical failure: ")
+    cert = certify_oka_complement(E, plan)
+    assert cert.check("connectivity").detail == res.detail
+    canonical_json(cert.to_jsonable())
 
 
 # ---------------------------------------------------------------------------

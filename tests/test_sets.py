@@ -5,11 +5,13 @@ import types
 import numpy as np
 import pytest
 
-from okacert.errors import PointInsideSet
+import okacert.functions
+import okacert.sets
+from okacert.errors import LPNumericalFailure, PointInsideSet
 from okacert.functions import NormCombo, Quadratic
 from okacert.gallery import build_example
 from okacert.geometry import AffineSubspaceR, mgs
-from okacert.lp import solve_lp
+from okacert.lp import LPResult, solve_lp
 from okacert.stability import halfline_in_intersection
 from okacert.sets import (
     Dilation,
@@ -146,15 +148,121 @@ def test_polytope_support_values_use_vertices():
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-def test_unbounded_or_large_polyhedra_keep_lazy_support():
+def test_polyhedra_with_lineality_or_many_subsystems_keep_lazy_support():
     rng = np.random.default_rng(312)
     big = _cut_box(rng, cuts=12)  # C(20, 4) = 4845 subsystems
-    for E in (build_example("halfspace"), _pointed_cone(5), build_example("r2-in-c2"), big):
+    for E in (build_example("halfspace"), build_example("r2-in-c2"), big):
         C = rng.normal(size=(6, E.m))
         got = E.support_values(C)
         assert isinstance(got, types.GeneratorType)
         want = [E.support(c).value for c in C]
         assert np.allclose(list(got), want, rtol=1e-12)
+        assert E.recession_cone().extreme_rays is None or E is big
+
+
+def test_pointed_polyhedra_support_values_match_lp():
+    """Pointed unbounded polyhedra answer support_values from vertices and
+    extreme rays: on 40 seeded six-facet cones, 200 rows each (random rows,
+    and nonnegative row combinations, which are bounded), the +inf rows and
+    the finite values are the LP's."""
+    rng = np.random.default_rng(315)
+    unbounded = 0
+    for seed in range(40):
+        E = _pointed_cone(seed)
+        assert E.recession_cone().extreme_rays.shape[0] >= 1
+        C = np.vstack([rng.normal(size=(100, E.m)), rng.exponential(size=(100, 6)) @ E.A])
+        got = E.support_values(C)
+        assert isinstance(got, np.ndarray)
+        want = np.array([E.support(c).value for c in C])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        np.testing.assert_allclose(got[fin], want[fin], rtol=1e-9, atol=1e-12)
+        unbounded += int(np.sum(~fin))
+    assert 2000 <= unbounded <= 6000
+
+
+def test_extreme_rays_generate_the_cone():
+    """Every extreme ray is a unit cone member, and a cone member is a
+    nonnegative combination of the rays (checked by one LP each)."""
+    rng = np.random.default_rng(316)
+    for seed in range(10):
+        cone = _pointed_cone(seed).recession_cone()
+        R = cone.extreme_rays
+        np.testing.assert_allclose(np.linalg.norm(R, axis=1), 1.0)
+        assert all(cone.member(r) for r in R)
+        for v in cone.sample_members(rng, 5):
+            res = solve_lp(np.zeros(R.shape[0]), A_ub=-np.eye(R.shape[0]),
+                           b_ub=np.zeros(R.shape[0]), A_eq=R.T, b_eq=v)
+            assert res.optimal
+    assert _box([-1] * 4, [1] * 4).recession_cone().extreme_rays.shape == (0, 4)
+    assert build_example("cone-ex14").recession_cone().extreme_rays.shape[0] >= 4
+
+
+def _normcombo_epigraph(rng, k, terms):
+    vecs = rng.normal(size=(terms, k))
+    phi = NormCombo(rng.uniform(0.2, 2.0, size=terms), vecs / np.linalg.norm(vecs, axis=1)[:, None])
+    return Epigraph(phi, k + 1, graph_index=k, base_indices=list(range(k)))
+
+
+def test_normcombo_support_values_match_zonotope_lp():
+    """Zonotope facets decide NormCombo support values: 0 where cb / -cg lies
+    in the zonotope, +inf elsewhere, as ``conjugate_attain``'s LP says, on
+    seeded non-axis functionals."""
+    rng = np.random.default_rng(317)
+    inside = outside = 0
+    for k, terms in [(1, 2), (2, 2), (2, 4), (3, 3), (3, 5), (4, 6)] * 2:
+        E = _normcombo_epigraph(rng, k, terms)
+        Y = rng.normal(size=(300, k)) * rng.uniform(0.1, 3.0, size=(300, 1))
+        C = np.hstack([Y, -np.ones((300, 1))]) * rng.uniform(0.5, 2.0, size=(300, 1))
+        C = np.vstack([C, _support_cases(rng, E.m, graph=k)])
+        got = E.support_values(C)
+        assert isinstance(got, np.ndarray)
+        want = np.array([E.support(c).value for c in C])
+        np.testing.assert_array_equal(got, want)
+        inside += int(np.sum(want == 0.0))
+        outside += int(np.sum(np.isinf(want)))
+    assert inside >= 500 and outside >= 500
+
+
+def test_normcombo_without_facet_form_keeps_lazy_support():
+    """Functionals that do not span R^k, and free coordinates, keep the LP."""
+    rng = np.random.default_rng(318)
+    flat = NormCombo([1.0, 2.0, 0.5], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    full = NormCombo([1.0, 1.0], [[1.0, 0.5], [-0.3, 1.0]])
+    cases = [Epigraph(flat, 4, graph_index=3, base_indices=[0, 1, 2]),
+             Epigraph(full, 4, graph_index=3, base_indices=[0, 1], free_indices=[2])]
+    assert flat.zonotope_facets is None
+    for E in cases:
+        C = _support_cases(rng, E.m, graph=3)
+        got = E.support_values(C)
+        assert isinstance(got, types.GeneratorType)
+        assert list(got) == [E.support(c).value for c in C]
+
+
+def test_closed_form_support_values_need_no_lp(monkeypatch):
+    """support_values on the pointed cones and on cone-ex14 solves no LP."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    sets = [_pointed_cone(3), _pointed_cone(4), build_example("cone-ex14")]
+    monkeypatch.setattr(okacert.sets, "solve_lp", counted)
+    monkeypatch.setattr(okacert.functions, "solve_lp", counted)
+    rng = np.random.default_rng(319)
+    for E in sets:
+        assert isinstance(E.support_values(rng.normal(size=(50, E.m))), np.ndarray)
+    assert not calls
+
+
+def test_infeasible_support_lp_is_a_numerical_failure(monkeypatch):
+    """The constructor proved the polyhedron nonempty, so an infeasible
+    support LP is a solver failure, not an unbounded direction."""
+    E = build_example("halfspace")
+    monkeypatch.setattr(okacert.sets, "solve_lp", lambda *a, **k: LPResult("infeasible", None, None))
+    with pytest.raises(LPNumericalFailure):
+        E.support(np.array([0.0, 0.0, 0.0, 1.0]))
 
 
 def test_is_zero_marks_bounded_sets():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import okacert.functions
+import okacert.sets
 from okacert.errors import (
     OkacertError,
     PointNotOnSubspace,
@@ -16,9 +18,12 @@ from okacert.geometry import (
     complex_tangent,
     mgs,
     realify,
+    realify_span,
 )
 from okacert.gallery import build_example
-from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure, Tube, _nullspace_rows
+from okacert.lp import solve_lp
+from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure, Tube,
+                          _nullspace_rows)
 from okacert.stability import (
     SupportingTranslate,
     TubeFound,
@@ -465,3 +470,131 @@ def test_halfline_absent_iff_stable_on_supporting_slices():
             assert E.contains(x0 + 64.0 * v, tol=1e-5)
             assert L.contains_point(x0 + 64.0 * v, tol=1e-6)
     assert stable_seen and unstable_seen
+
+
+# ---------------------------------------------------------------------------
+# planar stability test against the LP loop it short-cuts
+# ---------------------------------------------------------------------------
+
+# The two pointed six-facet cones {A x <= A x0} of the polyhedral benchmark.
+_POINTED_CONES = [
+    ([[0.832695, 0.342572, -0.221863, -0.374219], [0.683274, 0.711058, -0.161042, -0.039976],
+      [0.651092, 0.546447, -0.463249, -0.25075], [0.324265, 0.243151, -0.856319, -0.320075],
+      [-0.043702, 0.810131, -0.584399, 0.015959], [0.449397, 0.516027, -0.394933, -0.613013]],
+     [0.120099, -0.170765, -0.028719, 0.090641, -0.363966, 0.012728]),
+    ([[-0.090907, -0.342462, -0.417537, 0.836731], [-0.571289, -0.66526, -0.480632, 0.007169],
+      [-0.896531, -0.333342, -0.284719, -0.063638], [-0.771608, -0.283265, -0.465418, -0.328282],
+      [-0.808915, -0.497233, -0.227199, -0.216322], [-0.342654, -0.043952, -0.839544, 0.419312]],
+     [0.04859, 0.169458, -0.462783, -0.290798, -0.182432, -0.297704]),
+]
+
+
+def _ref_member_in_span(cone, directions):
+    """``RecessionCone._member_in_span`` as an LP loop only, before the planar test."""
+    B = mgs(np.atleast_2d(np.asarray(directions, float)))
+    if not B.shape[0]:
+        return None
+    V = B
+    if cone.eq.shape[0]:
+        alpha = _nullspace_rows(cone.eq @ B.T, cols=B.shape[0])
+        if not alpha.shape[0]:
+            return None
+        V = alpha @ B
+    if not cone.ineq.shape[0]:
+        return V[0] / np.linalg.norm(V[0])
+    G = cone.ineq @ V.T
+    w = V.shape[0]
+    Aub = np.vstack([G, np.eye(w), -np.eye(w)])
+    bub = np.concatenate([np.zeros(G.shape[0]), np.ones(2 * w)])
+    for j in range(w):
+        for sign in (1.0, -1.0):
+            obj = np.zeros(w)
+            obj[j] = sign
+            res = solve_lp(obj, A_ub=Aub, b_ub=bub, maximize=True)
+            if res.optimal and res.value > 1e-7:
+                v = res.x @ V
+                v = v / np.linalg.norm(v)
+                if cone.member(v, tol=1e-7):
+                    return v
+    return None
+
+
+def _assert_same_member(cone, D):
+    got, want = cone._member_in_span(D), _ref_member_in_span(cone, D)
+    assert (got is None) == (want is None)
+    if got is not None:
+        np.testing.assert_array_equal(got, want)
+    return got is None
+
+
+def test_planar_stability_matches_lp_reference():
+    """On 2,000 seeded complex lines of C^2 and 500 real lines, over the
+    benchmark's pointed cones, cone-ex14, halfspace, r2-in-c2 and siegel2,
+    the span search gives the LP loop's answer, witness included."""
+    rng = np.random.default_rng(8208)
+    sets = [HPolyhedron(A, b) for A, b in _POINTED_CONES]
+    sets += [build_example(name) for name in ("cone-ex14", "halfspace", "r2-in-c2", "siegel2")]
+    stable = 0
+    for E in sets:
+        cone = E.recession_cone()
+        for _ in range(340):
+            d = rng.normal(size=2) + 1j * rng.normal(size=2)
+            line = AffineSubspaceC(np.zeros(2, dtype=complex), d[None, :] / np.linalg.norm(d))
+            stable += _assert_same_member(cone, line.to_real().directions)
+        for _ in range(85):
+            _assert_same_member(cone, rng.normal(size=(1, 4)))
+    assert stable >= 500
+
+
+def test_planar_stability_on_degenerate_integer_systems():
+    """Small-integer cones in R^2 with zero rows, antiparallel rows and rows
+    in an exact closed half-plane: the planar test agrees with the LP loop
+    on the whole plane and on integer lines."""
+    rng = np.random.default_rng(8209)
+    decided = 0
+    for trial in range(4000):
+        G = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), 2)).astype(float)
+        if trial % 4 == 1:
+            G = np.vstack([G, -G[:1], np.zeros((1, 2))])  # antiparallel pair, zero row
+        elif trial % 4 == 2:
+            G[:, 1] = np.abs(G[:, 1])  # closed upper half-plane, boundary rows included
+            G = np.vstack([G, [[1.0, 0.0], [-1.0, 0.0]]])
+        cone = RecessionCone(2, ineq=G)
+        decided += _assert_same_member(cone, np.eye(2))
+        line = rng.integers(-2, 3, size=(1, 2)).astype(float)
+        if np.any(line):
+            _assert_same_member(cone, line)
+    assert decided >= 500
+
+
+def _counting_solve_lp(monkeypatch):
+    """Count the solve_lp calls made from okacert.sets and okacert.functions."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(okacert.sets, "solve_lp", counted)
+    monkeypatch.setattr(okacert.functions, "solve_lp", counted)
+    return calls
+
+
+def test_stable_planes_need_no_lp(monkeypatch):
+    """Once ``is_zero`` is known, a stable complex line of a pointed cone or
+    of cone-ex14 is decided with no LP."""
+    rng = np.random.default_rng(8210)
+    sets = [HPolyhedron(A, b) for A, b in _POINTED_CONES] + [build_example("cone-ex14")]
+    planes = []
+    for E in sets:
+        E.recession_cone().is_zero
+        for _ in range(60):
+            d = rng.normal(size=2) + 1j * rng.normal(size=2)
+            D = realify_span(d[None, :] / np.linalg.norm(d))
+            if _ref_member_in_span(E.recession_cone(), D) is None:
+                planes.append((E, D))
+    assert len(planes) >= 50
+    calls = _counting_solve_lp(monkeypatch)
+    for E, D in planes:
+        assert E.recession_cone().intersect_subspace(D) is None
+    assert not calls
