@@ -27,6 +27,8 @@ ESCAPE_RADIUS = 1e6
 MAX_ITER = 200
 OVERFLOW_LIMIT = 1e150
 
+FIXED_POINT_MISMATCH = "family mismatch: fixed point must be (0, 1)"
+
 BASIN = "basin"
 ESCAPE = "escape"
 UNDECIDED = "undecided"
@@ -38,7 +40,12 @@ def _coefs(c) -> np.ndarray:
 
 
 def _polyval(c: np.ndarray, z):
-    return P.polyval(z, c)
+    """Horner in place; equals ``P.polyval(z, c)`` bit for bit on finite z."""
+    acc = np.full(np.shape(z), c[-1], dtype=complex)
+    for coef in c[-2::-1]:
+        acc *= z
+        acc += coef
+    return acc
 
 
 def _polyder(c: np.ndarray) -> np.ndarray:
@@ -355,7 +362,8 @@ def _sphere_ratios(psi, f, radius):
 
 
 def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: float):
-    """Closed-form candidate map for the default geometry family.
+    """Closed-form candidate map for the default geometry family; raises
+    DesignFailed when the family cannot apply to the config.
 
     With f = (f1, f2), f1 = 0, and K centered at (k1, 0):
       h(z)  = L (z/f2)^N,               L = 2 log(lambda), so e^{h(f2)} = lambda^2;
@@ -368,11 +376,11 @@ def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: fl
     lam = config.rate_target
     s = float(np.sqrt(1.0 - lam * lam))
     f1, f2 = config.fixed_point
-    if abs(f1) > 1e-12:
-        return None  # this candidate family needs the fixed point on {z1=0}
     k1 = config.k_center[0]
     if abs(k1) < 1e-9:
-        return None
+        raise DesignFailed("family mismatch: K must be centred off {z1 = 0}")
+    if abs(f1) > 1e-12:
+        raise DesignFailed(FIXED_POINT_MISMATCH)
     L = 2.0 * np.log(lam)
     # h(z) = L * (z/f2)^N
     h = np.zeros(N + 1, dtype=complex)
@@ -394,6 +402,10 @@ def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: fl
     g = np.zeros(Pexp + 2, dtype=complex)
     g[1:] = gamma * binom
     psi = Composite([FiberScale(g), BaseScale(h, q)])
+    # psi'(f) = [[lam^2, Qd], [f2 gamma lam^2, 1 + f2 gamma Qd]], lam * rotation iff f2 = 1
+    sv = np.linalg.svd(psi.jacobian(config.fixed_point), compute_uv=False)
+    if np.max(np.abs(sv - lam)) > 1e-9:
+        raise DesignFailed(FIXED_POINT_MISMATCH)
     params = {"N": N, "M": M, "P": Pexp, "d_shape": d_shape,
               "lambda": lam, "L": float(L.real), "Qd": float(Qd), "gamma": gamma}
     return psi, params
@@ -446,11 +458,7 @@ def design_contraction_step(config: Optional[BasinConfig] = None) -> Contraction
     failures = []
     for (N, M, Pexp) in ((12, 8, 6), (10, 7, 5), (14, 9, 6)):
         for d_shape in (0.0, 0.2, -0.2):
-            built = _build_candidate(config, N, M, Pexp, d_shape)
-            if built is None:
-                failures.append(f"family mismatch N={N}")
-                continue
-            psi, params = built
+            psi, params = _build_candidate(config, N, M, Pexp, d_shape)
             for radius in (0.01, 0.005, 0.002):
                 diag = _verify_candidate(psi, config, radius)
                 if diag is not None:
@@ -500,19 +508,21 @@ def classify_points(psi, points, config: BasinConfig):
     labels: basin (reached the convergence ball of the fixed point), escape
     (left the escape radius or overflowed), undecided (iteration cap).
     steps: iteration count at the decision (cap for undecided).
+
+    An orbit that lands on an exact floating-point fixed point of psi outside
+    the convergence ball stops iterating early; it is still reported
+    undecided with steps = max_iter, as iterating to the cap would give.
     """
     f = config.fixed_point
-    z = np.array(points, dtype=complex)
-    m = z.shape[0]
+    cur = np.array(points, dtype=complex)  # iterates of the live rows only
+    m = cur.shape[0]
     labels = np.full(m, UNDECIDED, dtype=object)
     steps = np.full(m, config.max_iter, dtype=int)
     active = np.arange(m)
-    cur = z.copy()
     # overflow while measuring runaway orbits is the escape signal itself
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iter + 1):
-            cur[active] = psi.apply(cur[active], safe=True)
-            w = cur[active]
+            w = psi.apply(cur, safe=True)
             finite = np.isfinite(w).all(axis=-1)
             big = np.abs(np.where(np.isfinite(w), w, 0.0)).max(axis=-1)
             dist = np.where(finite, np.linalg.norm(w - f[None, :], axis=-1), np.inf)
@@ -524,7 +534,10 @@ def classify_points(psi, points, config: BasinConfig):
             labels[done_conv] = BASIN
             steps[done_esc] = k
             steps[done_conv] = k
-            active = active[~(esc | conv)]
+            # psi acts row by row, so a row with psi(z) == z bit for bit repeats
+            # this step's undecided answer until the cap
+            keep = ~(esc | conv | (w == cur).all(axis=-1))
+            active, cur = active[keep], w[keep]
             if active.size == 0:
                 break
     return labels, steps
@@ -554,11 +567,15 @@ def rate_brackets(psi, config: BasinConfig, radius: float, k_max: int = 6,
 # ---------------------------------------------------------------------------
 
 def _csv_rows(points, labels, steps):
-    lines = ["re_z1,im_z1,re_z2,im_z2,label,steps"]
-    for p, lab, k in zip(points, labels, steps):
-        lines.append(f"{p[0].real:.6g},{p[0].imag:.6g},"
-                     f"{p[1].real:.6g},{p[1].imag:.6g},{lab},{int(k)}")
-    return "\n".join(lines) + "\n"
+    """CSV text, 4096 rows at a time (whole-grid column lists raise peak memory)."""
+    row = "%.6g,%.6g,%.6g,%.6g,%s,%d\n".__mod__
+    lines = ["re_z1,im_z1,re_z2,im_z2,label,steps\n"]
+    for i in range(0, len(points), 4096):
+        j = slice(i, i + 4096)
+        z1, z2 = points[j, 0], points[j, 1]
+        lines.extend(map(row, zip(z1.real.tolist(), z1.imag.tolist(), z2.real.tolist(),
+                                  z2.imag.tolist(), labels[j].tolist(), steps[j].tolist())))
+    return "".join(lines)
 
 
 _SVG_COLORS = {BASIN: "#2a9d8f", ESCAPE: "#e76f51", UNDECIDED: "#dddddd"}

@@ -326,9 +326,24 @@ class Certificate:
 # individual checks
 # ---------------------------------------------------------------------------
 
+def _lp_guarded(check):
+    """Make ``check`` inconclusive on an LP numerical failure."""
+    name = check.__name__[len("check_"):]
+
+    @functools.wraps(check)
+    def guarded(E: ConvexSet, plan: SamplingPlan, *args, **kwargs) -> CheckResult:
+        try:
+            return check(E, plan, *args, **kwargs)
+        except LPNumericalFailure as exc:
+            return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
+                               detail=f"LP numerical failure: {exc}")
+    return guarded
+
+
 def _needs_complex_plane(check):
     """Make ``check`` inconclusive off C^n, n >= 2, and on an LP numerical failure."""
     name = check.__name__[len("check_"):]
+    check = _lp_guarded(check)
 
     @functools.wraps(check)
     def guarded(E: ConvexSet, plan: SamplingPlan, *args, **kwargs) -> CheckResult:
@@ -339,14 +354,11 @@ def _needs_complex_plane(check):
         if not applies:
             return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
                                detail="ambient space is not C^n with n >= 2")
-        try:
-            return check(E, plan, *args, **kwargs)
-        except LPNumericalFailure as exc:
-            return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                               detail=f"LP numerical failure: {exc}")
+        return check(E, plan, *args, **kwargs)
     return guarded
 
 
+@_lp_guarded
 def check_no_affine_line(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Does E contain an affine real line?  Empty lineality certifies the
     hypothesis exactly; a lineality direction is recorded as a witness but the
@@ -802,6 +814,7 @@ def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None) -> Ch
                        detail=f"{len(witnesses)} candidate cones verified compact")
 
 
+@_lp_guarded
 def check_normcombo_smoothing(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """For epigraphs of irreducible nonnegative norm combinations: the smoothed
     surrogate must stay sandwiched and strongly convex on samples."""

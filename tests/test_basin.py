@@ -1,17 +1,23 @@
 """Line-fixing automorphisms of C^2 and the attracting-basin experiment."""
 
+import json
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from okacert.basin import (
     BASIN,
     ESCAPE,
+    FIXED_POINT_MISMATCH,
     UNDECIDED,
     BasinConfig,
     BaseScale,
     Composite,
     FiberScale,
     Shear,
+    _csv_rows,
+    _polyval,
     automorphism_from_jsonable,
     basin_report,
     classify_points,
@@ -19,6 +25,7 @@ from okacert.basin import (
     rate_brackets,
     slice_grid,
 )
+from okacert.cli import EXIT_INCONCLUSIVE, main
 from okacert.errors import DesignFailed
 
 
@@ -138,6 +145,21 @@ def test_default_design_meets_every_requirement():
     assert np.allclose(J @ J.conj().T, lam * lam * np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("f2", [1j, -1.0, 2.0, np.exp(0.3j)])
+def test_fixed_point_off_the_family_is_a_family_mismatch(f2, tmp_path):
+    """The candidate family has a differential of singular values lambda only
+    at f = (0, 1); elsewhere the reason says so instead of listing failed
+    verifications, and the status and exit code stay inconclusive."""
+    data = {"fixed_point": [[0.0, 0.0], [float(np.real(f2)), float(np.imag(f2))]]}
+    report, csv_text, _ = basin_report(BasinConfig.from_jsonable(data))
+    assert report["status"] == "inconclusive"
+    assert report["design"] == {"status": "failed", "reason": FIXED_POINT_MISMATCH}
+    assert csv_text is None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["basin", str(cfg), "--outdir", str(tmp_path / "o")]) == EXIT_INCONCLUSIVE
+
+
 def test_design_fails_honestly_when_epsilon_unreachable():
     cfg = BasinConfig(epsilon=1e-7)
     with pytest.raises(DesignFailed):
@@ -215,3 +237,96 @@ def test_basin_report_small_grid():
     assert lines[0] == "re_z1,im_z1,re_z2,im_z2,label,steps"
     assert len(lines) == 1601
     assert svg_text.startswith("<svg") and svg_text.endswith("</svg>")
+
+
+# ---------------------------------------------------------------------------
+# early retirement of fixed orbits, against the loop that iterates to the cap
+# ---------------------------------------------------------------------------
+
+def _reference_classify(psi, points, config):
+    """Iterate every live row to the cap (no early stop at fixed points)."""
+    f = config.fixed_point
+    m = len(points)
+    labels = np.full(m, UNDECIDED, dtype=object)
+    steps = np.full(m, config.max_iter, dtype=int)
+    active = np.arange(m)
+    cur = np.array(points, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, config.max_iter + 1):
+            cur[active] = psi.apply(cur[active], safe=True)
+            w = cur[active]
+            finite = np.isfinite(w).all(axis=-1)
+            big = np.abs(np.where(np.isfinite(w), w, 0.0)).max(axis=-1)
+            dist = np.where(finite, np.linalg.norm(w - f[None, :], axis=-1), np.inf)
+            esc = (~finite) | (big > config.escape_radius) | ~np.isfinite(dist)
+            conv = dist <= config.convergence_tol
+            labels[active[esc]] = ESCAPE
+            labels[active[conv & ~esc]] = BASIN
+            steps[active[esc]] = k
+            steps[active[conv & ~esc]] = k
+            active = active[~(esc | conv)]
+            if active.size == 0:
+                break
+    return labels, steps
+
+
+_ROTATED_K = np.array([2.0 * np.exp(2.2j), 0.0])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"slice_plane": "re"}, {"slice_plane": "im"}, {"slice_plane": "z1"},
+    {"slice_plane": "z2"},
+    {"k_center": _ROTATED_K, "k_radius": 0.4, "slice_plane": "z1",
+     "grid_center": (0.3, 0.9), "grid_halfwidth": 2.8},
+    {"max_iter": 3},
+])
+def test_classification_matches_the_loop_that_runs_to_the_cap(kwargs):
+    cfg = BasinConfig(grid_n=36, **kwargs)
+    psi = design_contraction_step(cfg).psi
+    points, _, _ = slice_grid(cfg)
+    labels, steps = classify_points(psi, points, cfg)
+    ref_labels, ref_steps = _reference_classify(psi, points, cfg)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(steps, ref_steps)
+    if "k_center" in kwargs:
+        assert np.sum(labels == ESCAPE) > 200 and np.sum(labels == BASIN) > 0
+
+
+def test_points_on_the_fixed_line_are_iterated_at_most_twice():
+    cfg = BasinConfig()
+    psi = design_contraction_step(cfg).psi
+    rows = []
+
+    class Counted:
+        def apply(self, z, safe=False):
+            rows.append(len(z))
+            return psi.apply(z, safe=safe)
+
+    rng = np.random.default_rng(605)
+    z1 = rng.uniform(-1.5, 1.5, 500) + 1j * rng.uniform(-1.5, 1.5, 500)
+    pts = np.stack([z1, np.zeros(500, dtype=complex)], axis=-1)
+    labels, steps = classify_points(Counted(), pts, cfg)
+    assert np.all(labels == UNDECIDED) and np.all(steps == cfg.max_iter)
+    assert sum(rows) <= 2 * len(pts)
+
+
+def test_polyval_matches_numpy_bit_for_bit_on_finite_input():
+    psi = design_contraction_step(BasinConfig()).psi
+    fiber, base = psi.factors
+    rng = np.random.default_rng(606)
+    z = rng.normal(scale=2.0, size=2000) + 1j * rng.normal(scale=2.0, size=2000)
+    for c in (fiber.g, base.h, base.q, np.array([0.5 - 0.25j])):
+        assert np.array_equal(_polyval(c, z), P.polyval(z, c))
+        assert _polyval(c, z[7]) == P.polyval(z[7], c)
+
+
+def test_csv_rows_match_per_row_formatting():
+    cfg = BasinConfig(grid_n=70, slice_plane="z2", grid_center=(-0.5, 0.0))
+    points, _, _ = slice_grid(cfg)
+    labels, steps = classify_points(design_contraction_step(cfg).psi, points, cfg)
+    assert len(points) > 4096 and len(set(labels)) == 3
+    lines = ["re_z1,im_z1,re_z2,im_z2,label,steps"]
+    for p, lab, k in zip(points, labels, steps):
+        lines.append(f"{p[0].real:.6g},{p[0].imag:.6g},"
+                     f"{p[1].real:.6g},{p[1].imag:.6g},{lab},{int(k)}")
+    assert _csv_rows(points, labels, steps) == "\n".join(lines) + "\n"

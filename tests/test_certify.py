@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from okacert import certify, sets
+from okacert import certify, sets, smoothing
 from okacert.certify import (
     Hyperplane,
     SamplingPlan,
     certify_oka_complement,
     check_connectivity,
     check_line_lift,
+    check_no_affine_line,
+    check_normcombo_smoothing,
     check_weak_projective,
     hyperplane_common_point,
     hyperplane_disjoint,
@@ -21,6 +23,7 @@ from okacert.certify import (
 )
 from okacert.gallery import build_example, expected_overall, gallery_names
 from okacert.geometry import complexify
+from okacert.errors import LPNumericalFailure
 from okacert.lp import LPResult
 from okacert.sets import HPolyhedron, QuadricBall, SiegelClosure
 from okacert.specjson import canonical_json
@@ -139,6 +142,26 @@ def test_numerical_lp_failure_makes_the_check_inconclusive(monkeypatch):
     cert = certify_oka_complement(E, plan)
     assert cert.check("connectivity").detail == res.detail
     canonical_json(cert.to_jsonable())
+
+
+def test_lp_failure_in_lineality_or_smoothing_makes_the_check_inconclusive(monkeypatch):
+    """The two checks that run off the complex-plane guard turn an LP
+    failure into their own inconclusive verdict too."""
+    E = build_example("cone-ex14")
+
+    def fail(*args, **kwargs):
+        raise LPNumericalFailure("simplex iteration budget exhausted")
+
+    monkeypatch.setattr(type(E), "lineality_exact", fail)
+    monkeypatch.setattr(smoothing, "smooth_normcombo", fail)
+    plan = SamplingPlan().scaled(30)
+    cert = certify_oka_complement(E, plan)
+    canonical_json(cert.to_jsonable())
+    for check in (check_no_affine_line, check_normcombo_smoothing):
+        res = check(E, plan)
+        assert res.verdict == "inconclusive"
+        assert res.detail == "LP numerical failure: simplex iteration budget exhausted"
+        assert cert.check(res.name).detail == res.detail
 
 
 # ---------------------------------------------------------------------------
