@@ -124,8 +124,10 @@ class FiberScale(AutomorphismSpec):
     def apply(self, z, safe=False):
         z = np.asarray(z, dtype=complex)
         w = z.copy()
+        z2 = z[..., 1]
+        # rows on the fixed line keep their copied z2: 0 * exp(g) is nan where exp overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            w[..., 1] = z[..., 1] * np.exp(_polyval(self.g, z[..., 0]))
+            np.multiply(z2, np.exp(_polyval(self.g, z[..., 0])), out=w[..., 1], where=z2 != 0)
         return _check_finite(w, safe)
 
     def jacobian(self, z):

@@ -40,6 +40,7 @@ from .geometry import (
     complex_gradient_from_real,
     complex_tangent,
     complexify,
+    realify,
 )
 from .sets import ConvexSet
 from .stability import (
@@ -47,6 +48,7 @@ from .stability import (
     direction_ratios,
     halfline_in_intersection,
     is_stable,
+    stable_by_rank,
     tube_or_support,
 )
 
@@ -57,6 +59,10 @@ INCONCLUSIVE = "inconclusive"
 
 # Evenly spaced rotation angles that hyperplane_disjoint tries first
 SEPARATION_GRID = 96
+_GRID_ANGLES = np.linspace(0.0, 2.0 * np.pi, SEPARATION_GRID, endpoint=False)
+# Connectivity edge steps whose disjointness one support_values call decides;
+# all of an edge's steps at once would raise the peak memory of a certificate
+EDGE_BLOCK = 8
 # Apertures c that check_chart_compact tries for each candidate cone
 CHART_APERTURES = (1.0, 0.5, 0.1, 0.01)
 
@@ -143,16 +149,10 @@ class Hyperplane:
 
     def __init__(self, coeffs, offset):
         c = np.asarray(coeffs, dtype=complex).ravel()
-        norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-        if norm < 1e-14:
+        if np.sqrt(np.sum(np.abs(c) ** 2)) < 1e-14:
             raise ValueError("hyperplane coefficients are zero")
-        c = c / norm
-        offset = complex(offset) / norm
-        idx = int(np.argmax(np.abs(c) > 1e-12))
-        self.stripped_theta = -float(np.angle(c[idx]))
-        phase = np.exp(1j * self.stripped_theta)
-        self.coeffs = c * phase
-        self.offset = offset * phase
+        C, b, theta = _canonical_rows(c[None], np.array([complex(offset)]))
+        self.coeffs, self.offset, self.stripped_theta = C[0], b[0], float(theta[0])
 
     @property
     def n(self) -> int:
@@ -185,11 +185,8 @@ class Hyperplane:
 
     def real_etas(self, thetas) -> np.ndarray:
         """``real_eta`` of every angle in ``thetas``, one row each."""
-        alpha = np.exp(-1j * np.asarray(thetas, dtype=float))[:, None] * self.coeffs
-        eta = np.empty((alpha.shape[0], 2 * self.n))
-        eta[:, 0::2] = alpha.real
-        eta[:, 1::2] = -alpha.imag
-        return eta
+        return realify(np.conj(np.exp(-1j * np.asarray(thetas, dtype=float))[:, None]
+                               * self.coeffs))
 
     def translated(self, delta_offset: complex) -> "Hyperplane":
         H = Hyperplane(self.coeffs, self.offset + delta_offset)
@@ -213,6 +210,35 @@ class Hyperplane:
         c = np.array([complex(re, im) for re, im in data["coeffs"]])
         beta = complex(data["offset"][0], data["offset"][1])
         return cls(c, beta)
+
+
+def _canonical_rows(C, b):
+    """(unit phase-canonical rows, offsets, stripped phases) of the rows of C
+    with offsets b, as ``Hyperplane`` stores them; the offsets are worked out
+    per component, as Python's complex arithmetic does, bit for bit."""
+    norm = np.sqrt(np.sum(np.abs(C) ** 2, axis=1))
+    C = C / norm[:, None]
+    stripped = -np.angle(C[np.arange(C.shape[0]), np.argmax(np.abs(C) > 1e-12, axis=1)])
+    phase = np.exp(1j * stripped)
+    re, im = b.real / norm, b.imag / norm
+    offsets = np.empty(b.shape[0], dtype=complex)
+    offsets.real = re * phase.real - im * phase.imag
+    offsets.imag = re * phase.imag + im * phase.real
+    return C * phase[:, None], offsets, stripped
+
+
+def _separation_angles(coeffs, stripped, hints=()):
+    """Candidate angles for each coefficient row, in the order tried: ``hints``,
+    then those of ``hyperplane_disjoint``; and a mask of the ones that count
+    (the four angles of a zero coefficient do not)."""
+    k = coeffs.shape[0]
+    ang = np.angle(coeffs)
+    turns = np.stack([ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2], axis=2).reshape(k, -1)
+    fixed = np.concatenate([hints, _GRID_ANGLES])
+    angles = np.hstack([np.broadcast_to(fixed, (k, fixed.shape[0])), turns, stripped[:, None]])
+    counts = np.hstack([np.ones((k, fixed.shape[0]), dtype=bool),
+                        np.repeat(np.abs(coeffs) > 1e-12, 4, axis=1), np.ones((k, 1), dtype=bool)])
+    return angles, counts
 
 
 def _separating_angle(E: ConvexSet, H: Hyperplane, thetas):
@@ -248,13 +274,8 @@ def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
     the first separating candidate, (False, best_theta, best_margin) when
     none separates.
     """
-    thetas = list(np.linspace(0.0, 2.0 * np.pi, SEPARATION_GRID, endpoint=False))
-    for a in H.coeffs:
-        if abs(a) > 1e-12:
-            ang = float(np.angle(a))
-            thetas.extend([ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2])
-    thetas.append(H.stripped_theta)
-    return _separating_angle(E, H, thetas)
+    angles, counts = _separation_angles(H.coeffs[None], np.array([H.stripped_theta]))
+    return _separating_angle(E, H, angles[counts])
 
 
 def hyperplane_common_point(E: ConvexSet, H: Hyperplane):
@@ -482,16 +503,18 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
             "through": [float(t) for t in q],
         })
     checked = len(verified_planes) + len(failures)
+    note = f"; {skipped} exterior samples skipped (projection failed)" if skipped else ""
     if failures:
         return CheckResult(name, REFUTED, witnesses=failures[:5], samples=checked,
                            seed=plan.seed, tol=plan.tol,
-                           detail="projection hyperplane fails at sampled exterior point")
+                           detail="projection hyperplane fails at sampled exterior point" + note)
     if checked == 0:
         return CheckResult(name, INCONCLUSIVE, samples=0, seed=plan.seed, tol=plan.tol,
                            detail=f"all {skipped} exterior samples unusable")
     return CheckResult(name, VERIFIED, witnesses=verified_planes[:max(8, plan.hyperplanes)],
                        samples=checked, seed=plan.seed, tol=plan.tol,
-                       detail="stable disjoint hyperplane through every sampled exterior point")
+                       detail="stable disjoint hyperplane through every sampled exterior point"
+                              + note)
 
 
 @_needs_complex_plane
@@ -683,25 +706,47 @@ def _phase_align(c_ref, c):
     return c * phase, phase
 
 
+def _disjoint_rows(E, coeffs, offsets, stripped, hints):
+    """For each hyperplane row, does a hint or one of its ``hyperplane_disjoint``
+    candidate angles separate it from E?  One ``support_values`` call for all
+    rows; None when E gives its support values lazily."""
+    angles, counts = _separation_angles(coeffs, stripped, hints)
+    rot = np.exp(-1j * angles)
+    values = E.support_values(realify(np.conj(rot[..., None] * coeffs[:, None])).reshape(-1, E.m))
+    if not isinstance(values, np.ndarray):
+        return None
+    values = values.reshape(rot.shape)
+    margin = values - np.real(rot * offsets[:, None])
+    tol = -1e-10 * (1.0 + np.abs(offsets))
+    return np.any(counts & np.isfinite(values) & (margin < tol[:, None]), axis=1)
+
+
 def _edge_ok(E, Hi, Hj, steps, theta_hints):
     """Interpolate in homogeneous conormal coordinates and keep every step
-    stable and disjoint; returns (ok, blocking_t)."""
+    stable and disjoint; returns (ok, blocking_t) at the first failing step.
+
+    ``is_stable`` runs, in step order, only on steps ``stable_by_rank`` leaves
+    open.  Lazy support values keep the per-step angle scan, which stops at
+    the first separating angle."""
     cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
-    bj = Hj.offset * phase
-    for t in np.linspace(0.0, 1.0, steps):
-        c = (1 - t) * Hi.coeffs + t * cj
-        b = (1 - t) * Hi.offset + t * bj
-        if np.linalg.norm(c) < 1e-8:
-            return False, float(t)
-        try:
-            H = Hyperplane(c, b)
-        except ValueError:
-            return False, float(t)
-        if not is_stable(E, H.subspace()).stable:
-            return False, float(t)
-        if not _separating_angle(E, H, theta_hints)[0] and not hyperplane_disjoint(E, H)[0]:
-            return False, float(t)
-    return True, None
+    ts = np.linspace(0.0, 1.0, steps)
+    C = (1 - ts)[:, None] * Hi.coeffs + ts[:, None] * cj
+    b = (1 - ts) * Hi.offset + ts * (Hj.offset * phase)
+    short = np.flatnonzero(np.linalg.norm(C, axis=1) < 1e-8)
+    live = int(short[0]) if short.shape[0] else steps
+    coeffs, offsets, stripped = _canonical_rows(C[:live], b[:live])
+    stable = stable_by_rank(E, coeffs)
+    for k in range(live):
+        if k % EDGE_BLOCK == 0:
+            rows = slice(k, k + EDGE_BLOCK)
+            disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], stripped[rows], theta_hints)
+        H = None if stable[k] and disjoint is not None else Hyperplane(C[k], b[k])
+        if not stable[k] and not is_stable(E, H.subspace()).stable:
+            return False, float(ts[k])
+        if not (disjoint[k % EDGE_BLOCK] if disjoint is not None else
+                _separating_angle(E, H, theta_hints)[0] or hyperplane_disjoint(E, H)[0]):
+            return False, float(ts[k])
+    return (True, None) if live == steps else (False, float(ts[live]))
 
 
 def _retract_to_contact(E, H, theta):

@@ -246,14 +246,18 @@ def _with_box(A, b, bound):
             np.concatenate([b, np.full(2 * w, float(bound))]))
 
 
+def _rank(s, shape, tol=1e-9):
+    """Numerical rank of matrices of ``shape`` from their singular values s."""
+    return np.sum(s > tol * max(shape) * s[..., :1], axis=-1)
+
+
 def _nullspace_rows(M, cols=None, tol=1e-9):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     cols = M.shape[1] if cols is None else cols
     if not M.shape[0]:
         return np.eye(cols)
     _, s, vh = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * max(M.shape) * (s[0] if s.size else 1.0)))
-    return vh[rank:]
+    return vh[int(_rank(s, M.shape, tol)):]
 
 
 def _normcombo_projection(phi, qu, qg):

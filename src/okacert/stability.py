@@ -32,8 +32,9 @@ from .geometry import (
     adapt_frame,
     complexify,
     mgs,
+    realify,
 )
-from .sets import ConvexSet, _nullspace_rows
+from .sets import ConvexSet, _nullspace_rows, _rank
 
 # Fixed recession-ray sample behind every stable verdict's aperture
 RECESSION_SAMPLE_COUNT = 64
@@ -155,6 +156,19 @@ def is_stable(E: ConvexSet, subspace) -> StabilityVerdict:
         return StabilityVerdict("unstable", witness=v)
     aperture = _aperture(direction_ratios(_recession_samples(E), S.directions))
     return StabilityVerdict("stable", aperture=aperture)
+
+
+def stable_by_rank(E: ConvexSet, coeffs) -> np.ndarray:
+    """Batch form of the first tests of ``is_stable`` for the complex
+    hyperplanes with unit coefficient rows c: True where they prove stability
+    (a {0} cone, or eq rows of full rank on the real span, the kernel of the
+    real covectors of c . z and -i c . z), False where ``is_stable`` decides."""
+    cone = E.recession_cone()
+    if cone.is_zero or not cone.eq.shape[0]:
+        return np.full(coeffs.shape[0], cone.is_zero)
+    _, _, vh = np.linalg.svd(realify(np.conj(np.stack([coeffs, -1j * coeffs], axis=1))))
+    M = cone.eq @ np.swapaxes(vh[:, 2:], 1, 2)
+    return _rank(np.linalg.svd(M, compute_uv=False), M.shape[1:]) == M.shape[2]
 
 
 def halfline_in_intersection(E: ConvexSet, subspace, base_point=None):

@@ -44,12 +44,14 @@ def _sample_maps():
 # ---------------------------------------------------------------------------
 
 def test_fixed_line_is_fixed_exactly():
+    """Also where exp(g(z1)) of the default design's fiber factor overflows."""
     rng = np.random.default_rng(601)
-    pts = np.stack([rng.normal(size=40) + 1j * rng.normal(size=40),
-                    np.zeros(40, dtype=complex)], axis=-1)
-    for psi in _sample_maps():
+    z1 = rng.uniform(-3, 3, 500) + 1j * rng.uniform(-3, 3, 500)
+    pts = np.stack([z1, np.zeros(500, dtype=complex)], axis=-1)
+    for psi in _sample_maps() + [design_contraction_step(BasinConfig()).psi]:
         w = psi.apply(pts)
         assert np.array_equal(w, pts)  # bitwise, not just within tolerance
+        assert np.array_equal(psi.apply(pts[0]), pts[0])
 
 
 def test_inverse_roundtrip():
@@ -303,7 +305,7 @@ def test_points_on_the_fixed_line_are_iterated_at_most_twice():
             return psi.apply(z, safe=safe)
 
     rng = np.random.default_rng(605)
-    z1 = rng.uniform(-1.5, 1.5, 500) + 1j * rng.uniform(-1.5, 1.5, 500)
+    z1 = rng.uniform(-3, 3, 500) + 1j * rng.uniform(-3, 3, 500)
     pts = np.stack([z1, np.zeros(500, dtype=complex)], axis=-1)
     labels, steps = classify_points(Counted(), pts, cfg)
     assert np.all(labels == UNDECIDED) and np.all(steps == cfg.max_iter)

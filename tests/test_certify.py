@@ -1,6 +1,7 @@
 """Certification pipeline: hyperplanes, checks, routes, witness rechecks."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,10 @@ from okacert import certify, sets, smoothing
 from okacert.certify import (
     Hyperplane,
     SamplingPlan,
+    _collect_stable_disjoint,
+    _edge_ok,
+    _phase_align,
+    _separating_angle,
     certify_oka_complement,
     check_connectivity,
     check_line_lift,
@@ -18,6 +23,7 @@ from okacert.certify import (
     check_weak_projective,
     hyperplane_common_point,
     hyperplane_disjoint,
+    is_stable,
     recheck_certificate,
     recheck_witness,
 )
@@ -25,7 +31,8 @@ from okacert.gallery import build_example, expected_overall, gallery_names
 from okacert.geometry import complexify
 from okacert.errors import LPNumericalFailure
 from okacert.lp import LPResult
-from okacert.sets import HPolyhedron, QuadricBall, SiegelClosure
+from okacert.functions import MAX_VERTEX_SUBSYSTEMS
+from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure
 from okacert.specjson import canonical_json
 
 SMALL = SamplingPlan().scaled(100)
@@ -37,6 +44,12 @@ POINTED_CONE_A = [
     [0.651092, 0.546447, -0.463249, -0.25075], [0.324265, 0.243151, -0.856319, -0.320075],
     [-0.043702, 0.810131, -0.584399, 0.015959], [0.449397, 0.516027, -0.394933, -0.613013]]
 POINTED_CONE_B = [0.120099, -0.170765, -0.028719, 0.090641, -0.363966, 0.012728]
+# A second pointed cone, as in perfbench's certify-polyhedral workload
+POINTED_CONE_2 = (
+    [[-0.090907, -0.342462, -0.417537, 0.836731], [-0.571289, -0.66526, -0.480632, 0.007169],
+     [-0.896531, -0.333342, -0.284719, -0.063638], [-0.771608, -0.283265, -0.465418, -0.328282],
+     [-0.808915, -0.497233, -0.227199, -0.216322], [-0.342654, -0.043952, -0.839544, 0.419312]],
+    [0.04859, 0.169458, -0.462783, -0.290798, -0.182432, -0.297704])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +222,114 @@ def test_connectivity_with_seeds_on_ball():
     assert seeds
     conn = check_connectivity(E, SMALL, seeds=seeds)
     assert conn.verdict == "verified-sampled"
+
+
+def test_weak_projective_reports_skipped_exterior_samples(monkeypatch):
+    """Exterior points whose projection fails are counted in the detail."""
+    E = QuadricBall(np.zeros(4), 1.0)
+    plan = SamplingPlan().scaled(30)
+    assert "skipped" not in check_weak_projective(E, plan).detail
+    real = certify._canonical_exterior_hyperplane
+    calls = []
+
+    def flaky(E, q):
+        calls.append(1)
+        return None if len(calls) % 3 == 0 else real(E, q)
+
+    monkeypatch.setattr(certify, "_canonical_exterior_hyperplane", flaky)
+    res = check_weak_projective(E, plan)
+    assert res.verdict == "verified-sampled"
+    skipped = len(calls) // 3
+    assert skipped > 0 and res.samples == len(calls) - skipped
+    assert res.detail.endswith(f"; {skipped} exterior samples skipped (projection failed)")
+
+
+# ---------------------------------------------------------------------------
+# connectivity edges
+# ---------------------------------------------------------------------------
+
+def _reference_edge_ok(E, Hi, Hj, steps, theta_hints):
+    """The scalar loop that ``_edge_ok`` batches: one ``Hyperplane``, one
+    ``is_stable`` and one angle scan per step."""
+    cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
+    bj = Hj.offset * phase
+    for t in np.linspace(0.0, 1.0, steps):
+        c = (1 - t) * Hi.coeffs + t * cj
+        b = (1 - t) * Hi.offset + t * bj
+        if np.linalg.norm(c) < 1e-8:
+            return False, float(t)
+        try:
+            H = Hyperplane(c, b)
+        except ValueError:
+            return False, float(t)
+        if not is_stable(E, H.subspace()).stable:
+            return False, float(t)
+        if not _separating_angle(E, H, theta_hints)[0] and not hyperplane_disjoint(E, H)[0]:
+            return False, float(t)
+    return True, None
+
+
+def _lazy_polytope():
+    """A bounded polytope with more vertex subsystems than MAX_VERTEX_SUBSYSTEMS,
+    so its support values come one LP at a time."""
+    A = np.random.default_rng(3).normal(size=(20, 4))
+    assert math.comb(20, 4) > MAX_VERTEX_SUBSYSTEMS
+    E = HPolyhedron(A / np.linalg.norm(A, axis=1, keepdims=True), np.ones(20))
+    assert not isinstance(E.support_values(np.eye(4)), np.ndarray)
+    return E
+
+
+def _edge_sets():
+    dilation = Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6])
+    return ([build_example(name) for name in
+             ("siegel2", "siegel3", "disc-tube-prop49", "ball", "cone-ex14")]
+            + [dilation, HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8)),
+               HPolyhedron(POINTED_CONE_A, POINTED_CONE_B), HPolyhedron(*POINTED_CONE_2)])
+
+
+def _edges(E, count, seed):
+    """Every pair of ``count`` stable disjoint hyperplanes, with their angles as hints."""
+    nodes = _collect_stable_disjoint(E, SMALL, np.random.default_rng(seed), count)
+    return [(nodes[i][0], nodes[j][0], [nodes[i][1], nodes[j][1]])
+            for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
+
+
+def test_batched_edges_match_the_scalar_loop():
+    """Same (ok, blocking_t) as the per-step loop on seeded edges, some of
+    them blocked part way, over smooth, polyhedral and lazy sets."""
+    blocked = passed = 0
+    for E, steps in [(E, 64) for E in _edge_sets()] + [(_lazy_polytope(), 12)]:
+        for Hi, Hj, hints in _edges(E, 5, 41):
+            want = _reference_edge_ok(E, Hi, Hj, steps, hints)
+            assert _edge_ok(E, Hi, Hj, steps, hints) == want
+            passed += want[0]
+            blocked += not want[0] and 0.0 < want[1] < 1.0
+    assert passed >= 50 and blocked >= 10
+
+
+def test_batched_edges_skip_is_stable_and_extra_lps(monkeypatch):
+    """Edges on siegel2 and the ball make no is_stable call; on a set with
+    lazy support values they solve no more LPs than the scalar loop."""
+    smooth = [(E, _edges(E, 4, 42)) for E in map(build_example, ("siegel2", "ball"))]
+    lazy = _lazy_polytope()
+    lazy_edges = _edges(lazy, 4, 43)
+    stable_calls, lp_calls = [], []
+    real_is_stable, real_solve_lp = certify.is_stable, sets.solve_lp
+    monkeypatch.setattr(certify, "is_stable",
+                        lambda *a: stable_calls.append(1) or real_is_stable(*a))
+    for E, edges in smooth:
+        for Hi, Hj, hints in edges:
+            _edge_ok(E, Hi, Hj, 64, hints)
+    assert not stable_calls
+    monkeypatch.setattr(sets, "solve_lp", lambda *a, **k: lp_calls.append(1) or real_solve_lp(*a, **k))
+    E = lazy
+    for Hi, Hj, hints in lazy_edges:
+        del lp_calls[:]
+        want = _reference_edge_ok(E, Hi, Hj, 12, hints)
+        reference = len(lp_calls)
+        del lp_calls[:]
+        assert _edge_ok(E, Hi, Hj, 12, hints) == want
+        assert 0 < len(lp_calls) <= reference
 
 
 # ---------------------------------------------------------------------------

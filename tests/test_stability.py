@@ -16,10 +16,12 @@ from okacert.geometry import (
     AffineSubspaceR,
     adapt_frame,
     complex_tangent,
+    complexify,
     mgs,
     realify,
     realify_span,
 )
+from okacert.certify import Hyperplane
 from okacert.gallery import build_example
 from okacert.lp import solve_lp
 from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure, Tube,
@@ -33,6 +35,7 @@ from okacert.stability import (
     direction_ratios,
     halfline_in_intersection,
     is_stable,
+    stable_by_rank,
     tube_or_support,
 )
 
@@ -188,6 +191,43 @@ def test_vectorized_ratios_and_aperture_match_reference_loop(name):
             assert c == pytest.approx(_aperture_bisect(want), rel=1e-9)
             assert np.all(got[np.isfinite(got)] > c)
     assert compared > 0
+
+
+_RANK_SETS = {
+    "siegel2": lambda: SiegelClosure(2),
+    "siegel3": lambda: SiegelClosure(3),
+    "disc-tube-prop49": lambda: build_example("disc-tube-prop49"),
+    "ball": lambda: build_example("ball"),
+    "siegel-dilation": lambda: Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6]),
+    "cone-ex14": lambda: build_example("cone-ex14"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANK_SETS))
+def test_batched_rank_test_agrees_with_is_stable(name):
+    """On 2,000 seeded complex hyperplanes, a quarter of them nearly or
+    exactly containing a cone axis (coefficient 1e-12 to 1e-6, or 0, on the
+    coordinate of a cone member), ``stable_by_rank`` says stable exactly
+    where ``is_stable`` does; cone-ex14 has no eq rows, so it decides none."""
+    E = _RANK_SETS[name]()
+    n = E.m // 2
+    member = E.recession_cone().intersect_subspace(np.eye(E.m))
+    axis = 0 if member is None else int(np.argmax(np.abs(complexify(member))))
+    rng = np.random.default_rng(8211)
+    coeffs = []
+    for k in range(2000):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if k % 4 == 0:
+            c[axis] = 0.0 if k % 40 == 0 else 10.0 ** rng.uniform(-12, -6) * np.exp(
+                2j * np.pi * rng.uniform())
+        coeffs.append(Hyperplane(c, rng.normal()).coeffs)
+    got = stable_by_rank(E, np.array(coeffs))
+    want = np.array([is_stable(E, Hyperplane(c, 0.0).subspace()).stable for c in coeffs])
+    if name == "cone-ex14":
+        assert not got.any() and want.sum() > 500
+    else:
+        np.testing.assert_array_equal(got, want)
+        assert got.sum() > 1000 and (name == "ball" or not want.all())
 
 
 # ---------------------------------------------------------------------------
