@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import (
     LPNumericalFailure,
     PointInsideSet,
     ProjectionDidNotConverge,
-    SliceUnbounded,
     UnsupportedVariant,
     ZeroGradient,
 )
@@ -98,14 +97,13 @@ class SamplingPlan:
     hyperplanes: int = 60
     path_steps: int = 64
     window: float = 10.0
-    tol: float = 1e-9
 
     def __post_init__(self):
         for name in ("boundary", "exterior", "lines", "hyperplanes", "path_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.window <= 0 or self.tol <= 0:
-            raise ValueError("window and tol must be positive")
+        if self.window <= 0:
+            raise ValueError("window must be positive")
 
     def rng(self, label: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(label.encode("ascii"))])
@@ -113,28 +111,11 @@ class SamplingPlan:
     def scaled(self, samples: int) -> "SamplingPlan":
         """Rescale every per-check budget proportionally to ``samples`` boundary points."""
         f = samples / 500.0
-        return SamplingPlan(
-            seed=self.seed,
-            boundary=max(1, samples),
-            exterior=max(1, int(round(200 * f))),
-            lines=max(1, int(round(100 * f))),
-            hyperplanes=max(2, int(round(60 * f))),
-            path_steps=self.path_steps,
-            window=self.window,
-            tol=self.tol,
-        )
+        return replace(self, boundary=max(1, samples), exterior=max(1, int(round(200 * f))),
+                       lines=max(1, int(round(100 * f))), hyperplanes=max(2, int(round(60 * f))))
 
     def to_jsonable(self):
-        return {
-            "seed": self.seed,
-            "boundary": self.boundary,
-            "exterior": self.exterior,
-            "lines": self.lines,
-            "hyperplanes": self.hyperplanes,
-            "path_steps": self.path_steps,
-            "window": self.window,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 class Hyperplane:
@@ -294,13 +275,14 @@ def hyperplane_common_point(E: ConvexSet, H: Hyperplane):
 
 @dataclass
 class CheckResult:
-    name: str
+    """One check's verdict; ``_check`` stamps ``name`` and ``seed``."""
+
     verdict: str
     witnesses: list = field(default_factory=list)
     samples: int = 0
-    seed: int = 0
-    tol: float = 0.0
     detail: str = ""
+    name: str = ""
+    seed: int = 0
 
     @property
     def anchor(self) -> str:
@@ -318,7 +300,6 @@ class CheckResult:
             "witnesses": self.witnesses,
             "samples": int(self.samples),
             "seed": int(self.seed),
-            "tol": float(self.tol),
             "detail": self.detail,
         }
 
@@ -347,69 +328,59 @@ class Certificate:
 # individual checks
 # ---------------------------------------------------------------------------
 
-def _lp_guarded(check):
-    """Make ``check`` inconclusive on an LP numerical failure."""
-    name = check.__name__[len("check_"):]
-
-    @functools.wraps(check)
-    def guarded(E: ConvexSet, plan: SamplingPlan, *args, **kwargs) -> CheckResult:
-        try:
-            return check(E, plan, *args, **kwargs)
-        except LPNumericalFailure as exc:
-            return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                               detail=f"LP numerical failure: {exc}")
-    return guarded
+def _in_complex_plane(E: ConvexSet) -> bool:
+    try:
+        return E.complex_n() >= 2
+    except UnsupportedVariant:
+        return False
 
 
-def _needs_complex_plane(check):
-    """Make ``check`` inconclusive off C^n, n >= 2, and on an LP numerical failure."""
-    name = check.__name__[len("check_"):]
-    check = _lp_guarded(check)
+def _check(needs_complex_plane=True):
+    """Wrap ``check_<name>``: inconclusive off C^n, n >= 2 (when
+    ``needs_complex_plane``) and on an LP numerical failure; the result
+    carries ``<name>`` and the plan's seed."""
+    def wrap(check):
+        name = check.__name__[len("check_"):]
 
-    @functools.wraps(check)
-    def guarded(E: ConvexSet, plan: SamplingPlan, *args, **kwargs) -> CheckResult:
-        try:
-            applies = E.complex_n() >= 2
-        except UnsupportedVariant:
-            applies = False
-        if not applies:
-            return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                               detail="ambient space is not C^n with n >= 2")
-        return check(E, plan, *args, **kwargs)
-    return guarded
+        @functools.wraps(check)
+        def run(E: ConvexSet, plan: SamplingPlan, *args, **kwargs) -> CheckResult:
+            if needs_complex_plane and not _in_complex_plane(E):
+                res = CheckResult(INCONCLUSIVE, detail="ambient space is not C^n with n >= 2")
+            else:
+                try:
+                    res = check(E, plan, *args, **kwargs)
+                except LPNumericalFailure as exc:
+                    res = CheckResult(INCONCLUSIVE, detail=f"LP numerical failure: {exc}")
+            return replace(res, name=name, seed=plan.seed)
+        return run
+    return wrap
 
 
-@_lp_guarded
+@_check(needs_complex_plane=False)
 def check_no_affine_line(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Does E contain an affine real line?  Empty lineality certifies the
     hypothesis exactly; a lineality direction is recorded as a witness but the
     verdict stays inconclusive for this route (E may verify through others)."""
     rows, exact = E.lineality_exact()
     if rows.shape[0] == 0:
-        return CheckResult("no_affine_line", CERTIFIED if exact else VERIFIED,
-                           samples=0, seed=plan.seed, tol=plan.tol,
-                           detail="lineality space is trivial")
+        return CheckResult(CERTIFIED if exact else VERIFIED, detail="lineality space is trivial")
     witnesses = [{"kind": "line-direction", "direction": [float(t) for t in r]}
                  for r in rows]
-    return CheckResult("no_affine_line", INCONCLUSIVE, witnesses=witnesses,
-                       samples=0, seed=plan.seed, tol=plan.tol,
+    return CheckResult(INCONCLUSIVE, witnesses=witnesses,
                        detail="E contains affine lines; route does not apply")
 
 
-@_needs_complex_plane
+@_check()
 def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """At sampled boundary points p, the slice of E by the maximal complex
     subspace of the tangent hyperplane must not contain a halfline."""
-    name = "tangent_slice_halflines"
     if not E.is_c1_boundary:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="boundary is not C1; tangent data unavailable")
+        return CheckResult(INCONCLUSIVE, detail="boundary is not C1; tangent data unavailable")
     rng = plan.rng("tangent")
     try:
         pts = E.sample_boundary(rng, plan.boundary, window=plan.window)
     except UnsupportedVariant as exc:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail=f"boundary sampling unavailable: {exc}")
+        return CheckResult(INCONCLUSIVE, detail=f"boundary sampling unavailable: {exc}")
     witnesses = []
     checked = 0
     for p in pts:
@@ -432,14 +403,11 @@ def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResu
             if len(witnesses) >= 3:
                 break
     if witnesses:
-        return CheckResult(name, REFUTED, witnesses=witnesses, samples=checked,
-                           seed=plan.seed, tol=plan.tol,
+        return CheckResult(REFUTED, witnesses=witnesses, samples=checked,
                            detail="tangent slice contains a halfline")
     if checked == 0:
-        return CheckResult(name, INCONCLUSIVE, samples=0, seed=plan.seed,
-                           tol=plan.tol, detail="no usable boundary samples")
-    return CheckResult(name, VERIFIED, samples=checked, seed=plan.seed,
-                       tol=plan.tol, detail="no halfline in any sampled tangent slice")
+        return CheckResult(INCONCLUSIVE, detail="no usable boundary samples")
+    return CheckResult(VERIFIED, samples=checked, detail="no halfline in any sampled tangent slice")
 
 
 def _canonical_exterior_hyperplane(E: ConvexSet, q: np.ndarray):
@@ -454,16 +422,14 @@ def _canonical_exterior_hyperplane(E: ConvexSet, q: np.ndarray):
         return None
 
 
-@_needs_complex_plane
+@_check()
 def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Each sampled exterior point must lie on a stable complex hyperplane
     missing E; the hyperplane is constructed from the metric projection."""
-    name = "weak_projective"
     rng = plan.rng("projective")
     qs = E.sample_exterior(rng, plan.exterior, window=plan.window)
     if qs.shape[0] == 0:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="no exterior samples inside the window")
+        return CheckResult(INCONCLUSIVE, detail="no exterior samples inside the window")
     witnesses = []
     verified_planes = []
     failures = []
@@ -505,19 +471,17 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     checked = len(verified_planes) + len(failures)
     note = f"; {skipped} exterior samples skipped (projection failed)" if skipped else ""
     if failures:
-        return CheckResult(name, REFUTED, witnesses=failures[:5], samples=checked,
-                           seed=plan.seed, tol=plan.tol,
+        return CheckResult(REFUTED, witnesses=failures[:5], samples=checked,
                            detail="projection hyperplane fails at sampled exterior point" + note)
     if checked == 0:
-        return CheckResult(name, INCONCLUSIVE, samples=0, seed=plan.seed, tol=plan.tol,
-                           detail=f"all {skipped} exterior samples unusable")
-    return CheckResult(name, VERIFIED, witnesses=verified_planes[:max(8, plan.hyperplanes)],
-                       samples=checked, seed=plan.seed, tol=plan.tol,
+        return CheckResult(INCONCLUSIVE, detail=f"all {skipped} exterior samples unusable")
+    return CheckResult(VERIFIED, witnesses=verified_planes[:max(8, plan.hyperplanes)],
+                       samples=checked,
                        detail="stable disjoint hyperplane through every sampled exterior point"
                               + note)
 
 
-@_needs_complex_plane
+@_check()
 def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Every sampled stable complex line must admit a parallel translate inside
     a stable complex hyperplane disjoint from (a translate off) E.
@@ -527,12 +491,10 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     line direction and is stable, then push it off E along the outward normal
     and re-verify disjointness.
     """
-    name = "line_lift"
     n = E.complex_n()
     rng = plan.rng("lines")
     stable_lines = []
     attempts = 0
-    unbounded = 0
     while len(stable_lines) < plan.lines and attempts < 10 * plan.lines:
         attempts += 1
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -542,8 +504,7 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         if is_stable(E, line).stable:
             stable_lines.append(line)
     if not stable_lines:
-        return CheckResult(name, INCONCLUSIVE, samples=attempts, seed=plan.seed,
-                           tol=plan.tol, detail="no stable lines found")
+        return CheckResult(INCONCLUSIVE, samples=attempts, detail="no stable lines found")
     lifted = 0
     tubes = 0
     skipped = 0
@@ -551,9 +512,6 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     for line in stable_lines:
         try:
             outcome = tube_or_support(E, line)
-        except SliceUnbounded:
-            unbounded += 1
-            continue
         except UnsupportedVariant:
             skipped += 1
             continue
@@ -607,17 +565,14 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         lifted += 1
     checked = lifted + len(witnesses)
     if witnesses:
-        return CheckResult(name, REFUTED, witnesses=witnesses[:5], samples=checked,
-                           seed=plan.seed, tol=plan.tol,
+        return CheckResult(REFUTED, witnesses=witnesses[:5], samples=checked,
                            detail="a stable line failed to lift into a stable disjoint hyperplane")
     if lifted == 0:
-        return CheckResult(name, INCONCLUSIVE, samples=len(stable_lines),
-                           seed=plan.seed, tol=plan.tol,
+        return CheckResult(INCONCLUSIVE, samples=len(stable_lines),
                            detail=f"no line produced a usable supporting translate "
-                                  f"(tubes={tubes}, unbounded={unbounded}, skipped={skipped})")
-    return CheckResult(name, VERIFIED, samples=checked, seed=plan.seed, tol=plan.tol,
-                       detail=f"{lifted} stable lines lifted (tubes={tubes}, "
-                              f"unbounded={unbounded})")
+                                  f"(tubes={tubes}, skipped={skipped})")
+    return CheckResult(VERIFIED, samples=checked,
+                       detail=f"{lifted} stable lines lifted (tubes={tubes})")
 
 
 def _cvec(z):
@@ -724,6 +679,7 @@ def _disjoint_rows(E, coeffs, offsets, stripped, hints):
 def _edge_ok(E, Hi, Hj, steps, theta_hints):
     """Interpolate in homogeneous conormal coordinates and keep every step
     stable and disjoint; returns (ok, blocking_t) at the first failing step.
+    The unit endpoints, phase-aligned, keep every row's squared norm >= 1/2.
 
     ``is_stable`` runs, in step order, only on steps ``stable_by_rank`` leaves
     open.  Lazy support values keep the per-step angle scan, which stops at
@@ -732,11 +688,9 @@ def _edge_ok(E, Hi, Hj, steps, theta_hints):
     ts = np.linspace(0.0, 1.0, steps)
     C = (1 - ts)[:, None] * Hi.coeffs + ts[:, None] * cj
     b = (1 - ts) * Hi.offset + ts * (Hj.offset * phase)
-    short = np.flatnonzero(np.linalg.norm(C, axis=1) < 1e-8)
-    live = int(short[0]) if short.shape[0] else steps
-    coeffs, offsets, stripped = _canonical_rows(C[:live], b[:live])
+    coeffs, offsets, stripped = _canonical_rows(C, b)
     stable = stable_by_rank(E, coeffs)
-    for k in range(live):
+    for k in range(steps):
         if k % EDGE_BLOCK == 0:
             rows = slice(k, k + EDGE_BLOCK)
             disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], stripped[rows], theta_hints)
@@ -746,7 +700,7 @@ def _edge_ok(E, Hi, Hj, steps, theta_hints):
         if not (disjoint[k % EDGE_BLOCK] if disjoint is not None else
                 _separating_angle(E, H, theta_hints)[0] or hyperplane_disjoint(E, H)[0]):
             return False, float(ts[k])
-    return (True, None) if live == steps else (False, float(ts[live]))
+    return True, None
 
 
 def _retract_to_contact(E, H, theta):
@@ -760,16 +714,14 @@ def _retract_to_contact(E, H, theta):
     return max(0.0, -margin)
 
 
-@_needs_complex_plane
+@_check()
 def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckResult:
     """The sampled family of stable disjoint hyperplanes must form a connected
     graph under stable-and-disjoint linear interpolation of their parameters."""
-    name = "connectivity"
     rng = plan.rng("connect")
     nodes = _collect_stable_disjoint(E, plan, rng, plan.hyperplanes, seeds=seeds)
     if len(nodes) < 2:
-        return CheckResult(name, INCONCLUSIVE, samples=len(nodes), seed=plan.seed,
-                           tol=plan.tol,
+        return CheckResult(INCONCLUSIVE, samples=len(nodes),
                            detail="fewer than two stable disjoint hyperplanes found")
     contacts = []
     for H, theta, _, _ in nodes:
@@ -786,24 +738,20 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
             pairs.append((dist, i, j))
     pairs.sort()
     edges = 0
-    blocked = []
     for dist, i, j in pairs:
         if uf.find(i) == uf.find(j):
             continue
         hints = [nodes[i][1], nodes[j][1]]
-        ok, t_block = _edge_ok(E, nodes[i][0], nodes[j][0], plan.path_steps, hints)
-        if ok:
+        if _edge_ok(E, nodes[i][0], nodes[j][0], plan.path_steps, hints)[0]:
             uf.union(i, j)
             edges += 1
-        else:
-            blocked.append((i, j, t_block))
         roots = {uf.find(k) for k in range(len(nodes))}
         if len(roots) == 1:
             break
     roots = sorted({uf.find(k) for k in range(len(nodes))})
     if len(roots) == 1:
         return CheckResult(
-            name, VERIFIED, samples=len(nodes), seed=plan.seed, tol=plan.tol,
+            VERIFIED, samples=len(nodes),
             witnesses=[{"kind": "retraction-contacts",
                         "offsets": [c for c in contacts if c is not None][:10]}],
             detail=f"{len(nodes)} hyperplanes connected with {edges} verified edges")
@@ -816,19 +764,16 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
         "representatives": [nodes[r][0].to_jsonable() for r in reps],
         "components": len(roots),
     }]
-    return CheckResult(name, REFUTED, witnesses=witnesses, samples=len(nodes),
-                       seed=plan.seed, tol=plan.tol,
+    return CheckResult(REFUTED, witnesses=witnesses, samples=len(nodes),
                        detail=f"hyperplane graph has {len(roots)} components")
 
 
-@_needs_complex_plane
+@_check()
 def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None) -> CheckResult:
     """Truncated cones around candidate hyperplanes must cut E compactly:
     no sampled recession direction may satisfy |r''| <= c |r'|."""
-    name = "chart_compact"
     if not candidates:
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="no candidate hyperplanes available")
+        return CheckResult(INCONCLUSIVE, detail="no candidate hyperplanes available")
     rng = plan.rng("chart")
     rays = E.recession_cone().sample_members(rng, 200)
     witnesses = []
@@ -851,15 +796,13 @@ def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None) -> Ch
                 "ratio": float(ratios[worst]) if worst >= 0 else None,
             })
     if refuted:
-        return CheckResult(name, REFUTED, witnesses=refuted, samples=len(rays),
-                           seed=plan.seed, tol=plan.tol,
+        return CheckResult(REFUTED, witnesses=refuted, samples=len(rays),
                            detail="a recession direction enters every candidate cone")
-    return CheckResult(name, VERIFIED, witnesses=witnesses, samples=len(rays),
-                       seed=plan.seed, tol=plan.tol,
+    return CheckResult(VERIFIED, witnesses=witnesses, samples=len(rays),
                        detail=f"{len(witnesses)} candidate cones verified compact")
 
 
-@_lp_guarded
+@_check(needs_complex_plane=False)
 def check_normcombo_smoothing(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """For epigraphs of irreducible nonnegative norm combinations: the smoothed
     surrogate must stay sandwiched and strongly convex on samples."""
@@ -867,16 +810,14 @@ def check_normcombo_smoothing(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     from .errors import NotIrreducibleFamily
     from .smoothing import smooth_normcombo
 
-    name = "normcombo_smoothing"
     phi = getattr(E, "phi", None)
     if not isinstance(phi, NormCombo):
-        return CheckResult(name, INCONCLUSIVE, seed=plan.seed, tol=plan.tol,
-                           detail="set is not the epigraph of a norm combination")
+        return CheckResult(INCONCLUSIVE, detail="set is not the epigraph of a norm combination")
     try:
         eta = 1e-3
         psi = smooth_normcombo(phi, eta)
     except NotIrreducibleFamily as exc:
-        return CheckResult(name, REFUTED, seed=plan.seed, tol=plan.tol,
+        return CheckResult(REFUTED,
                            witnesses=[{"kind": "reducible-family", "reason": str(exc)}],
                            detail="norm family is not irreducible")
     rng = plan.rng("normcombo")
@@ -892,12 +833,12 @@ def check_normcombo_smoothing(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         eigs.append(float(np.linalg.eigvalsh(psi.hess(x))[0]))
     min_eig = float(min(eigs))
     if bad or min_eig <= 0:
-        return CheckResult(name, REFUTED, samples=len(xs), seed=plan.seed, tol=plan.tol,
+        return CheckResult(REFUTED, samples=len(xs),
                            witnesses=[{"kind": "smoothing-failure",
                                        "sandwich_violations": bad,
                                        "hessian_min_eig": min_eig}],
                            detail="smoothed surrogate violates sandwich or convexity")
-    return CheckResult(name, VERIFIED, samples=len(xs), seed=plan.seed, tol=plan.tol,
+    return CheckResult(VERIFIED, samples=len(xs),
                        witnesses=[{"kind": "smoothing-evidence",
                                    "eta": eta, "hessian_min_eig": min_eig}],
                        detail="sandwich and strong convexity verified on samples")

@@ -86,10 +86,6 @@ def _cmd_certify(args, argv) -> int:
         if args.samples < 1:
             raise SchemaError("$.samples", "must be positive")
         plan = plan.scaled(args.samples)
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise SchemaError("$.tol", "must be positive")
-        plan = dataclasses.replace(plan, tol=args.tol)
     cert = certify_oka_complement(E, plan)
     _emit(canonical_json(cert.to_jsonable()) + "\n", args.out)
     if args.out and args.manifest:
@@ -268,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=42)
     c.add_argument("--samples", type=int, default=None,
                    help="boundary sample budget; other budgets scale with it")
-    c.add_argument("--tol", type=float, default=None,
-                   help="override the plan tolerance")
     c.add_argument("--out", default=None, help="write the certificate here")
     c.add_argument("--manifest", action="store_true",
                    help="also write run_manifest.json next to --out")

@@ -388,9 +388,6 @@ class ConvexSet:
     def slice_point(self, S: AffineSubspaceR):
         raise UnsupportedVariant(f"{self.json_type} has no affine-slice solver")
 
-    def interior_point(self):
-        return None
-
     def to_jsonable(self):
         raise NotImplementedError
 
@@ -556,10 +553,6 @@ class HPolyhedron(ConvexSet):
             return True
         return t <= 1e-10
 
-    def interior_point(self):
-        x, t = self.chebyshev()
-        return x if t > 1e-10 else None
-
     def _vertices(self, rng, count, window):
         A, b = _with_box(self.A, self.b, window)
         verts = []
@@ -666,9 +659,6 @@ class QuadricBall(ConvexSet):
 
     def boundary_gradient(self, p):
         return 2.0 * (np.asarray(p, float) - self.center)
-
-    def interior_point(self):
-        return self.center.copy()
 
     def slice_point(self, S):
         d = self.center - S.base
@@ -866,10 +856,6 @@ class Epigraph(ConvexSet):
         g[self.gi] = -1.0
         return g
 
-    def interior_point(self):
-        u0 = np.zeros(self.phi.k)
-        return self.assemble(u0, float(self.phi.value(u0)) + 1.0)
-
     def slice_point(self, S):
         D = S.directions
         k = D.shape[0]
@@ -1047,12 +1033,6 @@ class Tube(ConvexSet):
         g[self.bi] = self.base.boundary_gradient(np.asarray(p, float)[self.bi])
         return g
 
-    def interior_point(self):
-        ib = self.base.interior_point()
-        if ib is None:
-            return None
-        return self._lift(ib, np.zeros(self.fi.shape[0]))
-
     def slice_point(self, S):
         D = S.directions
         pb = S.base[self.bi]
@@ -1140,10 +1120,6 @@ class Dilation(ConvexSet):
 
     def boundary_gradient(self, p):
         return self.base.boundary_gradient(self.pull(p))
-
-    def interior_point(self):
-        ib = self.base.interior_point()
-        return None if ib is None else self.push(ib)
 
     def slice_point(self, S):
         SP = AffineSubspaceR(self.pull(S.base), S.directions)

@@ -1,5 +1,6 @@
 """Certification pipeline: hyperplanes, checks, routes, witness rechecks."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -148,9 +149,9 @@ def test_numerical_lp_failure_makes_the_check_inconclusive(monkeypatch):
         return real(c, A_ub, *args, **kwargs)
 
     monkeypatch.setattr(sets, "solve_lp", broken)
-    plan = SamplingPlan().scaled(30)
+    plan = SamplingPlan(seed=11).scaled(30)
     res = check_connectivity(E, plan)
-    assert res.verdict == "inconclusive"
+    assert (res.name, res.seed, res.verdict) == ("connectivity", 11, "inconclusive")
     assert res.detail.startswith("LP numerical failure: ")
     cert = certify_oka_complement(E, plan)
     assert cert.check("connectivity").detail == res.detail
@@ -167,12 +168,12 @@ def test_lp_failure_in_lineality_or_smoothing_makes_the_check_inconclusive(monke
 
     monkeypatch.setattr(type(E), "lineality_exact", fail)
     monkeypatch.setattr(smoothing, "smooth_normcombo", fail)
-    plan = SamplingPlan().scaled(30)
+    plan = SamplingPlan(seed=11).scaled(30)
     cert = certify_oka_complement(E, plan)
     canonical_json(cert.to_jsonable())
     for check in (check_no_affine_line, check_normcombo_smoothing):
         res = check(E, plan)
-        assert res.verdict == "inconclusive"
+        assert (res.name, res.seed, res.verdict) == (check.__name__[6:], 11, "inconclusive")
         assert res.detail == "LP numerical failure: simplex iteration budget exhausted"
         assert cert.check(res.name).detail == res.detail
 
@@ -190,9 +191,18 @@ def test_sampling_plan_scaling_and_validation():
     with pytest.raises(ValueError):
         SamplingPlan(boundary=0)
     with pytest.raises(ValueError):
-        SamplingPlan(tol=0.0)
-    with pytest.raises(ValueError):
         SamplingPlan(window=-1.0)
+
+
+def test_sampling_plan_fields_are_listed_once():
+    """The certificate's plan record is exactly the dataclass fields, and
+    rescaling keeps every field it does not rescale."""
+    plan = SamplingPlan(seed=3, path_steps=17, window=4.5)
+    fields = [f.name for f in dataclasses.fields(SamplingPlan)]
+    assert list(plan.to_jsonable()) == fields
+    assert plan.to_jsonable() == {name: getattr(plan, name) for name in fields}
+    scaled = plan.scaled(100)
+    assert (scaled.seed, scaled.path_steps, scaled.window) == (3, 17, 4.5)
 
 
 def test_sampling_plan_rng_streams():
@@ -377,12 +387,12 @@ def test_line_free_polytope_is_certified_exactly():
 @pytest.mark.parametrize("E", [QuadricBall(np.zeros(3), 1.0), QuadricBall(np.zeros(2), 1.0)],
                          ids=["odd-dimension", "C^1"])
 def test_checks_need_complex_dimension_two(E):
-    plan = SamplingPlan(seed=5, tol=1e-7)
+    plan = SamplingPlan(seed=5)
     for check in (certify.check_tangent_slice_halflines, check_weak_projective,
                   check_line_lift, check_connectivity, certify.check_chart_compact):
         res = check(E, plan)
-        assert (res.verdict, res.detail, res.seed, res.tol, res.samples, res.witnesses) == (
-            "inconclusive", "ambient space is not C^n with n >= 2", 5, 1e-7, 0, [])
+        assert (res.verdict, res.detail, res.seed, res.samples, res.witnesses) == (
+            "inconclusive", "ambient space is not C^n with n >= 2", 5, 0, [])
 
 
 def test_certificate_structure_and_route_logic():

@@ -39,7 +39,7 @@ def test_certify_refuted_set_exits_one(capsys):
 def test_certify_bad_inputs_exit_usage(capsys):
     assert run("certify", "no-such-set-anywhere") == 64
     assert run("certify", "ball", "--samples", "0") == 64
-    assert run("certify", "ball", "--tol", "-1") == 64
+    assert run("certify", "ball", "--tol", "1e-3") == 64  # removed flag
     assert run("certify", "ball", "--samples", "not-a-number") == 64
 
 
