@@ -62,8 +62,8 @@ _GRID_ANGLES = np.linspace(0.0, 2.0 * np.pi, SEPARATION_GRID, endpoint=False)
 # Connectivity edge steps whose disjointness one support_values call decides;
 # all of an edge's steps at once would raise the peak memory of a certificate
 EDGE_BLOCK = 8
-# Apertures c that check_chart_compact tries for each candidate cone
-CHART_APERTURES = (1.0, 0.5, 0.1, 0.01)
+# Aperture c of the truncated cone that check_chart_compact tests per candidate
+CHART_APERTURE = 0.01
 
 # route -> the checks that must all verify for the route to certify.  A route
 # counts only when all its checks are in the certificate, so the smoothing
@@ -430,7 +430,6 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     qs = E.sample_exterior(rng, plan.exterior, window=plan.window)
     if qs.shape[0] == 0:
         return CheckResult(INCONCLUSIVE, detail="no exterior samples inside the window")
-    witnesses = []
     verified_planes = []
     failures = []
     skipped = 0
@@ -487,9 +486,10 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     a stable complex hyperplane disjoint from (a translate off) E.
 
     Construction: squeeze the line against E (tube_or_support), take the
-    complex tangent hyperplane at the contact point, verify it contains the
-    line direction and is stable, then push it off E along the outward normal
-    and re-verify disjointness.
+    complex tangent of the supporting real hyperplane at the contact point
+    (its unit normal vanishes on the line's real span, so the lift contains
+    the line direction), verify it is stable, then push it off E along that
+    normal and re-verify disjointness.
     """
     n = E.complex_n()
     rng = plan.rng("lines")
@@ -519,24 +519,8 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
             tubes += 1
             continue
         q = outcome.contact
-        try:
-            g = E.boundary_gradient(q)
-            H = Hyperplane.from_real_normal(q, g)
-        except (UnsupportedVariant, ZeroGradient):
-            # Fall back to the supporting covector itself (always conormal).
-            try:
-                H = Hyperplane.from_real_normal(q, outcome.normal)
-            except ZeroGradient:
-                skipped += 1
-                continue
+        H = Hyperplane.from_real_normal(q, outcome.normal)
         d = line.directions[0]
-        if abs(np.dot(H.coeffs, d)) > 1e-6:
-            witnesses.append({
-                "kind": "lift-misses-direction",
-                "line_direction": _cvec(d),
-                "hyperplane": H.to_jsonable(),
-            })
-            continue
         verdict = is_stable(E, H.subspace())
         if not verdict.stable:
             witnesses.append({
@@ -590,17 +574,15 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
     found = []
     keys = set()
 
-    def _push(H, theta, margin, aperture):
+    def _push(H, theta):
         k = H.key()
         if k in keys:
             return
         keys.add(k)
-        found.append((H, theta, margin, aperture))
+        found.append((H, theta))
 
     for entry in seeds or []:
-        H = Hyperplane.from_jsonable(entry["hyperplane"])
-        _push(H, entry.get("theta", 0.0), entry.get("margin", 0.0),
-              entry.get("aperture"))
+        _push(Hyperplane.from_jsonable(entry["hyperplane"]), entry.get("theta", 0.0))
     n = E.complex_n()
     guard = 0
     while len(found) < target and guard < 20 * target:
@@ -627,19 +609,20 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
             beta = (value + 1.0 + float(rng.uniform(0, plan.window / 2))
                     + 1j * float(rng.uniform(-plan.window / 4, plan.window / 4)))
             H = Hyperplane(H0.coeffs, beta)
-        verdict = is_stable(E, H.subspace())
-        if not verdict.stable:
+        if not is_stable(E, H.subspace()).stable:
             continue
-        ok, theta, margin = hyperplane_disjoint(E, H)
-        if not ok:
-            continue
-        _push(H, theta, margin, verdict.aperture)
+        ok, theta, _ = hyperplane_disjoint(E, H)
+        if ok:
+            _push(H, theta)
     return found
 
 
 class _UnionFind:
+    """Disjoint sets of 0..n-1; each root is the least index of its set."""
+
     def __init__(self, n):
         self.parent = list(range(n))
+        self.components = n
 
     def find(self, i):
         while self.parent[i] != i:
@@ -651,6 +634,7 @@ class _UnionFind:
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
+            self.components -= 1
 
 
 def _phase_align(c_ref, c):
@@ -723,10 +707,7 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
     if len(nodes) < 2:
         return CheckResult(INCONCLUSIVE, samples=len(nodes),
                            detail="fewer than two stable disjoint hyperplanes found")
-    contacts = []
-    for H, theta, _, _ in nodes:
-        c = _retract_to_contact(E, H, theta)
-        contacts.append(None if c is None else float(c))
+    contacts = [_retract_to_contact(E, H, theta) for H, theta in nodes]
     uf = _UnionFind(len(nodes))
     pairs = []
     for i in range(len(nodes)):
@@ -736,36 +717,26 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
             dist = float(np.linalg.norm(ci.coeffs - cj_al) +
                          abs(ci.offset - cj.offset) / (1 + abs(ci.offset)))
             pairs.append((dist, i, j))
-    pairs.sort()
-    edges = 0
-    for dist, i, j in pairs:
-        if uf.find(i) == uf.find(j):
-            continue
-        hints = [nodes[i][1], nodes[j][1]]
-        if _edge_ok(E, nodes[i][0], nodes[j][0], plan.path_steps, hints)[0]:
-            uf.union(i, j)
-            edges += 1
-        roots = {uf.find(k) for k in range(len(nodes))}
-        if len(roots) == 1:
+    for _, i, j in sorted(pairs):
+        if uf.components == 1:
             break
-    roots = sorted({uf.find(k) for k in range(len(nodes))})
-    if len(roots) == 1:
+        if uf.find(i) != uf.find(j) and _edge_ok(E, nodes[i][0], nodes[j][0], plan.path_steps,
+                                                  [nodes[i][1], nodes[j][1]])[0]:
+            uf.union(i, j)
+    if uf.components == 1:
         return CheckResult(
             VERIFIED, samples=len(nodes),
             witnesses=[{"kind": "retraction-contacts",
                         "offsets": [c for c in contacts if c is not None][:10]}],
-            detail=f"{len(nodes)} hyperplanes connected with {edges} verified edges")
-    comps = {}
-    for k in range(len(nodes)):
-        comps.setdefault(uf.find(k), []).append(k)
-    reps = [min(v) for v in comps.values()][:2]
+            detail=f"{len(nodes)} hyperplanes connected with {len(nodes) - 1} verified edges")
+    reps = [k for k in range(len(nodes)) if uf.find(k) == k][:2]
     witnesses = [{
         "kind": "disconnected-components",
         "representatives": [nodes[r][0].to_jsonable() for r in reps],
-        "components": len(roots),
+        "components": uf.components,
     }]
     return CheckResult(REFUTED, witnesses=witnesses, samples=len(nodes),
-                       detail=f"hyperplane graph has {len(roots)} components")
+                       detail=f"hyperplane graph has {uf.components} components")
 
 
 @_check()
@@ -780,12 +751,11 @@ def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None) -> Ch
     refuted = []
     for H in candidates[:3]:
         ratios = direction_ratios(rays, H.subspace().to_real().directions)
-        passing = [c for c in CHART_APERTURES if np.all(ratios > c)]
-        if passing:
+        if np.all(ratios > CHART_APERTURE):
             witnesses.append({
                 "kind": "compact-chart",
                 "hyperplane": H.to_jsonable(),
-                "aperture": min(passing),
+                "aperture": CHART_APERTURE,
             })
         else:
             worst = int(np.argmin(ratios)) if len(rays) else -1

@@ -27,6 +27,8 @@ DEFAULT_TOL = 1e-9
 # Angular margin (rad) of the planar stability test; rows of the projected
 # cone system shorter than this, relative to their own length, are dropped
 PLANAR_MARGIN = 1e-6
+RECESSION_SAMPLE_COUNT = 64  # the fixed ray sample behind every stable verdict's aperture
+RECESSION_SAMPLE_SEED = 20240811
 
 
 @dataclass
@@ -123,6 +125,12 @@ class RecessionCone:
                     if self.member(v, tol=1e-7):
                         return v
         return None
+
+    @cached_property
+    def seeded_members(self):
+        """RECESSION_SAMPLE_COUNT ``sample_members`` from RECESSION_SAMPLE_SEED, drawn once."""
+        rng = np.random.default_rng(RECESSION_SAMPLE_SEED)
+        return self.sample_members(rng, RECESSION_SAMPLE_COUNT)
 
     @cached_property
     def extreme_rays(self):

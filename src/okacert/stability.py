@@ -36,10 +36,6 @@ from .geometry import (
 )
 from .sets import ConvexSet, _nullspace_rows, _rank
 
-# Fixed recession-ray sample behind every stable verdict's aperture
-RECESSION_SAMPLE_COUNT = 64
-RECESSION_SAMPLE_SEED = 20240811
-
 
 @dataclass
 class StabilityVerdict:
@@ -99,20 +95,6 @@ def cone_membership(subspace, p, c, x, tol=1e-12):
     return bool(across <= c * along + tol * (1.0 + np.linalg.norm(w)))
 
 
-def _recession_samples(E: ConvexSet):
-    """RECESSION_SAMPLE_COUNT unit recession directions, memoized per set instance.
-
-    The sample is deterministic (fixed seed), so reusing it across repeated
-    stability queries on the same set changes nothing but speed.
-    """
-    rays = getattr(E, "_recession_sample", None)
-    if rays is None:
-        rng = np.random.default_rng(RECESSION_SAMPLE_SEED)
-        rays = E.recession_cone().sample_members(rng, RECESSION_SAMPLE_COUNT)
-        E._recession_sample = rays
-    return rays
-
-
 def direction_ratios(rays: np.ndarray, D: np.ndarray) -> np.ndarray:
     """|r''| / |r'| for each row r of ``rays``, split by the orthonormal rows of D.
 
@@ -154,7 +136,7 @@ def is_stable(E: ConvexSet, subspace) -> StabilityVerdict:
     v = E.recession_cone().intersect_subspace(S.directions)
     if v is not None:
         return StabilityVerdict("unstable", witness=v)
-    aperture = _aperture(direction_ratios(_recession_samples(E), S.directions))
+    aperture = _aperture(direction_ratios(E.recession_cone().seeded_members, S.directions))
     return StabilityVerdict("stable", aperture=aperture)
 
 

@@ -29,12 +29,13 @@ from okacert.certify import (
     recheck_witness,
 )
 from okacert.gallery import build_example, expected_overall, gallery_names
-from okacert.geometry import complexify
-from okacert.errors import LPNumericalFailure
+from okacert.geometry import AffineSubspaceC, complexify
+from okacert.errors import LPNumericalFailure, UnsupportedVariant
 from okacert.lp import LPResult
 from okacert.functions import MAX_VERTEX_SUBSYSTEMS
 from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure
 from okacert.specjson import canonical_json
+from okacert.stability import SupportingTranslate, tube_or_support
 
 SMALL = SamplingPlan().scaled(100)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -224,6 +225,34 @@ def test_line_lift_on_ball():
     assert res.samples > 0 and not res.witnesses
 
 
+def test_line_lift_contains_the_line_direction():
+    """The lift of a supporting translate, the complex tangent of its real
+    supporting hyperplane, contains the line direction on every gallery set
+    and both pointed cones: the unit normal vanishes on the line's real span."""
+    rng = np.random.default_rng(5120)
+    sets = [build_example(name) for name in gallery_names()]
+    sets += [HPolyhedron(POINTED_CONE_A, POINTED_CONE_B), HPolyhedron(*POINTED_CONE_2)]
+    checked = 0
+    for E in sets:
+        n = E.complex_n()
+        for _ in range(40):
+            d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            d /= np.linalg.norm(d)
+            b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 2.5
+            line = AffineSubspaceC(base=b, directions=d[None, :])
+            if not is_stable(E, line).stable:
+                continue
+            try:
+                outcome = tube_or_support(E, line)
+            except UnsupportedVariant:
+                continue
+            if isinstance(outcome, SupportingTranslate):
+                H = Hyperplane.from_real_normal(outcome.contact, outcome.normal)
+                assert abs(np.dot(H.coeffs, d)) <= 1e-12
+                checked += 1
+    assert checked >= 200
+
+
 def test_connectivity_with_seeds_on_ball():
     E = QuadricBall(np.zeros(4), 1.0)
     wp = check_weak_projective(E, SMALL)
@@ -232,6 +261,23 @@ def test_connectivity_with_seeds_on_ball():
     assert seeds
     conn = check_connectivity(E, SMALL, seeds=seeds)
     assert conn.verdict == "verified-sampled"
+
+
+def test_connectivity_reports_each_component_by_its_first_hyperplane(monkeypatch):
+    """With edges only between hyperplanes on the same side of Im offset = 1,
+    the graph has two components, each represented by its first node."""
+    E = QuadricBall(np.zeros(4), 1.0)
+    nodes = _collect_stable_disjoint(E, SMALL, SMALL.rng("connect"), SMALL.hyperplanes)
+    sides = [H.offset.imag > 1.0 for H, _ in nodes]
+    assert len(set(sides)) == 2
+    monkeypatch.setattr(certify, "_edge_ok", lambda E, Hi, Hj, steps, hints:
+                        ((Hi.offset.imag > 1.0) == (Hj.offset.imag > 1.0), None))
+    res = check_connectivity(E, SMALL)
+    assert (res.verdict, res.samples) == ("refuted", len(nodes))
+    assert res.detail == "hyperplane graph has 2 components"
+    firsts = (0, sides.index(not sides[0]))
+    assert res.witnesses == [{"kind": "disconnected-components", "components": 2,
+                              "representatives": [nodes[k][0].to_jsonable() for k in firsts]}]
 
 
 def test_weak_projective_reports_skipped_exterior_samples(monkeypatch):

@@ -1,11 +1,14 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "okacert"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "okacert"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -101,3 +104,14 @@ def test_unread_module_constant_detector():
 def test_no_unread_module_constants():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_module_constants(sources) == []
+
+
+def test_benchmark_tracer_installs_on_this_source():
+    """perfbench's tracer finds every function and method it wraps: a rename
+    or deletion in ``src/`` would make it raise. It runs in a child process,
+    so its wrappers stay out of this one."""
+    code = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+            "from tracing import Tracer, install; install(Tracer())")
+    run = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

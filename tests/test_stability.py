@@ -30,7 +30,6 @@ from okacert.stability import (
     SupportingTranslate,
     TubeFound,
     _aperture,
-    _recession_samples,
     cone_membership,
     direction_ratios,
     halfline_in_intersection,
@@ -177,7 +176,7 @@ def _random_subspaces(rng, count):
 @pytest.mark.parametrize("name", ["siegel2", "disc-tube-prop49", "cone-ex14"])
 def test_vectorized_ratios_and_aperture_match_reference_loop(name):
     E = build_example(name)
-    rays = _recession_samples(E)
+    rays = E.recession_cone().seeded_members
     rng = np.random.default_rng(731)
     compared = 0
     for D in _random_subspaces(rng, 40):
