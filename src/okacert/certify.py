@@ -21,6 +21,7 @@ with Hermitian-unit, phase-canonical coefficients.
 from __future__ import annotations
 
 import functools
+import itertools
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional
@@ -707,7 +708,6 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
     if len(nodes) < 2:
         return CheckResult(INCONCLUSIVE, samples=len(nodes),
                            detail="fewer than two stable disjoint hyperplanes found")
-    contacts = [_retract_to_contact(E, H, theta) for H, theta in nodes]
     uf = _UnionFind(len(nodes))
     pairs = []
     for i in range(len(nodes)):
@@ -724,10 +724,12 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
                                                   [nodes[i][1], nodes[j][1]])[0]:
             uf.union(i, j)
     if uf.components == 1:
+        contacts = (_retract_to_contact(E, H, theta) for H, theta in nodes)
         return CheckResult(
             VERIFIED, samples=len(nodes),
             witnesses=[{"kind": "retraction-contacts",
-                        "offsets": [c for c in contacts if c is not None][:10]}],
+                        "offsets": list(itertools.islice(
+                            (c for c in contacts if c is not None), 10))}],
             detail=f"{len(nodes)} hyperplanes connected with {len(nodes) - 1} verified edges")
     reps = [k for k in range(len(nodes)) if uf.find(k) == k][:2]
     witnesses = [{

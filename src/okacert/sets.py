@@ -110,8 +110,7 @@ class RecessionCone:
             return V[0] / np.linalg.norm(V[0])
         G = self.ineq @ V.T
         w = V.shape[0]
-        if w <= 2 and _planar_cone_is_zero(
-                G[np.linalg.norm(G, axis=1) > PLANAR_MARGIN * np.linalg.norm(self.ineq, axis=1)]):
+        if w <= 2 and _planar_cone_is_zero(G, self.ineq):
             return None
         Aub, bub = _with_box(G, np.zeros(G.shape[0]), 1.0)
         for j in range(w):
@@ -137,9 +136,10 @@ class RecessionCone:
         """Unit extreme rays of a pointed cone, or None (memoized).
 
         Each is the null line of an (m-1)-row subsystem of rank m-1 of the
-        unit ``ineq`` rows, with the sign that keeps every row <= 1e-9.  None
-        when the cone has ``eq`` rows or lineality, or more than
-        MAX_VERTEX_SUBSYSTEMS subsystems; a {0} cone has no rays.
+        unit ``ineq`` rows, with the sign that keeps every row <= 1e-9, kept
+        once: a row within 1 - 1e-12 (dot product) of an earlier one is
+        dropped.  None when the cone has ``eq`` rows or lineality, or more
+        than MAX_VERTEX_SUBSYSTEMS subsystems; a {0} cone has no rays.
         """
         k, m = self.ineq.shape
         if self.eq.shape[0] or math.comb(k, m - 1) > MAX_VERTEX_SUBSYSTEMS \
@@ -150,7 +150,8 @@ class RecessionCone:
         _, s, vh = np.linalg.svd(U[idx])
         d = vh[np.all(s > 1e-10, axis=1), -1]
         P = U @ d.T
-        return np.vstack([d[np.all(P <= 1e-9, axis=0)], -d[np.all(P >= -1e-9, axis=0)]])
+        R = np.vstack([d[np.all(P <= 1e-9, axis=0)], -d[np.all(P >= -1e-9, axis=0)]])
+        return R[~np.triu(R @ R.T > 1 - 1e-12, 1).any(axis=0)]
 
     def sample_members(self, rng, count):
         """Unit cone members: subspace combinations plus LP vertex rays.
@@ -231,20 +232,26 @@ class RecessionCone:
         return None
 
 
-def _planar_cone_is_zero(G):
-    """True when {a : G a <= 0} is {0}, for G with one or two columns.
+def _planar_cone_is_zero(G, ineq):
+    """True where {a : G a <= 0} is {0}, for G = ineq projected onto one or two
+    columns, stacked over any leading shape.
 
-    By Gordan's alternative that holds exactly when the rows positively span
-    the line or the plane: both signs occur (one column), or the row angles
+    Rows of G shorter than PLANAR_MARGIN times their ``ineq`` row are dropped.
+    By Gordan's alternative the rest must positively span the line or the
+    plane: both signs occur (one column), or more than two rows whose angles
     leave no gap of pi (two columns).  The gap must miss pi by PLANAR_MARGIN,
     so a True is never a rounding artefact.
     """
-    if G.shape[0] <= G.shape[1]:  # w rows never positively span R^w
-        return False
-    if G.shape[1] == 1:
-        return bool(G.max() > 0 > G.min())
-    ang = np.sort(np.arctan2(G[:, 1], G[:, 0]))
-    return bool(np.diff(ang, append=ang[0] + 2 * np.pi).max() < np.pi - PLANAR_MARGIN)
+    if G.shape[-2] <= G.shape[-1]:  # w rows never positively span R^w
+        return np.zeros(G.shape[:-2], bool)
+    keep = np.linalg.norm(G, axis=-1) > PLANAR_MARGIN * np.linalg.norm(ineq, axis=-1)
+    if G.shape[-1] == 1:
+        return np.any(keep & (G[..., 0] > 0), -1) & np.any(keep & (G[..., 0] < 0), -1)
+    ang = np.arctan2(G[..., 1], G[..., 0])
+    # a dropped row repeats the angle of a kept one, which adds only zero gaps
+    ang = np.sort(np.where(keep, ang, np.take_along_axis(ang, keep.argmax(-1)[..., None], -1)), -1)
+    widest = np.diff(ang, axis=-1, append=ang[..., :1] + 2 * np.pi).max(-1)
+    return (keep.sum(-1) > 2) & (widest < np.pi - PLANAR_MARGIN)
 
 
 def _with_box(A, b, bound):

@@ -34,7 +34,7 @@ from .geometry import (
     mgs,
     realify,
 )
-from .sets import ConvexSet, _nullspace_rows, _rank
+from .sets import ConvexSet, _nullspace_rows, _planar_cone_is_zero, _rank
 
 
 @dataclass
@@ -143,13 +143,18 @@ def is_stable(E: ConvexSet, subspace) -> StabilityVerdict:
 def stable_by_rank(E: ConvexSet, coeffs) -> np.ndarray:
     """Batch form of the first tests of ``is_stable`` for the complex
     hyperplanes with unit coefficient rows c: True where they prove stability
-    (a {0} cone, or eq rows of full rank on the real span, the kernel of the
-    real covectors of c . z and -i c . z), False where ``is_stable`` decides."""
+    on the real span S, the kernel of the real covectors of c . z and -i c . z
+    (a {0} cone; eq rows of full rank on S; or, for a cone with only ineq rows
+    and a 2-dimensional S, the planar Gordan test), False where ``is_stable``
+    decides."""
     cone = E.recession_cone()
-    if cone.is_zero or not cone.eq.shape[0]:
+    if cone.is_zero or not (cone.eq.shape[0] or E.m == 4):
         return np.full(coeffs.shape[0], cone.is_zero)
     _, _, vh = np.linalg.svd(realify(np.conj(np.stack([coeffs, -1j * coeffs], axis=1))))
-    M = cone.eq @ np.swapaxes(vh[:, 2:], 1, 2)
+    S = np.swapaxes(vh[:, 2:], 1, 2)
+    if not cone.eq.shape[0]:
+        return _planar_cone_is_zero(cone.ineq @ S, cone.ineq)
+    M = cone.eq @ S
     return _rank(np.linalg.svd(M, compute_uv=False), M.shape[1:]) == M.shape[2]
 
 

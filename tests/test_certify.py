@@ -364,19 +364,25 @@ def test_batched_edges_match_the_scalar_loop():
 
 
 def test_batched_edges_skip_is_stable_and_extra_lps(monkeypatch):
-    """Edges on siegel2 and the ball make no is_stable call; on a set with
-    lazy support values they solve no more LPs than the scalar loop."""
-    smooth = [(E, _edges(E, 4, 42)) for E in map(build_example, ("siegel2", "ball"))]
+    """Edges on siegel2, the ball, cone-ex14 and a pointed cone make no
+    is_stable call, and a default-plan cone-ex14 certificate makes at most
+    600 (4,327 before the planar Gordan test was batched); on a set with
+    lazy support values edges solve no more LPs than the scalar loop."""
+    edge_sets = [build_example(name) for name in ("siegel2", "ball", "cone-ex14")]
+    edge_sets.append(HPolyhedron(POINTED_CONE_A, POINTED_CONE_B))
+    batched = [(E, _edges(E, 4, 42)) for E in edge_sets]
     lazy = _lazy_polytope()
     lazy_edges = _edges(lazy, 4, 43)
     stable_calls, lp_calls = [], []
     real_is_stable, real_solve_lp = certify.is_stable, sets.solve_lp
     monkeypatch.setattr(certify, "is_stable",
                         lambda *a: stable_calls.append(1) or real_is_stable(*a))
-    for E, edges in smooth:
+    for E, edges in batched:
         for Hi, Hj, hints in edges:
             _edge_ok(E, Hi, Hj, 64, hints)
     assert not stable_calls
+    certify_oka_complement(build_example("cone-ex14"))
+    assert 0 < len(stable_calls) <= 600
     monkeypatch.setattr(sets, "solve_lp", lambda *a, **k: lp_calls.append(1) or real_solve_lp(*a, **k))
     E = lazy
     for Hi, Hj, hints in lazy_edges:

@@ -197,6 +197,16 @@ def test_extreme_rays_generate_the_cone():
     assert build_example("cone-ex14").recession_cone().extreme_rays.shape[0] >= 4
 
 
+def test_extreme_rays_are_listed_once():
+    """A ray on several (m-1)-row subsystems is returned once: cone-ex14's
+    cone has exactly six pairwise-distinct rays, and no seeded pointed cone
+    repeats one."""
+    R = build_example("cone-ex14").recession_cone().extreme_rays
+    assert R.shape == (6, 4)
+    for R in [R] + [_pointed_cone(seed).recession_cone().extreme_rays for seed in range(10)]:
+        assert np.all(np.triu(R @ R.T, 1) < 1 - 1e-9)
+
+
 def _normcombo_epigraph(rng, k, terms):
     vecs = rng.normal(size=(terms, k))
     phi = NormCombo(rng.uniform(0.2, 2.0, size=terms), vecs / np.linalg.norm(vecs, axis=1)[:, None])

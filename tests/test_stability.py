@@ -25,7 +25,7 @@ from okacert.certify import Hyperplane
 from okacert.gallery import build_example
 from okacert.lp import solve_lp
 from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure, Tube,
-                          _nullspace_rows)
+                          _nullspace_rows, _planar_cone_is_zero)
 from okacert.stability import (
     SupportingTranslate,
     TubeFound,
@@ -199,6 +199,9 @@ _RANK_SETS = {
     "ball": lambda: build_example("ball"),
     "siegel-dilation": lambda: Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6]),
     "cone-ex14": lambda: build_example("cone-ex14"),
+    "pointed-cone-0": lambda: HPolyhedron(*_POINTED_CONES[0]),
+    "pointed-cone-1": lambda: HPolyhedron(*_POINTED_CONES[1]),
+    "r2-in-c2": lambda: build_example("r2-in-c2"),
 }
 
 
@@ -206,11 +209,17 @@ _RANK_SETS = {
 def test_batched_rank_test_agrees_with_is_stable(name):
     """On 2,000 seeded complex hyperplanes, a quarter of them nearly or
     exactly containing a cone axis (coefficient 1e-12 to 1e-6, or 0, on the
-    coordinate of a cone member), ``stable_by_rank`` says stable exactly
-    where ``is_stable`` does; cone-ex14 has no eq rows, so it decides none."""
+    coordinate of a cone member), plus the complex line through each extreme
+    ray of a pointed cone, ``stable_by_rank`` says stable exactly where
+    ``is_stable`` does.  On r2-in-c2 the LP loop behind the planar Gordan
+    test proves more planes stable: there the batch is the scalar Gordan step
+    on each plane, and each of its stable verdicts is one of ``is_stable``'s.
+    On inequality-only cones the LP loop alone finds no member in any plane
+    the batch calls stable."""
     E = _RANK_SETS[name]()
+    cone = E.recession_cone()
     n = E.m // 2
-    member = E.recession_cone().intersect_subspace(np.eye(E.m))
+    member = cone.intersect_subspace(np.eye(E.m))
     axis = 0 if member is None else int(np.argmax(np.abs(complexify(member))))
     rng = np.random.default_rng(8211)
     coeffs = []
@@ -220,13 +229,43 @@ def test_batched_rank_test_agrees_with_is_stable(name):
             c[axis] = 0.0 if k % 40 == 0 else 10.0 ** rng.uniform(-12, -6) * np.exp(
                 2j * np.pi * rng.uniform())
         coeffs.append(Hyperplane(c, rng.normal()).coeffs)
+    for z in complexify(cone.extreme_rays if cone.extreme_rays is not None else np.zeros((0, 4))):
+        coeffs.append(Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs)  # c . z = 0 on the ray
     got = stable_by_rank(E, np.array(coeffs))
-    want = np.array([is_stable(E, Hyperplane(c, 0.0).subspace()).stable for c in coeffs])
-    if name == "cone-ex14":
-        assert not got.any() and want.sum() > 500
+    planes = [Hyperplane(c, 0.0).subspace().to_real() for c in coeffs]
+    want = np.array([is_stable(E, S).stable for S in planes])
+    if not cone.eq.shape[0]:
+        assert not any(g and _ref_member_in_span(cone, S.directions) is not None
+                       for g, S in zip(got, planes))
+    if name == "r2-in-c2":
+        scalar = [_planar_cone_is_zero(cone.ineq @ mgs(S.directions).T, cone.ineq) for S in planes]
+        np.testing.assert_array_equal(got, scalar)
+        assert not (got & ~want).any() and 1000 < got.sum() < want.sum()
     else:
         np.testing.assert_array_equal(got, want)
-        assert got.sum() > 1000 and (name == "ball" or not want.all())
+        assert got.sum() > (200 if name.startswith("pointed") else 1000)
+        assert name == "ball" or not want.all()
+
+
+def test_batched_rank_test_on_a_cone_with_many_facets():
+    """A pointed cone in C^2 cut out by 2,000 inequality rows alone: the
+    batch over 64 complex lines, one of them through a cone member, gives
+    the span search's verdict on each, and the LP loop's on the first four."""
+    rng = np.random.default_rng(8213)
+    d = rng.normal(size=4)
+    A = rng.normal(size=(2000, 4))
+    A[A @ d > 0] *= -1.0
+    E = HPolyhedron(A, np.ones(2000))
+    cone = E.recession_cone()
+    z = complexify(d / np.linalg.norm(d))
+    coeffs = [Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs]
+    coeffs += [Hyperplane(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0).coeffs
+               for _ in range(63)]
+    got = stable_by_rank(E, np.array(coeffs))
+    planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
+    np.testing.assert_array_equal(got, [cone.intersect_subspace(D) is None for D in planes])
+    assert [_ref_member_in_span(cone, D) is None for D in planes[:4]] == list(got[:4])
+    assert not got[0] and got.sum() > 32
 
 
 # ---------------------------------------------------------------------------
