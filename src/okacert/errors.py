@@ -38,7 +38,8 @@ class PointInsideSet(OkacertError):
 
 
 class ProjectionDidNotConverge(OkacertError):
-    """The boundary projection iteration hit its budget without converging."""
+    """A boundary projection ran out of iterations: the Newton descent on an
+    epigraph, or the active-set steps on a polyhedron."""
 
 
 class SliceUnbounded(OkacertError):

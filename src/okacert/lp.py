@@ -34,14 +34,15 @@ def _pivot(T, r, j):
             T[i] = T[i] - T[i][j] * T[r]
 
 
-def _run_simplex(T, basis, tol):
-    """Minimize the objective row in place; returns 'optimal' or 'unbounded'."""
+def _run_simplex(T, basis, tol, cost_tol):
+    """Minimize the objective row in place; returns 'optimal' or 'unbounded'.
+    A column enters when its reduced cost is below -cost_tol."""
     m = T.shape[0] - 1
     for _ in range(_MAX_ITER):
         obj = T[-1]
         enter = -1
         for j in range(T.shape[1] - 1):
-            if obj[j] < -tol:
+            if obj[j] < -cost_tol:
                 enter = j  # Bland: smallest improving index
                 break
         if enter < 0:
@@ -126,7 +127,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False):
         for i in range(m):
             if basis[i] in art_cols:
                 T[-1] = T[-1] - T[i]
-        status = _run_simplex(T, basis, tol)
+        status = _run_simplex(T, basis, tol, tol)
         if status != "optimal":
             raise LPNumericalFailure("phase-1 simplex did not terminate optimal")
         phase1 = -T[-1][-1]
@@ -160,7 +161,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False):
     for i in range(m):
         if T[-1][basis[i]] != 0.0:
             T[-1] = T[-1] - T[-1][basis[i]] * T[i]
-    status = _run_simplex(T, basis, tol)
+    # reduced costs scale with c, so a component of c below tol still enters
+    status = _run_simplex(T, basis, tol, min(tol, 1e-12 * float(np.max(np.abs(cc), initial=0.0))))
     if status == "unbounded":
         return LPResult("unbounded", None, None)
 

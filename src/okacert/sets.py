@@ -525,26 +525,49 @@ class HPolyhedron(ConvexSet):
                 self._verts = X[np.all(X @ self.A.T <= self.b + 1e-9, axis=1)]
         return self._verts if self._verts.shape[0] else None
 
-    def nearest_boundary(self, q, max_sweeps=10000):
+    def nearest_boundary(self, q):
+        """The exact nearest point of {A x <= b} to an exterior q, by the dual
+        active-set method of Goldfarb & Idnani (Math. Prog. 27, 1983) for
+        min |x - q|^2 / 2.  From x = q with no active rows, it takes the most
+        violated row p and moves x along z, the part of a_p orthogonal to the
+        active rows N, while the multipliers u (q - x = N^T u) stay >= 0: a
+        full step makes p active, a partial step drops the row whose
+        multiplier reaches 0 first and tries p again.  It ends when no row is
+        violated by more than 1e-12 (1 + |b|)."""
         q = np.asarray(q, dtype=float)
         if self.contains(q):
             raise PointInsideSet("q already lies in the set")
-        # Dykstra's alternating projections onto the halfspaces
-        x = q.copy()
-        corr = np.zeros((self.A.shape[0], self.m))
-        for _ in range(max_sweeps):
-            prev = x.copy()
-            for i in range(self.A.shape[0]):
-                y = x + corr[i]
-                resid = self.A[i] @ y - self.b[i]
-                xnew = y - max(resid, 0.0) * self.A[i]
-                corr[i] = y - xnew
-                x = xnew
-            if np.linalg.norm(x - prev) < 1e-13 * (1.0 + np.linalg.norm(x)):
-                break
-        else:
-            raise ProjectionDidNotConverge("Dykstra sweep budget exhausted")
-        return x
+        A, b = self.A, self.b
+        tol = 1e-12 * (1.0 + np.linalg.norm(b))
+        x, act, u, p = q.copy(), [], np.zeros(0), None
+        for _ in range(10 * len(b) + 10):
+            if p is None:
+                viol = A @ x - b
+                p = int(np.argmax(viol))
+                if viol[p] <= tol:
+                    return x
+                up = 0.0
+            N = A[act]
+            r = np.linalg.solve(N @ N.T, N @ A[p])
+            z = A[p] - r @ N
+            zz = z @ z
+            moves = zz > 1e-20  # else a_p depends on the active rows: partial steps only
+            t1 = (A[p] @ x - b[p]) / zz if moves else np.inf
+            ratio = np.full(len(act), np.inf)
+            np.divide(u, r, out=ratio, where=r > 1e-12)
+            t = min(t1, ratio.min(initial=np.inf))
+            if t == np.inf:
+                break  # no step meets row p: numerically, the polyhedron is empty
+            if moves:
+                x = x - t * z
+            u, up = u - t * r, up + t
+            if t == t1:
+                act, u, p = act + [p], np.append(u, up), None
+            else:
+                k = int(np.argmin(ratio))
+                del act[k]
+                u = np.delete(u, k)
+        raise ProjectionDidNotConverge("active-set steps did not reach a feasible point")
 
     def chebyshev(self, window=100.0):
         key = float(window)

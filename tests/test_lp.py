@@ -58,6 +58,18 @@ def test_simplex_maximize_flag():
     assert np.allclose(res.x, [0.0, 1.0], atol=1e-9)
 
 
+def test_simplex_counts_objective_components_below_the_pivot_tolerance():
+    """Reduced costs scale with c, so a component of 1e-10 still moves the
+    optimum: max over the box [-1, 2] x [-3, 3] of (1, 1e-10) and (0, 1e-10)."""
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    b = np.array([2.0, 3.0, 1.0, 3.0])
+    for c, want in (([1.0, 1e-10], 2.0 + 3e-10), ([0.0, 1e-10], 3e-10)):
+        res = solve_lp(np.array(c), A_ub=A, b_ub=b, maximize=True)
+        assert res.optimal
+        assert res.value == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert res.x[1] == pytest.approx(3.0, abs=1e-12)
+
+
 def test_simplex_unbounded():
     # min -x subject to x >= 0 (free to grow)
     res = solve_lp(np.array([-1.0]), A_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))

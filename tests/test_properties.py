@@ -19,8 +19,23 @@ from okacert.sets import (  # noqa: E402
 # Derandomized and without an example database: every run tries the same inputs.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
+# A box cut by four unit halfspaces: the seed-1 polytope of the benchmark's
+# certify-polyhedral workload, to six decimals.
+CUTS = [[-0.451956, -0.844327, 0.042724, 0.284644], [-0.781108, 0.107384, -0.374952, -0.487597],
+        [0.60712, -0.551225, 0.560799, -0.114285], [0.330189, -0.279401, 0.752065, 0.497302]]
+CUT_OFFSETS = [0.952978, 1.456337, 1.167077, 1.277376, 1.423815, 0.98562, 0.939941, 0.587335,
+               0.59703, 0.820092, 0.858243, 0.524802]
+# A pointed cone {x : A x <= b} with six facets (tests/test_stability.py::_POINTED_CONES[0]).
+POINTED_CONE = (
+    [[0.832695, 0.342572, -0.221863, -0.374219], [0.683274, 0.711058, -0.161042, -0.039976],
+     [0.651092, 0.546447, -0.463249, -0.25075], [0.324265, 0.243151, -0.856319, -0.320075],
+     [-0.043702, 0.810131, -0.584399, 0.015959], [0.449397, 0.516027, -0.394933, -0.613013]],
+    [0.120099, -0.170765, -0.028719, 0.090641, -0.363966, 0.012728])
+
 SETS = {
     "box": HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), [1.0, 1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 0.0]),
+    "cut-polytope": HPolyhedron(np.vstack([np.eye(4), -np.eye(4), CUTS]), CUT_OFFSETS),
+    "pointed-cone": HPolyhedron(*POINTED_CONE),
     "halfspace": HPolyhedron(np.array([[0.0, 0.0, 0.0, -1.0]]), np.array([0.0])),
     "ball": QuadricBall(np.array([1.0, -1.0, 0.5, 0.0]), 2.0),
     "siegel2": SiegelClosure(2),

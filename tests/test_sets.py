@@ -1,5 +1,6 @@
 """Convex set variants: membership, support, projection, recession, slices."""
 
+import itertools
 import types
 
 import numpy as np
@@ -30,6 +31,38 @@ def _box(lo, hi):
     A = np.vstack([np.eye(m), -np.eye(m)])
     b = np.concatenate([hi, -np.asarray(lo, float)])
     return HPolyhedron(A, b)
+
+
+def _cut_polytope(cuts, b):
+    """The box rows of R^4, then four unit cuts: a bounded, line-free polytope."""
+    return HPolyhedron(np.vstack([np.eye(4), -np.eye(4), cuts]), b)
+
+
+# The seeded cut polytopes of seeds 1 and 2 of the benchmark's
+# certify-polyhedral workload, to six decimals.
+_BENCH_CUT_POLYTOPES = [
+    ([[-0.451956, -0.844327, 0.042724, 0.284644], [-0.781108, 0.107384, -0.374952, -0.487597],
+      [0.60712, -0.551225, 0.560799, -0.114285], [0.330189, -0.279401, 0.752065, 0.497302]],
+     [0.952978, 1.456337, 1.167077, 1.277376, 1.423815, 0.98562, 0.939941, 0.587335,
+      0.59703, 0.820092, 0.858243, 0.524802]),
+    ([[0.378935, -0.455729, 0.507603, -0.625347], [0.364138, 0.262578, -0.697615, -0.558381],
+      [-0.810201, -0.412578, -0.197165, -0.366715], [-0.131533, -0.141335, 0.887471, 0.418471]],
+     [1.461007, 0.927794, 1.218814, 0.924852, 1.455768, 0.862801, 0.905757, 1.014077,
+      0.741374, 0.991222, 0.517553, 0.898078]),
+]
+
+# The benchmark's two six-facet pointed cones {x : A x <= b}
+# (tests/test_stability.py::_POINTED_CONES).
+_BENCH_POINTED_CONES = [
+    ([[0.832695, 0.342572, -0.221863, -0.374219], [0.683274, 0.711058, -0.161042, -0.039976],
+      [0.651092, 0.546447, -0.463249, -0.25075], [0.324265, 0.243151, -0.856319, -0.320075],
+      [-0.043702, 0.810131, -0.584399, 0.015959], [0.449397, 0.516027, -0.394933, -0.613013]],
+     [0.120099, -0.170765, -0.028719, 0.090641, -0.363966, 0.012728]),
+    ([[-0.090907, -0.342462, -0.417537, 0.836731], [-0.571289, -0.66526, -0.480632, 0.007169],
+      [-0.896531, -0.333342, -0.284719, -0.063638], [-0.771608, -0.283265, -0.465418, -0.328282],
+      [-0.808915, -0.497233, -0.227199, -0.216322], [-0.342654, -0.043952, -0.839544, 0.419312]],
+     [0.04859, 0.169458, -0.462783, -0.290798, -0.182432, -0.297704]),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +371,7 @@ def test_nearest_boundary_optimality():
     rng = np.random.default_rng(302)
     sets = [
         _box([-1, -1, -1], [1, 1, 1]),
+        _cut_polytope(*_BENCH_CUT_POLYTOPES[0]),
         QuadricBall(np.zeros(3), 1.5),
         SiegelClosure(2),
         normcombo_cone_set(2, [1.0], [1.0], 1.0),
@@ -351,6 +385,84 @@ def test_nearest_boundary_optimality():
             d = np.linalg.norm(q - p)
             for x in bd:
                 assert d <= np.linalg.norm(q - x) + 1e-6
+
+
+def _projection_by_active_subsets(E, q):
+    """The nearest point of {A x <= b} to q by brute force: q projected onto
+    {A_S x = b_S} for every set S of at most m linearly independent rows,
+    keeping the nearest feasible one (the rows active at the projection with
+    positive multipliers are such a set)."""
+    cands = []
+    for s in range(1, min(E.A.shape) + 1):
+        idx = np.array(list(itertools.combinations(range(E.A.shape[0]), s)))
+        N = E.A[idx]
+        G = N @ N.transpose(0, 2, 1)
+        ok = np.linalg.det(G) > 1e-10  # dependent rows, such as a pair +-a, have det G = 0
+        lam = np.linalg.solve(G[ok], (N[ok] @ q - E.b[idx[ok]])[..., None])
+        cands.append(q - np.sum(lam * N[ok], axis=1))
+    X = np.vstack(cands)
+    X = X[E.contains(X, tol=1e-9)]
+    return X[np.argmin(np.linalg.norm(X - q, axis=1))]
+
+
+def _assert_exact_projection(E, q, p):
+    """KKT certificate of p = argmin |x - q| over {A x <= b}, and agreement
+    with the brute-force projection."""
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    scale = 1.0 + np.linalg.norm(E.b)
+    slack = E.A @ p - E.b
+    assert np.max(slack) <= 1e-12 * scale
+    _, resid = nnls(E.A[slack >= -1e-9 * scale].T, q - p)
+    assert resid <= 1e-10
+    np.testing.assert_allclose(p, _projection_by_active_subsets(E, q), rtol=0, atol=1e-9)
+
+
+def test_polyhedral_projection_is_exact():
+    """nearest_boundary on polyhedra is the exact nearest point: feasible to
+    1e-12 (1 + |b|), q - p a nonnegative combination of the active rows, and
+    equal to a brute-force scan of active sets.  The cases are seeded cut
+    polytopes, the benchmark's pointed cones with points whose nearest point
+    is the apex (six active rows in R^4), the paired rows +-e of r2-in-c2, a
+    cube corner (four active rows), a halfspace, and a seed-2 point on which
+    Dykstra's alternating projections stop 0.34 outside the polytope.  The
+    result is the same on a second call, and a point of the set, such as the
+    result, raises PointInsideSet."""
+    rng = np.random.default_rng(320)
+    seeded = []
+    for _ in range(6):
+        cuts = rng.normal(size=(4, 4))
+        seeded.append((cuts / np.linalg.norm(cuts, axis=1, keepdims=True),
+                       np.r_[rng.uniform(0.5, 1.5, 8), rng.uniform(0.3, 1.0, 4)]))
+    cube = _box(-np.ones(4), np.ones(4))
+    cases = [(_cut_polytope(*data), rng.uniform(-10.0, 10.0, size=(25, 4)))
+             for data in _BENCH_CUT_POLYTOPES + seeded]
+    for A, b in _BENCH_POINTED_CONES:
+        E = HPolyhedron(A, b)
+        apex = np.linalg.lstsq(E.A, E.b, rcond=None)[0]
+        to_apex = apex + rng.uniform(0.1, 2.0, size=(15, 6)) @ E.A
+        cases.append((E, np.vstack([to_apex, rng.uniform(-5.0, 5.0, size=(25, 4))])))
+        assert np.allclose(E.nearest_boundary(to_apex[0]), apex, atol=1e-12)
+    cases += [
+        (build_example("r2-in-c2"), rng.uniform(-5.0, 5.0, size=(25, 4))),
+        (cube, np.vstack([np.full(4, 2.0), rng.uniform(-5.0, 5.0, size=(25, 4))])),
+        (HPolyhedron(np.array([[0.0, 0.0, 0.0, -1.0]]), np.array([0.0])),
+         rng.uniform(-5.0, 5.0, size=(10, 4))),
+        (_cut_polytope(*_BENCH_CUT_POLYTOPES[1]),
+         np.array([[-9.414621761582062, 7.485242978107664,
+                    -7.919276315637962, -6.222814174613076]])),
+    ]
+    assert np.array_equal(cube.nearest_boundary(np.full(4, 2.0)), np.ones(4))
+    for E, Q in cases:
+        for q in Q:
+            if E.contains(q):
+                with pytest.raises(PointInsideSet):
+                    E.nearest_boundary(q)
+                continue
+            p = E.nearest_boundary(q)
+            _assert_exact_projection(E, q, p)
+            assert np.array_equal(E.nearest_boundary(q), p)
+            with pytest.raises(PointInsideSet):
+                E.nearest_boundary(p)
 
 
 def test_normcombo_projection_beats_local_probes():
