@@ -38,8 +38,8 @@ class PointInsideSet(OkacertError):
 
 
 class ProjectionDidNotConverge(OkacertError):
-    """A boundary projection ran out of iterations: the Newton descent on an
-    epigraph, or the active-set steps on a polyhedron."""
+    """A projection ran out of iterations: the Newton descent on an
+    epigraph, or the active-set steps onto a polyhedron or a recession cone."""
 
 
 class SliceUnbounded(OkacertError):

@@ -1,7 +1,7 @@
 """Dense two-phase simplex with Bland's rule.
 
 Small self-contained solver used for support functions, feasibility probes and
-recession-cone tests. Variables are free (internally split into positive
+the Farkas LP of ``RecessionCone.polar_direction_in``. Variables are free (internally split into positive
 parts).
 """
 

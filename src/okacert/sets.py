@@ -75,18 +75,10 @@ class RecessionCone:
         """True when the cone is {0}: the full-space member search finds nothing.
 
         Memoized; the search is the one ``intersect_subspace`` runs, so it
-        costs at most 2m box LPs for an inequality cone and none when ``eq``
-        has full rank (a ball).
+        costs at most 2m projections for an inequality cone and none when
+        ``eq`` has full rank (a ball).
         """
         return self._member_in_span(np.eye(self.m)) is None
-
-    @cached_property
-    def _box_lp(self):
-        """(A_ub, b_ub, A_eq, b_eq) of the cone cut by the box [-1, 1]^m."""
-        A_ub, b_ub = _with_box(self.ineq, np.zeros(self.ineq.shape[0]), 1.0)
-        if not self.eq.shape[0]:
-            return A_ub, b_ub, None, None
-        return A_ub, b_ub, self.eq, np.zeros(self.eq.shape[0])
 
     def intersect_subspace(self, directions):
         """A unit cone member inside span(directions), or None if only {0}."""
@@ -95,6 +87,10 @@ class RecessionCone:
         return self._member_in_span(directions)
 
     def _member_in_span(self, directions):
+        """A unit member in span(directions), or None.  After the planar
+        Gordan test: the cone in that span is {0} exactly when every +-e_j
+        projects onto it at 0 (Moreau), so the first projection of the +-e_j
+        that gives a member to 1e-7 is returned."""
         B = mgs(np.atleast_2d(np.asarray(directions, float)))
         if not B.shape[0]:
             return None
@@ -108,22 +104,33 @@ class RecessionCone:
             V = B
         if not self.ineq.shape[0]:
             return V[0] / np.linalg.norm(V[0])
-        G = self.ineq @ V.T
         w = V.shape[0]
-        if w <= 2 and _planar_cone_is_zero(G, self.ineq):
+        if w <= 2 and _planar_cone_is_zero(self.ineq @ V.T, self.ineq):
             return None
-        Aub, bub = _with_box(G, np.zeros(G.shape[0]), 1.0)
-        for j in range(w):
-            for sign in (1.0, -1.0):
-                obj = np.zeros(w)
-                obj[j] = sign
-                res = solve_lp(obj, A_ub=Aub, b_ub=bub, maximize=True)
-                if res.optimal and res.value > 1e-7:
-                    v = res.x @ V
-                    v = v / np.linalg.norm(v)
-                    if self.member(v, tol=1e-7):
-                        return v
-        return None
+        signed = np.kron(np.eye(w), [[1.0], [-1.0]])  # e_0, -e_0, e_1, -e_1, ...
+        return next(self._members(V, signed, 1e-7), None)
+
+    def _members(self, V, Q, tol):
+        """Lazily, the unit vectors along those ``_projections`` of the rows
+        of Q that are longer than 1e-7 and give cone members to tol."""
+        for a in self._projections(V, Q):
+            if np.linalg.norm(a) > 1e-7:
+                v = a @ V
+                v = v / np.linalg.norm(v)
+                if self.member(v, tol=tol):
+                    yield v
+
+    def _projections(self, V, Q):
+        """Lazily, the projection of each row of Q onto the cone in span(V),
+        in the coordinates of V (orthonormal rows inside ker(eq)).  The rows
+        ineq V^T are normalised, and those shorter than PLANAR_MARGIN times
+        their ``ineq`` row dropped (``_planar_cone_is_zero``'s rule): left
+        unnormalised, such rows stall ``_project``."""
+        G = self.ineq @ V.T
+        n = np.linalg.norm(G, axis=1)
+        keep = n > PLANAR_MARGIN * np.linalg.norm(self.ineq, axis=1)
+        U = G[keep] / n[keep, None]
+        return (_project(U, np.zeros(U.shape[0]), q) for q in Q)
 
     @cached_property
     def seeded_members(self):
@@ -154,41 +161,14 @@ class RecessionCone:
         return R[~np.triu(R @ R.T > 1 - 1e-12, 1).any(axis=0)]
 
     def sample_members(self, rng, count):
-        """Unit cone members: subspace combinations plus LP vertex rays.
-
-        A {0} cone has none.  It skips the LPs but still draws their 3 * need
-        objectives, so the caller's rng advances as if they had run.
-        """
-        out = []
+        """Up to ``count`` unit cone members: the nonzero projections onto the
+        cone of standard-normal points of ker(eq), drawn one at a time, at
+        most 3 * count of them.  A {0} cone has none and draws nothing."""
+        if self.is_zero:
+            return np.zeros((0, self.m))
         sub = self.subspace_rows()
-        for _ in range(count):
-            if not sub.shape[0]:
-                break
-            v = rng.normal(size=sub.shape[0]) @ sub
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                continue
-            for cand in (v / nv, -v / nv):
-                if self.member(cand, tol=1e-9):
-                    out.append(cand)
-                    break
-        need = count - len(out)
-        if need > 0 and (self.ineq.shape[0] or self.eq.shape[0]):
-            m = self.m
-            if self.is_zero:
-                rng.normal(size=(3 * need, m))
-                return np.zeros((0, m))
-            for _ in range(3 * need):
-                obj = rng.normal(size=m)
-                res = solve_lp(obj, *self._box_lp, maximize=True)
-                if res.optimal and res.x is not None:
-                    nv = np.linalg.norm(res.x)
-                    if nv > 1e-7:
-                        v = res.x / nv
-                        if self.member(v, tol=1e-8):
-                            out.append(v)
-                if len(out) >= count:
-                    break
+        draws = (rng.normal(size=sub.shape[0]) for _ in range(3 * count))
+        out = list(itertools.islice(self._members(sub, draws, 1e-8), count))
         return np.array(out) if out else np.zeros((0, self.m))
 
     def polar_direction_in(self, W, tol=1e-9):
@@ -200,7 +180,10 @@ class RecessionCone:
         every ray outside the lineality space, whenever t > tol.  Otherwise
         (a polar direction in span(W) may need some lam_i = 0) the candidates
         are +-each nullspace direction of span(W) orthogonal to the lineality
-        space, each checked by one LP.  A {0} cone takes W[0].
+        space.  By Moreau's decomposition a unit eta is polar exactly when its
+        projection onto the cone is 0, and the length of that projection is
+        the max of <eta, v> over the cone's unit ball, so a candidate is taken
+        when that length is at most 1e-7.  A {0} cone takes W[0].
         """
         W = mgs(np.atleast_2d(np.asarray(W, float)))
         if not W.shape[0]:
@@ -221,14 +204,15 @@ class RecessionCone:
                 nv = np.linalg.norm(eta)
                 if nv > 1e-10:
                     return eta / nv
+        sub = self.subspace_rows()
         L = self.lineality_rows()
         for c in _nullspace_rows(L @ W.T, cols=w):
             for eta in (c @ W, -c @ W):
                 nv = np.linalg.norm(eta)
                 if nv > 1e-10:
-                    res = solve_lp(eta, *self._box_lp, maximize=True)  # max over cone and box
-                    if not res.optimal or res.value <= 1e-7:
-                        return eta / nv
+                    eta = eta / nv
+                    if np.linalg.norm(next(self._projections(sub, [sub @ eta]))) <= 1e-7:
+                        return eta
         return None
 
 
@@ -259,6 +243,51 @@ def _with_box(A, b, bound):
     w = A.shape[1]
     return (np.vstack([A, np.eye(w), -np.eye(w)]),
             np.concatenate([b, np.full(2 * w, float(bound))]))
+
+
+def _project(A, b, q):
+    """The exact nearest point of {A x <= b} to q, by the dual active-set
+    method of Goldfarb & Idnani (Math. Prog. 27, 1983) for min |x - q|^2 / 2.
+
+    From x = q with no active rows, it takes the most violated row p and
+    moves x along z, the part of a_p orthogonal to the active rows N, while
+    the multipliers u (q - x = N^T u) stay >= 0: a full step makes p active,
+    a partial step drops the row whose multiplier reaches 0 first and tries p
+    again.  It ends when no row is violated by more than 1e-12 (1 + |b|).
+    More than 10 k + 10 steps on k rows raise ProjectionDidNotConverge.
+    """
+    if not A.shape[0]:
+        return q.copy()
+    tol = 1e-12 * (1.0 + np.linalg.norm(b))
+    x, act, u, p = q.copy(), [], np.zeros(0), None
+    for _ in range(10 * len(b) + 10):
+        if p is None:
+            viol = A @ x - b
+            p = int(np.argmax(viol))
+            if viol[p] <= tol:
+                return x
+            up = 0.0
+        N = A[act]
+        r = np.linalg.solve(N @ N.T, N @ A[p]) if act else np.zeros(0)
+        z = A[p] - r @ N
+        zz = z @ z
+        moves = zz > 1e-20  # else a_p depends on the active rows: partial steps only
+        t1 = (A[p] @ x - b[p]) / zz if moves else np.inf
+        ratio = np.full(len(act), np.inf)
+        np.divide(u, r, out=ratio, where=r > 1e-12)
+        t = min(t1, ratio.min(initial=np.inf))
+        if t == np.inf:
+            break  # no step meets row p: numerically, the polyhedron is empty
+        if moves:
+            x = x - t * z
+        u, up = u - t * r, up + t
+        if t == t1:
+            act, u, p = act + [p], np.append(u, up), None
+        else:
+            k = int(np.argmin(ratio))
+            del act[k]
+            u = np.delete(u, k)
+    raise ProjectionDidNotConverge("active-set steps did not reach a feasible point")
 
 
 def _rank(s, shape, tol=1e-9):
@@ -526,48 +555,11 @@ class HPolyhedron(ConvexSet):
         return self._verts if self._verts.shape[0] else None
 
     def nearest_boundary(self, q):
-        """The exact nearest point of {A x <= b} to an exterior q, by the dual
-        active-set method of Goldfarb & Idnani (Math. Prog. 27, 1983) for
-        min |x - q|^2 / 2.  From x = q with no active rows, it takes the most
-        violated row p and moves x along z, the part of a_p orthogonal to the
-        active rows N, while the multipliers u (q - x = N^T u) stay >= 0: a
-        full step makes p active, a partial step drops the row whose
-        multiplier reaches 0 first and tries p again.  It ends when no row is
-        violated by more than 1e-12 (1 + |b|)."""
+        """The exact nearest point of {A x <= b} to an exterior q (``_project``)."""
         q = np.asarray(q, dtype=float)
         if self.contains(q):
             raise PointInsideSet("q already lies in the set")
-        A, b = self.A, self.b
-        tol = 1e-12 * (1.0 + np.linalg.norm(b))
-        x, act, u, p = q.copy(), [], np.zeros(0), None
-        for _ in range(10 * len(b) + 10):
-            if p is None:
-                viol = A @ x - b
-                p = int(np.argmax(viol))
-                if viol[p] <= tol:
-                    return x
-                up = 0.0
-            N = A[act]
-            r = np.linalg.solve(N @ N.T, N @ A[p])
-            z = A[p] - r @ N
-            zz = z @ z
-            moves = zz > 1e-20  # else a_p depends on the active rows: partial steps only
-            t1 = (A[p] @ x - b[p]) / zz if moves else np.inf
-            ratio = np.full(len(act), np.inf)
-            np.divide(u, r, out=ratio, where=r > 1e-12)
-            t = min(t1, ratio.min(initial=np.inf))
-            if t == np.inf:
-                break  # no step meets row p: numerically, the polyhedron is empty
-            if moves:
-                x = x - t * z
-            u, up = u - t * r, up + t
-            if t == t1:
-                act, u, p = act + [p], np.append(u, up), None
-            else:
-                k = int(np.argmin(ratio))
-                del act[k]
-                u = np.delete(u, k)
-        raise ProjectionDidNotConverge("active-set steps did not reach a feasible point")
+        return _project(self.A, self.b, q)
 
     def chebyshev(self, window=100.0):
         key = float(window)

@@ -1,5 +1,7 @@
 """Subspace stability: cones, recession criterion, halflines, tube dichotomy."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from okacert.geometry import (
     realify,
     realify_span,
 )
-from okacert.certify import Hyperplane
+from okacert.certify import Hyperplane, SamplingPlan, certify_oka_complement
 from okacert.gallery import build_example
 from okacert.lp import solve_lp
 from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure, Tube,
@@ -173,11 +175,25 @@ def _random_subspaces(rng, count):
     return out
 
 
-@pytest.mark.parametrize("name", ["siegel2", "disc-tube-prop49", "cone-ex14"])
+# Generators of each recession cone, for rays drawn as their nonnegative
+# combinations; None takes the cone's extreme rays.
+_RAY_GENERATORS = {
+    "siegel2": [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    "disc-tube-prop49": [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]],
+    "cone-ex14": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RAY_GENERATORS))
 def test_vectorized_ratios_and_aperture_match_reference_loop(name):
     E = build_example(name)
-    rays = E.recession_cone().seeded_members
+    cone = E.recession_cone()
+    gens = _RAY_GENERATORS[name]
+    gens = cone.extreme_rays if gens is None else np.array(gens)
     rng = np.random.default_rng(731)
+    rays = rng.uniform(size=(64, gens.shape[0])) @ gens
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    assert all(cone.member(r) for r in rays)
     compared = 0
     for D in _random_subspaces(rng, 40):
         got = direction_ratios(rays, D)
@@ -250,7 +266,8 @@ def test_batched_rank_test_agrees_with_is_stable(name):
 def test_batched_rank_test_on_a_cone_with_many_facets():
     """A pointed cone in C^2 cut out by 2,000 inequality rows alone: the
     batch over 64 complex lines, one of them through a cone member, gives
-    the span search's verdict on each, and the LP loop's on the first four."""
+    the span search's and ``is_stable``'s verdict on each, and the LP loop's
+    on the first four."""
     rng = np.random.default_rng(8213)
     d = rng.normal(size=4)
     A = rng.normal(size=(2000, 4))
@@ -264,6 +281,8 @@ def test_batched_rank_test_on_a_cone_with_many_facets():
     got = stable_by_rank(E, np.array(coeffs))
     planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
     np.testing.assert_array_equal(got, [cone.intersect_subspace(D) is None for D in planes])
+    np.testing.assert_array_equal(got, [is_stable(E, AffineSubspaceR(np.zeros(4), D)).stable
+                                        for D in planes])
     assert [_ref_member_in_span(cone, D) is None for D in planes[:4]] == list(got[:4])
     assert not got[0] and got.sum() > 32
 
@@ -598,17 +617,22 @@ def _ref_member_in_span(cone, directions):
 
 
 def _assert_same_member(cone, D):
+    """The span search finds a member exactly when the LP loop does, and
+    what it finds is a unit cone member in span(D)."""
     got, want = cone._member_in_span(D), _ref_member_in_span(cone, D)
     assert (got is None) == (want is None)
     if got is not None:
-        np.testing.assert_array_equal(got, want)
+        B = mgs(np.atleast_2d(D))
+        assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+        assert np.linalg.norm(got - (got @ B.T) @ B) < 1e-9
+        assert cone.member(got, 1e-7)
     return got is None
 
 
 def test_planar_stability_matches_lp_reference():
     """On 2,000 seeded complex lines of C^2 and 500 real lines, over the
     benchmark's pointed cones, cone-ex14, halfspace, r2-in-c2 and siegel2,
-    the span search gives the LP loop's answer, witness included."""
+    the span search finds a member exactly where the LP loop does."""
     rng = np.random.default_rng(8208)
     sets = [HPolyhedron(A, b) for A, b in _POINTED_CONES]
     sets += [build_example(name) for name in ("cone-ex14", "halfspace", "r2-in-c2", "siegel2")]
@@ -676,3 +700,43 @@ def test_stable_planes_need_no_lp(monkeypatch):
     for E, D in planes:
         assert E.recession_cone().intersect_subspace(D) is None
     assert not calls
+
+
+def test_member_in_span_drops_rows_that_vanish_on_the_span():
+    """r2-in-c2 on the complex line through (0.689 + 0.7248i, 2.2e-11 +
+    2.3e-18i): its rows project to +-(0.7248, 0.689) and the rounding-size
+    +-(2.3e-18, 2.2e-11).  Those are dropped by the planar rule, so the
+    cone meets the span in the line orthogonal to the first pair.  Kept,
+    they would make that cone {0}; kept unnormalised, they stall the
+    active-set projection."""
+    cone = build_example("r2-in-c2").recession_cone()
+    d = np.array([complex(0.689, 0.7248), complex(2.2e-11, 2.3e-18)])
+    V = realify_span(d[None, :] / np.linalg.norm(d))
+    np.testing.assert_allclose(cone.ineq @ V.T, [[0.7248, 0.689], [-0.7248, -0.689],
+                                                 [2.3e-18, 2.2e-11], [-2.3e-18, -2.2e-11]],
+                               rtol=1e-4)
+    v = cone._member_in_span(V)
+    assert v is not None and cone.member(v, 1e-7)
+    assert np.linalg.norm(v - (v @ V.T) @ V) < 1e-9
+    assert not cone.is_zero
+
+
+@pytest.mark.parametrize("name", ["cone-ex14", "pointed-cone-0", "pointed-cone-1",
+                                  "r2-in-c2", "halfspace"])
+def test_recession_cone_solves_only_the_farkas_lp(monkeypatch, name):
+    """A whole certificate asks the recession cone for members, samples and
+    polar directions; of those only ``polar_direction_in``'s Farkas LP is an
+    LP, the rest are projections."""
+    E = _RANK_SETS[name]() if name in _RANK_SETS else build_example(name)
+    callers = []
+
+    def traced(*args, **kwargs):
+        code = sys._getframe(1).f_code
+        callers.append(code.co_qualname)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(okacert.sets, "solve_lp", traced)
+    certify_oka_complement(E, SamplingPlan().scaled(30))
+    cone_callers = {c for c in callers if c.startswith("RecessionCone.")}
+    assert cone_callers <= {"RecessionCone.polar_direction_in"}
+    assert callers
