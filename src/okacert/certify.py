@@ -48,7 +48,8 @@ from .stability import (
     direction_ratios,
     halfline_in_intersection,
     is_stable,
-    stable_by_rank,
+    stability_states,
+    stable_verdict,
     tube_or_support,
 )
 
@@ -431,15 +432,17 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     qs = E.sample_exterior(rng, plan.exterior, window=plan.window)
     if qs.shape[0] == 0:
         return CheckResult(INCONCLUSIVE, detail="no exterior samples inside the window")
+    planes = [(q, H) for q in qs if (H := _canonical_exterior_hyperplane(E, q)) is not None]
+    skipped = qs.shape[0] - len(planes)
+    if not planes:
+        return CheckResult(INCONCLUSIVE, detail=f"all {skipped} exterior samples unusable")
+    states, _ = stability_states(E, np.array([H.coeffs for _, H in planes]))
     verified_planes = []
     failures = []
-    skipped = 0
-    for q in qs:
-        H = _canonical_exterior_hyperplane(E, q)
-        if H is None:
-            skipped += 1
-            continue
-        verdict = is_stable(E, H.subspace())
+    for (q, H), state in zip(planes, states):
+        if len(failures) == 5:
+            break  # every plane counts as a sample; only five failures are written
+        verdict = (stable_verdict if state > 0 else is_stable)(E, H.subspace())
         if not verdict.stable:
             failures.append({
                 "kind": "unstable-hyperplane",
@@ -468,15 +471,12 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
             "aperture": verdict.aperture,
             "through": [float(t) for t in q],
         })
-    checked = len(verified_planes) + len(failures)
     note = f"; {skipped} exterior samples skipped (projection failed)" if skipped else ""
     if failures:
-        return CheckResult(REFUTED, witnesses=failures[:5], samples=checked,
+        return CheckResult(REFUTED, witnesses=failures, samples=len(planes),
                            detail="projection hyperplane fails at sampled exterior point" + note)
-    if checked == 0:
-        return CheckResult(INCONCLUSIVE, detail=f"all {skipped} exterior samples unusable")
     return CheckResult(VERIFIED, witnesses=verified_planes[:max(8, plan.hyperplanes)],
-                       samples=checked,
+                       samples=len(planes),
                        detail="stable disjoint hyperplane through every sampled exterior point"
                               + note)
 
@@ -493,23 +493,11 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     normal and re-verify disjointness.
     """
     n = E.complex_n()
-    rng = plan.rng("lines")
-    stable_lines = []
-    attempts = 0
-    while len(stable_lines) < plan.lines and attempts < 10 * plan.lines:
-        attempts += 1
-        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        d = d / np.linalg.norm(d)
-        b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (plan.window / 4)
-        line = AffineSubspaceC(base=b, directions=d[None, :])
-        if is_stable(E, line).stable:
-            stable_lines.append(line)
+    stable_lines, attempts = _stable_lines(E, plan)
     if not stable_lines:
         return CheckResult(INCONCLUSIVE, samples=attempts, detail="no stable lines found")
-    lifted = 0
-    tubes = 0
-    skipped = 0
-    witnesses = []
+    tubes = skipped = lifted = 0
+    lifts, witnesses = [], []
     for line in stable_lines:
         try:
             outcome = tube_or_support(E, line)
@@ -519,18 +507,22 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         if isinstance(outcome, TubeFound):
             tubes += 1
             continue
-        q = outcome.contact
-        H = Hyperplane.from_real_normal(q, outcome.normal)
-        d = line.directions[0]
-        verdict = is_stable(E, H.subspace())
-        if not verdict.stable:
+        lifts.append((line.directions[0], outcome,
+                      Hyperplane.from_real_normal(outcome.contact, outcome.normal)))
+    for (d, outcome, H), state, v in zip(lifts, *stability_states(
+            E, np.array([H.coeffs for *_, H in lifts]).reshape(-1, n))):
+        if state == 0 or state < 0 and len(witnesses) < 5:  # open, or a witness to write
+            verdict = is_stable(E, H.subspace())
+            state, v = (1 if verdict.stable else -1), verdict.witness
+        if state < 0:
             witnesses.append({
                 "kind": "unstable-lift",
                 "line_direction": _cvec(d),
                 "hyperplane": H.to_jsonable(),
-                "recession_direction": [float(t) for t in verdict.witness],
+                "recession_direction": [float(t) for t in v],
             })
             continue
+        q = outcome.contact
         delta = 1e-3 * (1.0 + np.linalg.norm(q))
         shift = complex(np.dot(H.coeffs, complexify(outcome.normal))) * delta
         H_off = H.translated(shift)
@@ -548,16 +540,37 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
             })
             continue
         lifted += 1
-    checked = lifted + len(witnesses)
     if witnesses:
-        return CheckResult(REFUTED, witnesses=witnesses[:5], samples=checked,
+        return CheckResult(REFUTED, witnesses=witnesses[:5], samples=lifted + len(witnesses),
                            detail="a stable line failed to lift into a stable disjoint hyperplane")
     if lifted == 0:
         return CheckResult(INCONCLUSIVE, samples=len(stable_lines),
                            detail=f"no line produced a usable supporting translate "
                                   f"(tubes={tubes}, skipped={skipped})")
-    return CheckResult(VERIFIED, samples=checked,
+    return CheckResult(VERIFIED, samples=lifted,
                        detail=f"{lifted} stable lines lifted (tubes={tubes})")
+
+
+def _stable_lines(E: ConvexSet, plan: SamplingPlan):
+    """The first ``plan.lines`` stable complex lines of at most
+    10 ``plan.lines`` seeded draws, and the number of draws that took."""
+    n = E.complex_n()
+    rng = plan.rng("lines")
+    stable_lines, attempts = [], 0
+    while len(stable_lines) < plan.lines and attempts < 10 * plan.lines:
+        # one block holds the draws the scalar loop makes, value for value
+        X = rng.standard_normal((min(plan.lines, 10 * plan.lines - attempts), 4, n))
+        D = np.array([d / np.linalg.norm(d) for d in X[:, 0] + 1j * X[:, 1]])
+        # in C^2 the line through d is the hyperplane (d2, -d1) . z = 0
+        states = stability_states(E, D[:, ::-1] * [1, -1])[0] if n == 2 else np.zeros(len(X))
+        for x, d, state in zip(X, D, states):
+            attempts += 1
+            line = AffineSubspaceC(base=(x[2] + 1j * x[3]) * (plan.window / 4), directions=d[None, :])
+            if state > 0 or state == 0 and is_stable(E, line).stable:
+                stable_lines.append(line)
+                if len(stable_lines) == plan.lines:
+                    break
+    return stable_lines, attempts
 
 
 def _cvec(z):
@@ -603,14 +616,12 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
                 continue
             value = _support_value(E, H0.real_eta(0.0))
             if not np.isfinite(value):
-                value = _support_value(E, Hyperplane(-c, 0.0).real_eta(0.0))
-                if not np.isfinite(value):
-                    continue
-                H0 = Hyperplane(-H0.coeffs, 0.0)
+                continue
             beta = (value + 1.0 + float(rng.uniform(0, plan.window / 2))
                     + 1j * float(rng.uniform(-plan.window / 4, plan.window / 4)))
             H = Hyperplane(H0.coeffs, beta)
-        if not is_stable(E, H.subspace()).stable:
+        state = stability_states(E, H.coeffs[None])[0][0]
+        if state < 0 or state == 0 and not is_stable(E, H.subspace()).stable:
             continue
         ok, theta, _ = hyperplane_disjoint(E, H)
         if ok:
@@ -666,21 +677,22 @@ def _edge_ok(E, Hi, Hj, steps, theta_hints):
     stable and disjoint; returns (ok, blocking_t) at the first failing step.
     The unit endpoints, phase-aligned, keep every row's squared norm >= 1/2.
 
-    ``is_stable`` runs, in step order, only on steps ``stable_by_rank`` leaves
-    open.  Lazy support values keep the per-step angle scan, which stops at
-    the first separating angle."""
+    ``is_stable`` runs, in step order, only on steps ``stability_states``
+    leaves open, and a step it shows unstable ends the edge.  Lazy support
+    values keep the per-step angle scan, which stops at the first separating
+    angle."""
     cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
     ts = np.linspace(0.0, 1.0, steps)
     C = (1 - ts)[:, None] * Hi.coeffs + ts[:, None] * cj
     b = (1 - ts) * Hi.offset + ts * (Hj.offset * phase)
     coeffs, offsets, stripped = _canonical_rows(C, b)
-    stable = stable_by_rank(E, coeffs)
+    states, _ = stability_states(E, coeffs)
     for k in range(steps):
         if k % EDGE_BLOCK == 0:
             rows = slice(k, k + EDGE_BLOCK)
             disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], stripped[rows], theta_hints)
-        H = None if stable[k] and disjoint is not None else Hyperplane(C[k], b[k])
-        if not stable[k] and not is_stable(E, H.subspace()).stable:
+        H = None if states[k] and disjoint is not None else Hyperplane(C[k], b[k])
+        if states[k] < 0 or not (states[k] or is_stable(E, H.subspace()).stable):
             return False, float(ts[k])
         if not (disjoint[k % EDGE_BLOCK] if disjoint is not None else
                 _separating_angle(E, H, theta_hints)[0] or hyperplane_disjoint(E, H)[0]):

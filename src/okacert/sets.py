@@ -59,10 +59,12 @@ class RecessionCone:
         return bool(ok)
 
     def lineality_rows(self):
-        stacked = np.vstack([self.eq, self.ineq])
-        if not stacked.shape[0]:
-            return np.eye(self.m)
-        return _nullspace_rows(stacked)
+        return self._lineality
+
+    @cached_property
+    def _lineality(self):
+        """Orthonormal basis of {v : eq v = 0, ineq v = 0}, memoized."""
+        return _nullspace_rows(np.vstack([self.eq, self.ineq]))
 
     def subspace_rows(self):
         """Orthonormal basis of {v : eq v = 0}."""
@@ -105,7 +107,7 @@ class RecessionCone:
         if not self.ineq.shape[0]:
             return V[0] / np.linalg.norm(V[0])
         w = V.shape[0]
-        if w <= 2 and _planar_cone_is_zero(self.ineq @ V.T, self.ineq):
+        if w <= 2 and _planar_cone(self.ineq @ V.T, self.ineq)[0]:
             return None
         signed = np.kron(np.eye(w), [[1.0], [-1.0]])  # e_0, -e_0, e_1, -e_1, ...
         return next(self._members(V, signed, 1e-7), None)
@@ -124,7 +126,7 @@ class RecessionCone:
         """Lazily, the projection of each row of Q onto the cone in span(V),
         in the coordinates of V (orthonormal rows inside ker(eq)).  The rows
         ineq V^T are normalised, and those shorter than PLANAR_MARGIN times
-        their ``ineq`` row dropped (``_planar_cone_is_zero``'s rule): left
+        their ``ineq`` row dropped (``_planar_cone``'s rule): left
         unnormalised, such rows stall ``_project``."""
         G = self.ineq @ V.T
         n = np.linalg.norm(G, axis=1)
@@ -216,26 +218,33 @@ class RecessionCone:
         return None
 
 
-def _planar_cone_is_zero(G, ineq):
-    """True where {a : G a <= 0} is {0}, for G = ineq projected onto one or two
-    columns, stacked over any leading shape.
+def _planar_cone(G, ineq):
+    """The planar Gordan test on {a : G a <= 0}, for G = ineq projected onto
+    one or two columns, stacked over any leading shape: (zero, u), zero True
+    where the cone is {0}, and u (two columns) a unit member, else NaN.
 
     Rows of G shorter than PLANAR_MARGIN times their ``ineq`` row are dropped.
     By Gordan's alternative the rest must positively span the line or the
     plane: both signs occur (one column), or more than two rows whose angles
     leave no gap of pi (two columns).  The gap must miss pi by PLANAR_MARGIN,
-    so a True is never a rounding artefact.
+    so a True is never a rounding artefact.  The bisector u of the widest gap
+    is a member when that gap exceeds pi + PLANAR_MARGIN, or when every kept
+    row (if any) is orthogonal to it to 1e-12, i.e. they lie on one line.
     """
-    if G.shape[-2] <= G.shape[-1]:  # w rows never positively span R^w
-        return np.zeros(G.shape[:-2], bool)
-    keep = np.linalg.norm(G, axis=-1) > PLANAR_MARGIN * np.linalg.norm(ineq, axis=-1)
+    norm = np.linalg.norm(G, axis=-1)
+    keep = norm > PLANAR_MARGIN * np.linalg.norm(ineq, axis=-1)
     if G.shape[-1] == 1:
-        return np.any(keep & (G[..., 0] > 0), -1) & np.any(keep & (G[..., 0] < 0), -1)
+        return np.any(keep & (G[..., 0] > 0), -1) & np.any(keep & (G[..., 0] < 0), -1), None
     ang = np.arctan2(G[..., 1], G[..., 0])
     # a dropped row repeats the angle of a kept one, which adds only zero gaps
     ang = np.sort(np.where(keep, ang, np.take_along_axis(ang, keep.argmax(-1)[..., None], -1)), -1)
-    widest = np.diff(ang, axis=-1, append=ang[..., :1] + 2 * np.pi).max(-1)
-    return (keep.sum(-1) > 2) & (widest < np.pi - PLANAR_MARGIN)
+    gaps = np.diff(ang, axis=-1, append=ang[..., :1] + 2 * np.pi)
+    widest = gaps.max(-1)
+    mid = np.take_along_axis(ang, gaps.argmax(-1)[..., None], -1)[..., 0] + widest / 2
+    u = np.stack([np.cos(mid), np.sin(mid)], -1)
+    flat = np.all(~keep | (np.abs(np.sum(G * u[..., None, :], -1)) <= 1e-12 * norm), -1)
+    shown = (widest > np.pi + PLANAR_MARGIN) | flat
+    return (keep.sum(-1) > 2) & (widest < np.pi - PLANAR_MARGIN), np.where(shown[..., None], u, np.nan)
 
 
 def _with_box(A, b, bound):
@@ -528,11 +537,14 @@ class HPolyhedron(ConvexSet):
         """Minkowski-Weyl form when the polyhedron is pointed and small
         enough to enumerate: the max of C @ V.T over the vertices V, and +inf
         on rows with C @ r > 1e-9 for an extreme ray r.  Otherwise one lazy
-        LP per row."""
+        LP per row, except on rows with |L c| > 1e-9 for the lineality space
+        L: a functional that does not vanish on L is unbounded, +inf."""
+        C = np.atleast_2d(np.asarray(C, dtype=float))
         V = self._vertex_array()
         if V is None:
-            return super().support_values(C)
-        C = np.atleast_2d(np.asarray(C, dtype=float))
+            unbounded = np.max(np.abs(C @ self.lineality().T), axis=1, initial=0.0) > 1e-9
+            inner = super().support_values(C[~unbounded])
+            return (np.inf if u else next(inner) for u in unbounded)
         out = np.max(C @ V.T, axis=1)
         R = self.recession_cone().extreme_rays
         out[np.max(C @ R.T, axis=1, initial=-np.inf) > 1e-9] = np.inf

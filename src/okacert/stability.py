@@ -8,6 +8,9 @@ certification layer ultimately consumes.  This module provides:
 * ``cone_membership`` -- the aperture-c cone test in a frame adapted to L,
 * ``is_stable`` -- the recession-cone criterion with a constructive witness
   (an aperture for stable L, a recession direction inside L's span otherwise),
+* ``stability_states`` -- one batch decision for many complex hyperplanes:
+  stable, unstable with a unit recession direction in the span, or open,
+  and only open ones need ``is_stable``,
 * ``halfline_in_intersection`` -- a halfline witness inside E intersect L,
 * ``tube_or_support`` -- the dichotomy between "E is a tube over E intersect L"
   and "some parallel translate of L supports E", the first read off the
@@ -34,7 +37,7 @@ from .geometry import (
     mgs,
     realify,
 )
-from .sets import ConvexSet, _nullspace_rows, _planar_cone_is_zero, _rank
+from .sets import ConvexSet, _nullspace_rows, _planar_cone, _rank
 
 
 @dataclass
@@ -136,26 +139,37 @@ def is_stable(E: ConvexSet, subspace) -> StabilityVerdict:
     v = E.recession_cone().intersect_subspace(S.directions)
     if v is not None:
         return StabilityVerdict("unstable", witness=v)
-    aperture = _aperture(direction_ratios(E.recession_cone().seeded_members, S.directions))
-    return StabilityVerdict("stable", aperture=aperture)
+    return stable_verdict(E, S)
 
 
-def stable_by_rank(E: ConvexSet, coeffs) -> np.ndarray:
-    """Batch form of the first tests of ``is_stable`` for the complex
-    hyperplanes with unit coefficient rows c: True where they prove stability
-    on the real span S, the kernel of the real covectors of c . z and -i c . z
-    (a {0} cone; eq rows of full rank on S; or, for a cone with only ineq rows
-    and a 2-dimensional S, the planar Gordan test), False where ``is_stable``
-    decides."""
+def stable_verdict(E: ConvexSet, subspace) -> StabilityVerdict:
+    """``is_stable``'s verdict on a subspace already known to be stable."""
+    D = _to_real_subspace(subspace).directions
+    return StabilityVerdict("stable", aperture=_aperture(direction_ratios(
+        E.recession_cone().seeded_members, D)))
+
+
+def stability_states(E: ConvexSet, coeffs):
+    """Stability of the complex hyperplanes with coefficient rows c on their
+    real span S, the kernel of the real covectors of c . z and -i c . z:
+    (state, witness), state 1 (stable), -1 (unstable: that witness row is a
+    unit cone member in S, to 1e-7; other rows are NaN) or 0 (``is_stable``
+    decides).  A {0} cone, or eq rows of full rank on S, make a row stable;
+    for a cone with only ineq rows in C^2, ``_planar_cone`` decides."""
     cone = E.recession_cone()
-    if cone.is_zero or not (cone.eq.shape[0] or E.m == 4):
-        return np.full(coeffs.shape[0], cone.is_zero)
+    witness = np.full((coeffs.shape[0], E.m), np.nan)
+    if cone.is_zero or not (cone.eq.shape[0] or E.m == 4 and cone.ineq.shape[0]):
+        return np.full(coeffs.shape[0], int(cone.is_zero)), witness
     _, _, vh = np.linalg.svd(realify(np.conj(np.stack([coeffs, -1j * coeffs], axis=1))))
     S = np.swapaxes(vh[:, 2:], 1, 2)
-    if not cone.eq.shape[0]:
-        return _planar_cone_is_zero(cone.ineq @ S, cone.ineq)
-    M = cone.eq @ S
-    return _rank(np.linalg.svd(M, compute_uv=False), M.shape[1:]) == M.shape[2]
+    if cone.eq.shape[0]:
+        M = cone.eq @ S
+        return (_rank(np.linalg.svd(M, compute_uv=False), M.shape[1:]) == M.shape[2]) * 1, witness
+    zero, u = _planar_cone(cone.ineq @ S, cone.ineq)
+    witness = np.einsum("kij,kj->ki", S, u)
+    unstable = np.max(witness @ cone.ineq.T, axis=1) <= 1e-7  # False on NaN rows
+    witness[~unstable] = np.nan
+    return np.where(zero, 1, -unstable.astype(int)), witness
 
 
 def halfline_in_intersection(E: ConvexSet, subspace, base_point=None):

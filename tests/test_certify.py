@@ -16,6 +16,7 @@ from okacert.certify import (
     _edge_ok,
     _phase_align,
     _separating_angle,
+    _stable_lines,
     certify_oka_complement,
     check_connectivity,
     check_line_lift,
@@ -140,8 +141,9 @@ def test_line_lift_without_finite_support_is_skipped(monkeypatch):
 def test_numerical_lp_failure_makes_the_check_inconclusive(monkeypatch):
     """An infeasible support LP on a nonempty polyhedron is a solver failure:
     the check that met it is inconclusive with the reason, and the
-    certificate is still written."""
-    E = build_example("halfspace")
+    certificate is still written.  The cube's line lift reads the attainer of
+    that LP in ``tube_or_support``."""
+    E = HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
     real = sets.solve_lp
 
     def broken(c, A_ub=None, *args, **kwargs):
@@ -151,11 +153,11 @@ def test_numerical_lp_failure_makes_the_check_inconclusive(monkeypatch):
 
     monkeypatch.setattr(sets, "solve_lp", broken)
     plan = SamplingPlan(seed=11).scaled(30)
-    res = check_connectivity(E, plan)
-    assert (res.name, res.seed, res.verdict) == ("connectivity", 11, "inconclusive")
+    res = check_line_lift(E, plan)
+    assert (res.name, res.seed, res.verdict) == ("line_lift", 11, "inconclusive")
     assert res.detail.startswith("LP numerical failure: ")
     cert = certify_oka_complement(E, plan)
-    assert cert.check("connectivity").detail == res.detail
+    assert cert.check("line_lift").detail == res.detail
     canonical_json(cert.to_jsonable())
 
 
@@ -323,6 +325,42 @@ def _reference_edge_ok(E, Hi, Hj, steps, theta_hints):
         if not _separating_angle(E, H, theta_hints)[0] and not hyperplane_disjoint(E, H)[0]:
             return False, float(t)
     return True, None
+
+
+def _reference_stable_lines(E, plan):
+    """The scalar loop that ``_stable_lines`` batches: four draws, one line
+    and one ``is_stable`` call per attempt."""
+    n = E.complex_n()
+    rng = plan.rng("lines")
+    lines, attempts = [], 0
+    while len(lines) < plan.lines and attempts < 10 * plan.lines:
+        attempts += 1
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d = d / np.linalg.norm(d)
+        b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (plan.window / 4)
+        line = AffineSubspaceC(base=b, directions=d[None, :])
+        if is_stable(E, line).stable:
+            lines.append(line)
+    return lines, attempts
+
+
+def test_batched_line_draws_match_the_scalar_loop():
+    """The same stable lines, bit for bit, and the same number of attempts
+    as the scalar loop on pointed-cone-0 (where most draws are unstable),
+    siegel3 (lines in C^3, decided one by one) and halfspace (no stable
+    line: the check is inconclusive after all 10 lines draws)."""
+    E = HPolyhedron(POINTED_CONE_A, POINTED_CONE_B)
+    for E, plan in [(E, SamplingPlan()), (E, SamplingPlan(seed=5).scaled(30)),
+                    (SiegelClosure(3), SMALL), (build_example("halfspace"), SMALL)]:
+        got, want = _stable_lines(E, plan), _reference_stable_lines(E, plan)
+        assert got[1] == want[1] and len(got[0]) == len(want[0])
+        for a, b in zip(got[0], want[0]):
+            assert np.array_equal(a.base, b.base) and np.array_equal(a.directions, b.directions)
+    assert want == ([], 10 * SMALL.lines)
+    res = check_line_lift(E, SMALL)
+    assert (res.verdict, res.samples) == ("inconclusive", 10 * SMALL.lines)
+    got = _stable_lines(HPolyhedron(POINTED_CONE_A, POINTED_CONE_B), SamplingPlan())
+    assert len(got[0]) == 100 and 100 < got[1] < 1000
 
 
 def _lazy_polytope():

@@ -304,6 +304,26 @@ def test_closed_form_support_values_need_no_lp(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("name", ["halfspace", "r2-in-c2"])
+def test_support_values_with_lineality_solve_lps_only_orthogonal_to_it(monkeypatch, name):
+    """A row that does not vanish on the lineality space L is +inf with no
+    LP; a row orthogonal to L takes the lazy LP and equals ``support``, in
+    the order the rows come."""
+    E = build_example(name)
+    L = E.lineality()
+    rng = np.random.default_rng(323)
+    C = rng.normal(size=(40, 4))
+    C[1::2] -= (C[1::2] @ L.T) @ L  # every second row orthogonal to L
+    want = [E.support(c).value for c in C]
+    calls = []
+    monkeypatch.setattr(okacert.sets, "solve_lp",
+                        lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+    assert np.all(np.isinf(list(E.support_values(C[::2])))) and not calls
+    np.testing.assert_array_equal(list(E.support_values(C)), want)
+    assert len(calls) == 20
+    assert np.isfinite(want[1::2]).any() and np.isinf(want[::2]).all()
+
+
 def test_infeasible_support_lp_is_a_numerical_failure(monkeypatch):
     """The constructor proved the polyhedron nonempty, so an infeasible
     support LP is a solver failure, not an unbounded direction."""

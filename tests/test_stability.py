@@ -23,11 +23,12 @@ from okacert.geometry import (
     realify,
     realify_span,
 )
-from okacert.certify import Hyperplane, SamplingPlan, certify_oka_complement
+from okacert.certify import (Hyperplane, SamplingPlan, _canonical_exterior_hyperplane,
+                             certify_oka_complement)
 from okacert.gallery import build_example
 from okacert.lp import solve_lp
 from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure, Tube,
-                          _nullspace_rows, _planar_cone_is_zero)
+                          _nullspace_rows, _planar_cone)
 from okacert.stability import (
     SupportingTranslate,
     TubeFound,
@@ -36,7 +37,7 @@ from okacert.stability import (
     direction_ratios,
     halfline_in_intersection,
     is_stable,
-    stable_by_rank,
+    stability_states,
     tube_or_support,
 )
 
@@ -221,17 +222,36 @@ _RANK_SETS = {
 }
 
 
+def _assert_decided(E, coeffs, states, witnesses):
+    """Each decided row gives ``is_stable``'s verdict; each unstable witness is a
+    unit cone member (to 1e-7) in the plane's span; the other witnesses are NaN.
+    Returns ``is_stable``'s verdicts."""
+    cone = E.recession_cone()
+    planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
+    want = np.array([is_stable(E, AffineSubspaceR(np.zeros(E.m), D)).stable for D in planes])
+    decided = states != 0
+    np.testing.assert_array_equal(states[decided] > 0, want[decided])
+    assert np.isnan(witnesses[states >= 0]).all()
+    for k in np.flatnonzero(states < 0):
+        D, v = planes[k], witnesses[k]
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12 and cone.member(v, 1e-7)
+        assert np.linalg.norm(v - (v @ D.T) @ D) < 1e-9
+    return want
+
+
 @pytest.mark.parametrize("name", sorted(_RANK_SETS))
 def test_batched_rank_test_agrees_with_is_stable(name):
     """On 2,000 seeded complex hyperplanes, a quarter of them nearly or
     exactly containing a cone axis (coefficient 1e-12 to 1e-6, or 0, on the
     coordinate of a cone member), plus the complex line through each extreme
-    ray of a pointed cone, ``stable_by_rank`` says stable exactly where
-    ``is_stable`` does.  On r2-in-c2 the LP loop behind the planar Gordan
-    test proves more planes stable: there the batch is the scalar Gordan step
-    on each plane, and each of its stable verdicts is one of ``is_stable``'s.
-    On inequality-only cones the LP loop alone finds no member in any plane
-    the batch calls stable."""
+    ray of a pointed cone, ``stability_states`` gives ``is_stable``'s verdict
+    on every row it decides, with a unit cone member in the span of each
+    unstable one, and decides every stable row stable.  On r2-in-c2 the
+    projections behind the planar Gordan test prove more planes stable:
+    there the stable rows are the scalar Gordan step's on each plane, and
+    the planes with the rows in a band around a gap of pi stay open.  On
+    inequality-only cones the LP loop alone finds no member in any plane the
+    batch calls stable."""
     E = _RANK_SETS[name]()
     cone = E.recession_cone()
     n = E.m // 2
@@ -247,19 +267,21 @@ def test_batched_rank_test_agrees_with_is_stable(name):
         coeffs.append(Hyperplane(c, rng.normal()).coeffs)
     for z in complexify(cone.extreme_rays if cone.extreme_rays is not None else np.zeros((0, 4))):
         coeffs.append(Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs)  # c . z = 0 on the ray
-    got = stable_by_rank(E, np.array(coeffs))
+    states, witnesses = stability_states(E, np.array(coeffs))
+    want = _assert_decided(E, coeffs, states, witnesses)
+    stable = states > 0
     planes = [Hyperplane(c, 0.0).subspace().to_real() for c in coeffs]
-    want = np.array([is_stable(E, S).stable for S in planes])
     if not cone.eq.shape[0]:
         assert not any(g and _ref_member_in_span(cone, S.directions) is not None
-                       for g, S in zip(got, planes))
+                       for g, S in zip(stable, planes))
+        assert (states < 0).sum() > 400 and (states == 0).sum() < 50
     if name == "r2-in-c2":
-        scalar = [_planar_cone_is_zero(cone.ineq @ mgs(S.directions).T, cone.ineq) for S in planes]
-        np.testing.assert_array_equal(got, scalar)
-        assert not (got & ~want).any() and 1000 < got.sum() < want.sum()
+        scalar = [_planar_cone(cone.ineq @ mgs(S.directions).T, cone.ineq)[0] for S in planes]
+        np.testing.assert_array_equal(stable, scalar)
+        assert not (stable & ~want).any() and 1000 < stable.sum() < want.sum()
     else:
-        np.testing.assert_array_equal(got, want)
-        assert got.sum() > (200 if name.startswith("pointed") else 1000)
+        np.testing.assert_array_equal(stable, want)
+        assert stable.sum() > (200 if name.startswith("pointed") else 1000)
         assert name == "ball" or not want.all()
 
 
@@ -267,7 +289,7 @@ def test_batched_rank_test_on_a_cone_with_many_facets():
     """A pointed cone in C^2 cut out by 2,000 inequality rows alone: the
     batch over 64 complex lines, one of them through a cone member, gives
     the span search's and ``is_stable``'s verdict on each, and the LP loop's
-    on the first four."""
+    on the first four, and decides every one of them."""
     rng = np.random.default_rng(8213)
     d = rng.normal(size=4)
     A = rng.normal(size=(2000, 4))
@@ -278,13 +300,43 @@ def test_batched_rank_test_on_a_cone_with_many_facets():
     coeffs = [Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs]
     coeffs += [Hyperplane(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0).coeffs
                for _ in range(63)]
-    got = stable_by_rank(E, np.array(coeffs))
+    states, witnesses = stability_states(E, np.array(coeffs))
+    assert (states != 0).all()
+    want = _assert_decided(E, coeffs, states, witnesses)
     planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
-    np.testing.assert_array_equal(got, [cone.intersect_subspace(D) is None for D in planes])
-    np.testing.assert_array_equal(got, [is_stable(E, AffineSubspaceR(np.zeros(4), D)).stable
-                                        for D in planes])
-    assert [_ref_member_in_span(cone, D) is None for D in planes[:4]] == list(got[:4])
-    assert not got[0] and got.sum() > 32
+    np.testing.assert_array_equal(want, [cone.intersect_subspace(D) is None for D in planes])
+    assert [_ref_member_in_span(cone, D) is None for D in planes[:4]] == list(want[:4])
+    assert states[0] < 0 and (states > 0).sum() > 32
+
+
+def test_lineality_planes_are_decided_unstable():
+    """Planes that meet the cone along a line of the lineality space are
+    decided unstable, as ``is_stable`` finds them: halfspace's planes
+    {z2 = const}, which its cone contains, and r2-in-c2's exterior planes,
+    whose projected cone rows all lie on one line."""
+    rng = np.random.default_rng(8215)
+    half = build_example("halfspace")
+    flat = [Hyperplane([0.0, np.exp(1j * t)], complex(*rng.normal(size=2))).coeffs
+            for t in rng.uniform(0, 2 * np.pi, 20)]
+    r2 = build_example("r2-in-c2")
+    exterior = [_canonical_exterior_hyperplane(r2, q).coeffs
+                for q in r2.sample_exterior(rng, 200, window=10.0)]
+    for E, coeffs in ((half, flat), (r2, exterior)):
+        states, witnesses = stability_states(E, np.array(coeffs))
+        assert (states == -1).all()
+        assert not _assert_decided(E, coeffs, states, witnesses).any()
+
+
+def test_rows_near_one_line_stay_open():
+    """r2-in-c2's planes {z1 + t e^{i eps} z2 = 0} meet its cone, the real
+    plane, only at 0 unless eps = 0, while its projected rows lie within
+    about eps of one line: decided unstable on the line, left open in the
+    band around a gap of pi, and decided stable outside it."""
+    E = build_example("r2-in-c2")
+    for eps, want in [(0.0, -1), (1e-10, 0), (1e-8, 0), (1e-7, 0), (1e-4, 1)]:
+        for t in (0.3, 1.0, 3.0):
+            c = Hyperplane(np.array([1.0, t * np.exp(1j * eps)]), 0.0).coeffs
+            assert stability_states(E, c[None])[0][0] == want, (eps, t)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +778,9 @@ def test_member_in_span_drops_rows_that_vanish_on_the_span():
 def test_recession_cone_solves_only_the_farkas_lp(monkeypatch, name):
     """A whole certificate asks the recession cone for members, samples and
     polar directions; of those only ``polar_direction_in``'s Farkas LP is an
-    LP, the rest are projections."""
+    LP, the rest are projections.  r2-in-c2's certificate solves no LP at
+    all: its exterior planes are decided unstable, its random conormals do
+    not vanish on its lineality space, and its stable lines are tubes."""
     E = _RANK_SETS[name]() if name in _RANK_SETS else build_example(name)
     callers = []
 
@@ -739,4 +793,7 @@ def test_recession_cone_solves_only_the_farkas_lp(monkeypatch, name):
     certify_oka_complement(E, SamplingPlan().scaled(30))
     cone_callers = {c for c in callers if c.startswith("RecessionCone.")}
     assert cone_callers <= {"RecessionCone.polar_direction_in"}
-    assert callers
+    if name == "r2-in-c2":
+        assert callers == []
+    else:
+        assert callers
