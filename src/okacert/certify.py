@@ -58,11 +58,11 @@ VERIFIED = "verified-sampled"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
-# Evenly spaced rotation angles that hyperplane_disjoint tries first
+# Evenly spaced rotation angles that hyperplane_disjoint scans on undecided shadows
 SEPARATION_GRID = 96
 _GRID_ANGLES = np.linspace(0.0, 2.0 * np.pi, SEPARATION_GRID, endpoint=False)
-# Connectivity edge steps whose disjointness one support_values call decides;
-# all of an edge's steps at once would raise the peak memory of a certificate
+# Connectivity edge steps whose angle scan one support_values call runs; all
+# of an edge's steps at once would raise the peak memory of a certificate
 EDGE_BLOCK = 8
 # Aperture c of the truncated cone that check_chart_compact tests per candidate
 CHART_APERTURE = 0.01
@@ -212,26 +212,24 @@ def _canonical_rows(C, b):
 
 def _separation_angles(coeffs, stripped, hints=()):
     """Candidate angles for each coefficient row, in the order tried: ``hints``,
-    then those of ``hyperplane_disjoint``; and a mask of the ones that count
-    (the four angles of a zero coefficient do not)."""
+    then those of ``hyperplane_disjoint``; NaN for the four angles of a zero
+    coefficient, which do not count."""
     k = coeffs.shape[0]
-    ang = np.angle(coeffs)
+    ang = np.where(np.abs(coeffs) > 1e-12, np.angle(coeffs), np.nan)
     turns = np.stack([ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2], axis=2).reshape(k, -1)
     fixed = np.concatenate([hints, _GRID_ANGLES])
-    angles = np.hstack([np.broadcast_to(fixed, (k, fixed.shape[0])), turns, stripped[:, None]])
-    counts = np.hstack([np.ones((k, fixed.shape[0]), dtype=bool),
-                        np.repeat(np.abs(coeffs) > 1e-12, 4, axis=1), np.ones((k, 1), dtype=bool)])
-    return angles, counts
+    return np.hstack([np.broadcast_to(fixed, (k, fixed.shape[0])), turns, stripped[:, None]])
 
 
-def _separating_angle(E: ConvexSet, H: Hyperplane, thetas):
-    """Scan ``thetas`` in order for one with sup_E Re(e^{-i theta}(coeffs.z - offset)) < 0.
+def _separating_angle(E: ConvexSet, H: Hyperplane, thetas, first=True):
+    """Scan ``thetas`` in order, NaN skipped, for one with margin
+    sup_E Re(e^{-i theta}(coeffs.z - offset)) < -1e-10 (1 + |offset|).
 
-    Returns (True, theta, margin) at the first margin below
-    -1e-10 (1 + |offset|), else (False, best_theta, best_margin) over the
-    finite support values, with (False, 0.0, inf) when none is finite.
-    """
+    Returns (ok, theta, margin) at the first such angle when ``first``, else
+    at the least margin over the finite support values; (False, 0.0, inf)
+    when none is finite."""
     thetas = np.asarray(thetas, dtype=float)
+    thetas = thetas[~np.isnan(thetas)]
     shifts = np.real(np.exp(-1j * thetas) * H.offset)
     tol = -1e-10 * (1.0 + abs(H.offset))
     best = (np.inf, 0.0)
@@ -241,24 +239,42 @@ def _separating_angle(E: ConvexSet, H: Hyperplane, thetas):
         margin = value - shift
         if margin < best[0]:
             best = (margin, theta)
-        if margin < tol:
+        if first and margin < tol:
             return True, float(theta), float(margin)
-    return False, float(best[1]), float(best[0])
+    return bool(best[0] < tol), float(best[1]), float(best[0])
+
+
+def _polar_arc_angles(E: ConvexSet, coeffs):
+    """(k, 3): the ends and the midpoint of the arc of angles theta with
+    Re(e^{-i theta} c . r) <= 0 on E's extreme rays r, inside the widest gap
+    g >= pi of the angles of the nonzero c . r; NaN where there is none."""
+    out = np.full((coeffs.shape[0], 3), np.nan)
+    R = E.recession_cone().extreme_rays
+    for i, p in enumerate(coeffs @ complexify(R).T if R is not None else []):
+        a = np.sort(np.angle(p[np.abs(p) > 1e-12]))
+        gaps = np.diff(a, append=a[:1] + 2 * np.pi)
+        if a.size and (g := gaps.max()) >= np.pi:
+            out[i] = a[np.argmax(gaps)] + np.array([np.pi / 2, g / 2, g - np.pi / 2])
+    return out
 
 
 def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
     """Try to prove E and H are disjoint.
 
-    The linear image z -> coeffs.z - offset maps E to a convex planar set;
-    H misses E iff that image omits the origin, which is witnessed by a
-    rotation angle theta with sup_E Re(e^{-i theta}(coeffs.z - offset)) < 0.
-    Candidates, in order: ``SEPARATION_GRID`` evenly spaced angles, four
-    angles per nonzero coefficient, and ``H.stripped_theta``.  Returns (True, theta, margin) at
-    the first separating candidate, (False, best_theta, best_margin) when
-    none separates.
+    H misses E iff its offset lies outside the shadow coeffs . E in C, which
+    an angle theta with a negative margin (``_separating_angle``) witnesses.
+    Where ``E.shadow_angles`` decides H, theta is the best of its exact
+    angles and the margin minus the offset's distance from the shadow.
+    Elsewhere the scan tries ``SEPARATION_GRID`` evenly spaced angles, four
+    angles per nonzero coefficient and ``H.stripped_theta``, then
+    ``_polar_arc_angles``, and stops at the first that separates.
     """
-    angles, counts = _separation_angles(H.coeffs[None], np.array([H.stripped_theta]))
-    return _separating_angle(E, H, angles[counts])
+    exact, decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))
+    if decided[0]:
+        return _separating_angle(E, H, exact[0], first=False)
+    found = _separating_angle(E, H, _separation_angles(H.coeffs[None], np.array([H.stripped_theta]))[0])
+    arc = (False,) if found[0] else _separating_angle(E, H, _polar_arc_angles(E, H.coeffs[None])[0])
+    return arc if arc[0] else found
 
 
 def hyperplane_common_point(E: ConvexSet, H: Hyperplane):
@@ -339,8 +355,8 @@ def _in_complex_plane(E: ConvexSet) -> bool:
 
 def _check(needs_complex_plane=True):
     """Wrap ``check_<name>``: inconclusive off C^n, n >= 2 (when
-    ``needs_complex_plane``) and on an LP numerical failure; the result
-    carries ``<name>`` and the plan's seed."""
+    ``needs_complex_plane``), on an LP numerical failure and on a failed
+    projection; the result carries ``<name>`` and the plan's seed."""
     def wrap(check):
         name = check.__name__[len("check_"):]
 
@@ -353,6 +369,8 @@ def _check(needs_complex_plane=True):
                     res = check(E, plan, *args, **kwargs)
                 except LPNumericalFailure as exc:
                     res = CheckResult(INCONCLUSIVE, detail=f"LP numerical failure: {exc}")
+                except ProjectionDidNotConverge as exc:
+                    res = CheckResult(INCONCLUSIVE, detail=f"projection failed: {exc}")
             return replace(res, name=name, seed=plan.seed)
         return run
     return wrap
@@ -657,19 +675,18 @@ def _phase_align(c_ref, c):
     return c * phase, phase
 
 
-def _disjoint_rows(E, coeffs, offsets, stripped, hints):
-    """For each hyperplane row, does a hint or one of its ``hyperplane_disjoint``
-    candidate angles separate it from E?  One ``support_values`` call for all
-    rows; None when E gives its support values lazily."""
-    angles, counts = _separation_angles(coeffs, stripped, hints)
-    rot = np.exp(-1j * angles)
-    values = E.support_values(realify(np.conj(rot[..., None] * coeffs[:, None])).reshape(-1, E.m))
+def _disjoint_rows(E, coeffs, offsets, angles):
+    """For each hyperplane row, does one of its ``angles`` (NaN skipped)
+    separate it from E?  One ``support_values`` call; None when E gives its
+    support values lazily."""
+    r, j = np.nonzero(~np.isnan(angles))
+    rot = np.exp(-1j * angles[r, j])
+    values = E.support_values(realify(np.conj(rot[:, None] * coeffs[r])))
     if not isinstance(values, np.ndarray):
         return None
-    values = values.reshape(rot.shape)
-    margin = values - np.real(rot * offsets[:, None])
-    tol = -1e-10 * (1.0 + np.abs(offsets))
-    return np.any(counts & np.isfinite(values) & (margin < tol[:, None]), axis=1)
+    tol = -1e-10 * (1.0 + np.abs(offsets[r]))
+    hit = np.isfinite(values) & (values - np.real(rot * offsets[r]) < tol)
+    return np.bincount(r[hit], minlength=coeffs.shape[0]) > 0
 
 
 def _edge_ok(E, Hi, Hj, steps, theta_hints):
@@ -678,23 +695,32 @@ def _edge_ok(E, Hi, Hj, steps, theta_hints):
     The unit endpoints, phase-aligned, keep every row's squared norm >= 1/2.
 
     ``is_stable`` runs, in step order, only on steps ``stability_states``
-    leaves open, and a step it shows unstable ends the edge.  Lazy support
-    values keep the per-step angle scan, which stops at the first separating
-    angle."""
+    leaves open, and a step it shows unstable ends the edge.  One
+    ``_disjoint_rows`` call over the exact angles decides an edge whose
+    steps ``E.shadow_angles`` all decides; else the hints and the scan, then
+    the polar arcs, run on ``EDGE_BLOCK`` steps per call.  Lazy support
+    values keep the per-step scan, which stops at the first separating angle."""
     cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
     ts = np.linspace(0.0, 1.0, steps)
     C = (1 - ts)[:, None] * Hi.coeffs + ts[:, None] * cj
     b = (1 - ts) * Hi.offset + ts * (Hj.offset * phase)
     coeffs, offsets, stripped = _canonical_rows(C, b)
     states, _ = stability_states(E, coeffs)
+    exact, decided = E.shadow_angles(coeffs, offsets)
+    block = steps if decided.all() else EDGE_BLOCK
     for k in range(steps):
-        if k % EDGE_BLOCK == 0:
-            rows = slice(k, k + EDGE_BLOCK)
-            disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], stripped[rows], theta_hints)
+        if k % block == 0:
+            rows = np.arange(k, min(k + block, steps))
+            disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], exact[rows] if decided.all()
+                                      else _separation_angles(coeffs[rows], stripped[rows], theta_hints))
+            if disjoint is not None and not disjoint.all():  # arcs are NaN on decided sets
+                left = rows[~disjoint]
+                disjoint[~disjoint] = _disjoint_rows(E, coeffs[left], offsets[left],
+                                                     _polar_arc_angles(E, coeffs[left]))
         H = None if states[k] and disjoint is not None else Hyperplane(C[k], b[k])
         if states[k] < 0 or not (states[k] or is_stable(E, H.subspace()).stable):
             return False, float(ts[k])
-        if not (disjoint[k % EDGE_BLOCK] if disjoint is not None else
+        if not (disjoint[k % block] if disjoint is not None else
                 _separating_angle(E, H, theta_hints)[0] or hyperplane_disjoint(E, H)[0]):
             return False, float(ts[k])
     return True, None
@@ -703,7 +729,8 @@ def _edge_ok(E, Hi, Hj, steps, theta_hints):
 def _retract_to_contact(E, H, theta):
     """Offset distance along e^{i theta} at which the translated hyperplane
     first touches E.  Translating H by -s e^{i theta} raises its margin at
-    theta from m to m + s, so the contact is at s = -m."""
+    theta from m to m + s, so the contact is at s = -m: at the best angle of
+    ``hyperplane_disjoint`` on a decided shadow, the distance from it."""
     value = _support_value(E, H.real_eta(theta))
     if not np.isfinite(value):
         return None

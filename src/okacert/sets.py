@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, InfeasiblePolyhedron, LPNumericalFailure
                      PointInsideSet, ProjectionDidNotConverge, UnsupportedVariant)
 from .functions import (MAX_VERTEX_SUBSYSTEMS, MaxAffine, NormCombo, Quadratic,
                         midpoint_convexity_check)
-from .geometry import AffineSubspaceR, mgs
+from .geometry import AffineSubspaceR, complexify, mgs
 from .lp import feasible_point, solve_lp
 
 DEFAULT_TOL = 1e-9
@@ -263,7 +263,7 @@ def _project(A, b, q):
     the multipliers u (q - x = N^T u) stay >= 0: a full step makes p active,
     a partial step drops the row whose multiplier reaches 0 first and tries p
     again.  It ends when no row is violated by more than 1e-12 (1 + |b|).
-    More than 10 k + 10 steps on k rows raise ProjectionDidNotConverge.
+    Raises ProjectionDidNotConverge after 10 k + 10 steps on k rows, or on a singular active set.
     """
     if not A.shape[0]:
         return q.copy()
@@ -277,7 +277,10 @@ def _project(A, b, q):
                 return x
             up = 0.0
         N = A[act]
-        r = np.linalg.solve(N @ N.T, N @ A[p]) if act else np.zeros(0)
+        try:
+            r = np.linalg.solve(N @ N.T, N @ A[p]) if act else np.zeros(0)
+        except np.linalg.LinAlgError:
+            raise ProjectionDidNotConverge("active rows became linearly dependent") from None
         z = A[p] - r @ N
         zz = z @ z
         moves = zz > 1e-20  # else a_p depends on the active rows: partial steps only
@@ -428,6 +431,25 @@ class ConvexSet:
         first value it needs solves no further LPs.
         """
         return (self.support(c).value for c in np.atleast_2d(C))
+
+    def shadow_angles(self, C, b):
+        """(angles, decided): at most two exact separation angles (NaN padded)
+        per hyperplane {C_i . z = b_i}, and the rows they decide.  As E = E + L
+        for its lineality rows L, the support function sup_E Re(e^{-i theta} C_i . z)
+        of the shadow C_i . E is finite at most at arg d +- pi/2 when w = C_i . L
+        spans a real line through d, and nowhere when w spans C (decided, no
+        angle: the hyperplane meets E); w = 0 (to support_values' 1e-12) is undecided."""
+        L = self.lineality()
+        if not L.shape[0]:
+            return np.full((C.shape[0], 0), np.nan), np.zeros(C.shape[0], dtype=bool)
+        W = C @ complexify(L).T
+        d = W[np.arange(C.shape[0]), np.argmax(np.abs(W), axis=1)]
+        decided = np.abs(d) > 1e-12
+        line = decided & np.all(np.abs((np.conj(d)[:, None] * W).imag)
+                                <= 1e-12 * np.abs(d)[:, None], axis=1)
+        arg = np.angle(d)
+        arg[arg < 1e-12 - np.pi] += 2 * np.pi  # a real d < 0 is at pi, whatever the sign of Im d
+        return np.where(line[:, None], arg[:, None] + [np.pi / 2, -np.pi / 2], np.nan), decided
 
     def nearest_boundary(self, q):
         raise NotImplementedError
@@ -686,6 +708,11 @@ class QuadricBall(ConvexSet):
         C = np.atleast_2d(np.asarray(C, dtype=float))
         nc = np.linalg.norm(C, axis=1)
         return np.where(nc < 1e-14, 0.0, C @ self.center + self.radius * nc)
+
+    def shadow_angles(self, C, b):
+        """The shadow is a disc about C_i . center: arg(b_i - C_i . center) decides."""
+        theta = np.angle(b - C @ complexify(self.center)) % (2 * np.pi)
+        return theta[:, None], np.ones(theta.shape[0], dtype=bool)
 
     def nearest_boundary(self, q):
         q = np.asarray(q, dtype=float)
@@ -1150,6 +1177,11 @@ class Dilation(ConvexSet):
         if isinstance(inner, np.ndarray):
             return cc + self.factor * (inner - cc)
         return (float(a + self.factor * (v - a)) for a, v in zip(cc, inner))
+
+    def shadow_angles(self, C, b):
+        """The base set's, at the offsets pulled back through the dilation."""
+        cc = C @ complexify(self.center)
+        return self.base.shadow_angles(C, cc + (b - cc) / self.factor)
 
     def nearest_boundary(self, q):
         if self.contains(q):

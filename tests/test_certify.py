@@ -30,11 +30,12 @@ from okacert.certify import (
     recheck_witness,
 )
 from okacert.gallery import build_example, expected_overall, gallery_names
-from okacert.geometry import AffineSubspaceC, complexify
-from okacert.errors import LPNumericalFailure, UnsupportedVariant
+from okacert.cli import main as cli_main
+from okacert.geometry import AffineSubspaceC, complexify, realify
+from okacert.errors import LPNumericalFailure, ProjectionDidNotConverge, UnsupportedVariant
 from okacert.lp import LPResult
 from okacert.functions import MAX_VERTEX_SUBSYSTEMS
-from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure
+from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure, Tube
 from okacert.specjson import canonical_json
 from okacert.stability import SupportingTranslate, tube_or_support
 
@@ -118,6 +119,167 @@ def test_hyperplane_disjoint_tries_the_stripped_phase():
     res = check_weak_projective(E, SamplingPlan().scaled(30))
     assert res.samples > 0
     assert not [w for w in res.witnesses if w["kind"] == "hyperplane-meets-set"]
+
+
+# ---------------------------------------------------------------------------
+# exact shadows
+# ---------------------------------------------------------------------------
+
+def _random_hyperplane(rng, n, scale=3.0):
+    return Hyperplane(rng.normal(size=n) + 1j * rng.normal(size=n),
+                      complex(*rng.normal(scale=scale, size=2)))
+
+
+def _scan_margins(E, H):
+    """The margins of the angle scan's candidates: the grid, the coefficient
+    turns and the stripped phase."""
+    thetas = certify._separation_angles(H.coeffs[None], np.array([H.stripped_theta]))[0]
+    thetas = thetas[~np.isnan(thetas)]
+    values = np.fromiter(E.support_values(H.real_etas(thetas)), float)
+    return values - np.real(np.exp(-1j * thetas) * H.offset)
+
+
+def test_siegel_shadow_margin_is_the_half_plane_distance():
+    """For c_n != 0 the Siegel shadow is the half-plane
+    Im(w / c_n) >= -|c'|^2 / (4 |c_n|^2): at the one exact angle the margin
+    is the signed distance s |c_n| of the offset, minus the distance outside."""
+    rng = np.random.default_rng(31)
+    disjoint = 0
+    for n in (2, 3):
+        E = SiegelClosure(n)
+        for _ in range(30):
+            H = _random_hyperplane(rng, n)
+            c, beta = H.coeffs, H.offset
+            s = (beta / c[-1]).imag + np.sum(np.abs(c[:-1]) ** 2) / (4 * abs(c[-1]) ** 2)
+            ok, theta, margin = hyperplane_disjoint(E, H)
+            assert margin == pytest.approx(s * abs(c[-1]), rel=1e-9, abs=1e-9)
+            assert ok == (s < 0)
+            disjoint += ok
+    assert 10 <= disjoint <= 50
+
+
+def test_ball_shadow_margin_is_the_disc_distance():
+    """The ball's shadow is the disc of radius r about c . center: the margin
+    at the returned angle, in [0, 2 pi), is r - |offset - c . center|."""
+    rng = np.random.default_rng(32)
+    E = QuadricBall(np.array([0.5, -1.0, 0.2, 0.7]), 1.3)
+    disjoint = 0
+    for _ in range(40):
+        H = _random_hyperplane(rng, 2)
+        dist = abs(H.offset - H.coeffs @ complexify(E.center))
+        ok, theta, margin = hyperplane_disjoint(E, H)
+        assert margin == pytest.approx(1.3 - dist, rel=1e-12, abs=1e-12)
+        assert ok == (dist > 1.3) and 0.0 <= theta < 2 * np.pi
+        disjoint += ok
+    assert 10 <= disjoint <= 35
+
+
+def test_exact_shadow_beats_the_angle_scan_on_tubes_and_dilations(monkeypatch):
+    """On disc tubes and dilations the margin at the returned angle is the
+    scalar support there, it is at most the scan's best margin, every
+    hyperplane the scan separates stays separated, and each call evaluates
+    at most 2 support rows."""
+    sets_ = [build_example("disc-tube-prop49"),
+             Tube(QuadricBall(np.array([0.3, -0.2, 0.5]), 0.8), [1, 2, 3], [0]),
+             Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6]),
+             Dilation(QuadricBall(np.array([0.5, 0.0, 0.0, -0.3]), 1.2), 1.7,
+                      center=[0.6, 0.1, 0.0, -0.2])]
+    rng = np.random.default_rng(33)
+    rows = []
+    separated = 0
+    for E in sets_:
+        real = type(E).support_values
+        for _ in range(40):
+            H = _random_hyperplane(rng, 2)
+            scan = _scan_margins(E, H)
+            with monkeypatch.context() as mp:
+                mp.setattr(type(E), "support_values",
+                           lambda self, C: rows.append(len(np.atleast_2d(C))) or real(self, C))
+                ok, theta, margin = hyperplane_disjoint(E, H)
+            assert rows.pop() <= 2 and not rows
+            want = E.support(H.real_eta(theta)).value - np.real(np.exp(-1j * theta) * H.offset)
+            assert margin == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert margin <= np.min(scan[np.isfinite(scan)]) + 1e-12
+            if np.min(scan) < -1e-10 * (1 + abs(H.offset)):
+                assert ok
+            separated += ok
+    assert separated >= 40
+
+
+def test_rows_whose_lineality_image_spans_C_are_never_disjoint(monkeypatch):
+    """When c . L spans C the shadow is all of C: decided with no angle and
+    no support LP, whatever the offset."""
+    rng = np.random.default_rng(34)
+    calls = []
+    real = sets.solve_lp
+    monkeypatch.setattr(sets, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in ("r2-in-c2", "halfspace"):
+        E = build_example(name)
+        for _ in range(20):
+            H = _random_hyperplane(rng, 2, scale=50.0)
+            angles, decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))
+            assert decided[0] and np.isnan(angles).all()
+            assert hyperplane_disjoint(E, H) == (False, 0.0, np.inf)
+    assert not calls
+
+
+def test_lineality_line_rows_solve_at_most_two_support_lps(monkeypatch):
+    """Where c . L spans a real line the shadow of halfspace {Im z2 >= 0}
+    under c = (0, e^{ia}) is a half-plane and that of r2-in-c2 under real c
+    is the real line: at most 2 support LPs give the exact margin."""
+    rng = np.random.default_rng(35)
+    calls = []
+    real = sets.solve_lp
+    monkeypatch.setattr(sets, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for _ in range(20):
+        beta = complex(*rng.normal(scale=3, size=2))
+        H = Hyperplane(np.array([0.0, np.exp(1j * rng.uniform(0, 2 * np.pi))]), beta)
+        ok, _, margin = hyperplane_disjoint(build_example("halfspace"), H)
+        assert len(calls) <= 2 and margin == pytest.approx((H.offset / H.coeffs[1]).imag)
+        del calls[:]
+        H = Hyperplane(np.array([1.0, rng.normal()]), beta)
+        ok, _, margin = hyperplane_disjoint(build_example("r2-in-c2"), H)
+        assert len(calls) <= 2 and margin == pytest.approx(-abs(H.offset.imag))
+        assert ok == (abs(H.offset.imag) > 1e-9)
+        del calls[:]
+
+
+@pytest.mark.parametrize("seed", [1, 5, 9])
+def test_connectivity_holds_in_unitary_frames_of_a_pointed_cone(seed):
+    """A unitary change of coordinates keeps the family of stable disjoint
+    hyperplanes connected.  In these frames of the pointed cone the angle
+    scan misses the narrow polar arcs of many steps' shadows, and the graph
+    fell into 2, 4 and 3 components; the arcs' ends and midpoints separate
+    those steps."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    R = realify(complexify(np.eye(4)) @ U.T).T  # x -> realify(U complexify(x))
+    E = HPolyhedron(np.asarray(POINTED_CONE_A) @ np.linalg.inv(R), POINTED_CONE_B)
+    res = check_connectivity(E, SamplingPlan())
+    assert res.verdict == "verified-sampled", res.detail
+
+
+def test_projection_failure_makes_the_check_inconclusive(monkeypatch, tmp_path):
+    """Near-degenerate planes of r2-in-c2 give a singular active set in the
+    cone projection, which raises ProjectionDidNotConverge, and a check that
+    meets a failed projection is inconclusive with the reason while the
+    certificate is still written."""
+    E = build_example("r2-in-c2")
+    for t in (0.3, 1.0, 3.0):
+        H = Hyperplane(np.array([1.0, t * np.exp(1e-9j)]), 0.0)
+        with pytest.raises(ProjectionDidNotConverge):
+            is_stable(E, H.subspace())
+
+    def fail(*args, **kwargs):
+        raise ProjectionDidNotConverge("active-set steps did not reach a feasible point")
+
+    monkeypatch.setattr(sets, "_project", fail)
+    out = tmp_path / "cert.json"
+    assert cli_main(["certify", "siegel2", "--samples", "30", "--out", str(out)]) == 2
+    cert = json.loads(out.read_text())
+    failed = [c for c in cert["checks"] if c["detail"].startswith("projection failed: ")]
+    assert {c["name"] for c in failed} >= {"weak_projective", "line_lift", "connectivity"}
+    assert all(c["verdict"] == "inconclusive" for c in failed)
 
 
 def test_line_lift_without_finite_support_is_skipped(monkeypatch):
