@@ -16,7 +16,6 @@ from .errors import (  # noqa: F401
     OkacertError,
     Overflow,
     PointInsideSet,
-    PointNotOnSubspace,
     ProjectionDidNotConverge,
     SchemaError,
     SeparatorNotFound,
@@ -27,8 +26,6 @@ from .errors import (  # noqa: F401
 from .geometry import (  # noqa: F401
     AffineSubspaceC,
     AffineSubspaceR,
-    UnitaryFrame,
-    adapt_frame,
     cayley_forward,
     cayley_inverse,
     complex_tangent,
@@ -58,7 +55,6 @@ from .stability import (  # noqa: F401
     StabilityVerdict,
     SupportingTranslate,
     TubeFound,
-    cone_membership,
     halfline_in_intersection,
     is_stable,
     tube_or_support,

@@ -21,7 +21,6 @@ with Hermitian-unit, phase-canonical coefficients.
 from __future__ import annotations
 
 import functools
-import itertools
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional
@@ -58,11 +57,11 @@ VERIFIED = "verified-sampled"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
-# Evenly spaced rotation angles that hyperplane_disjoint scans on undecided shadows
+# Evenly spaced rotation angles that _disjoint_rows scans on undecided shadows
 SEPARATION_GRID = 96
 _GRID_ANGLES = np.linspace(0.0, 2.0 * np.pi, SEPARATION_GRID, endpoint=False)
-# Connectivity edge steps whose angle scan one support_values call runs; all
-# of an edge's steps at once would raise the peak memory of a certificate
+# Hyperplane rows whose angle scan one support_values call runs; all of a
+# check's rows at once would raise the peak memory of a certificate
 EDGE_BLOCK = 8
 # Aperture c of the truncated cone that check_chart_compact tests per candidate
 CHART_APERTURE = 0.01
@@ -211,9 +210,9 @@ def _canonical_rows(C, b):
 
 
 def _separation_angles(coeffs, stripped, hints=()):
-    """Candidate angles for each coefficient row, in the order tried: ``hints``,
-    then those of ``hyperplane_disjoint``; NaN for the four angles of a zero
-    coefficient, which do not count."""
+    """The angle scan of each coefficient row, in the order tried: ``hints``,
+    the grid, four turns per coefficient and the stripped phase; NaN for the
+    four angles of a zero coefficient, which do not count."""
     k = coeffs.shape[0]
     ang = np.where(np.abs(coeffs) > 1e-12, np.angle(coeffs), np.nan)
     turns = np.stack([ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2], axis=2).reshape(k, -1)
@@ -221,27 +220,35 @@ def _separation_angles(coeffs, stripped, hints=()):
     return np.hstack([np.broadcast_to(fixed, (k, fixed.shape[0])), turns, stripped[:, None]])
 
 
-def _separating_angle(E: ConvexSet, H: Hyperplane, thetas, first=True):
-    """Scan ``thetas`` in order, NaN skipped, for one with margin
-    sup_E Re(e^{-i theta}(coeffs.z - offset)) < -1e-10 (1 + |offset|).
-
-    Returns (ok, theta, margin) at the first such angle when ``first``, else
-    at the least margin over the finite support values; (False, 0.0, inf)
-    when none is finite."""
-    thetas = np.asarray(thetas, dtype=float)
-    thetas = thetas[~np.isnan(thetas)]
-    shifts = np.real(np.exp(-1j * thetas) * H.offset)
-    tol = -1e-10 * (1.0 + abs(H.offset))
-    best = (np.inf, 0.0)
-    for theta, value, shift in zip(thetas, E.support_values(H.real_etas(thetas)), shifts):
-        if not np.isfinite(value):
-            continue
-        margin = value - shift
-        if margin < best[0]:
-            best = (margin, theta)
-        if first and margin < tol:
-            return True, float(theta), float(margin)
-    return bool(best[0] < tol), float(best[1]), float(best[0])
+def _separation(E: ConvexSet, coeffs, offsets, angles, first):
+    """(ok, theta, margin), stacked, of each row {coeffs_i . z = offsets_i}
+    over its ``angles`` (NaN skipped), where the margin at theta is
+    sup_E Re(e^{-i theta}(coeffs_i . z - offsets_i)) and ok is a margin below
+    -1e-10 (1 + |offsets_i|).  With ``first`` a row takes its first such
+    angle, else its least finite margin; (False, 0.0, inf) when none is
+    finite.  Lazy support values are read row by row, and with ``first``
+    no further than a row's first separating angle."""
+    r, j = np.nonzero(~np.isnan(angles))
+    rot = np.exp(-1j * angles[r, j])
+    etas = realify(np.conj(rot[:, None] * coeffs[r]))
+    shifts = np.real(rot * offsets[r])
+    tol = -1e-10 * (1.0 + np.abs(offsets))
+    margins = np.full(angles.shape, np.inf)
+    values = E.support_values(etas)
+    if isinstance(values, np.ndarray):
+        margins[r, j] = np.where(np.isfinite(values), values - shifts, np.inf)
+    else:
+        for i in range(angles.shape[0]):
+            at = np.flatnonzero(r == i)
+            for a, value in zip(at, E.support_values(etas[at])):
+                margins[i, j[a]] = value - shifts[a] if np.isfinite(value) else np.inf
+                if first and margins[i, j[a]] < tol[i]:
+                    break
+    hit = margins < tol[:, None]
+    pick = np.where(first & hit.any(axis=1), hit.argmax(axis=1), margins.argmin(axis=1))
+    margin = margins[np.arange(angles.shape[0]), pick]
+    theta = np.where(np.isfinite(margin), angles[np.arange(angles.shape[0]), pick], 0.0)
+    return np.array([margin < tol, theta, margin])
 
 
 def _polar_arc_angles(E: ConvexSet, coeffs):
@@ -258,23 +265,47 @@ def _polar_arc_angles(E: ConvexSet, coeffs):
     return out
 
 
-def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
-    """Try to prove E and H are disjoint.
+def _disjoint_rows(E: ConvexSet, coeffs, offsets, stripped, hints=()):
+    """(ok, theta, margin) per hyperplane row {coeffs_i . z = offsets_i}:
+    does the offset lie outside the shadow coeffs_i . E in C, as an angle
+    theta with a negative margin (``_separation``) witnesses?
 
-    H misses E iff its offset lies outside the shadow coeffs . E in C, which
-    an angle theta with a negative margin (``_separating_angle``) witnesses.
-    Where ``E.shadow_angles`` decides H, theta is the best of its exact
-    angles and the margin minus the offset's distance from the shadow.
-    Elsewhere the scan tries ``SEPARATION_GRID`` evenly spaced angles, four
-    angles per nonzero coefficient and ``H.stripped_theta``, then
-    ``_polar_arc_angles``, and stops at the first that separates.
-    """
-    exact, decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))
-    if decided[0]:
-        return _separating_angle(E, H, exact[0], first=False)
-    found = _separating_angle(E, H, _separation_angles(H.coeffs[None], np.array([H.stripped_theta]))[0])
-    arc = (False,) if found[0] else _separating_angle(E, H, _polar_arc_angles(E, H.coeffs[None])[0])
-    return arc if arc[0] else found
+    Where ``E.shadow_angles`` decides a row, theta is the best of its exact
+    angles and the margin minus the offset's distance from the shadow.  The
+    other rows, ``EDGE_BLOCK`` per ``support_values`` call, take the first
+    that separates of ``hints``, ``SEPARATION_GRID`` evenly spaced angles,
+    four angles per nonzero coefficient and the stripped phase, then of
+    ``_polar_arc_angles``; a row nothing separates keeps the scan's least
+    finite margin."""
+    exact, decided = E.shadow_angles(coeffs, offsets)
+    out = np.zeros((3, coeffs.shape[0]))
+    rows = np.flatnonzero(decided)
+    if rows.size:
+        out[:, rows] = _separation(E, coeffs[rows], offsets[rows], exact[rows], first=False)
+    scanned = np.flatnonzero(~decided)
+    for k in range(0, scanned.size, EDGE_BLOCK):
+        rows = scanned[k:k + EDGE_BLOCK]
+        out[:, rows] = _separation(E, coeffs[rows], offsets[rows],
+                                   _separation_angles(coeffs[rows], stripped[rows], hints), True)
+        left = rows[out[0, rows] == 0]
+        if left.size:
+            arc = _separation(E, coeffs[left], offsets[left],
+                              _polar_arc_angles(E, coeffs[left]), True)
+            out[:, left[arc[0] > 0]] = arc[:, arc[0] > 0]
+    return out[0] > 0, out[1], out[2]
+
+
+def _hyperplane_rows(planes, n):
+    """(coeffs, offsets, stripped phases) of ``planes``, one row each, for ``_disjoint_rows``."""
+    return (np.array([H.coeffs for H in planes]).reshape(-1, n),
+            np.array([H.offset for H in planes], dtype=complex),
+            np.array([H.stripped_theta for H in planes], dtype=float))
+
+
+def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
+    """``_disjoint_rows`` of the one hyperplane H, as (ok, theta, margin)."""
+    ok, theta, margin = _disjoint_rows(E, *_hyperplane_rows([H], H.n))
+    return bool(ok[0]), float(theta[0]), float(margin[0])
 
 
 def hyperplane_common_point(E: ConvexSet, H: Hyperplane):
@@ -455,12 +486,19 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     if not planes:
         return CheckResult(INCONCLUSIVE, detail=f"all {skipped} exterior samples unusable")
     states, _ = stability_states(E, np.array([H.coeffs for _, H in planes]))
+    verdicts, unstable = [], 0
+    for (_, H), state in zip(planes, states):
+        if unstable == 5:
+            break  # the loop below stops by the fifth failure, so here at the latest
+        verdicts.append((stable_verdict if state > 0 else is_stable)(E, H.subspace()))
+        unstable += not verdicts[-1].stable
+    stable = [H for (_, H), verdict in zip(planes, verdicts) if verdict.stable]
+    disjoint = zip(*_disjoint_rows(E, *_hyperplane_rows(stable, E.complex_n())))
     verified_planes = []
     failures = []
-    for (q, H), state in zip(planes, states):
+    for (q, H), verdict in zip(planes, verdicts):
         if len(failures) == 5:
             break  # every plane counts as a sample; only five failures are written
-        verdict = (stable_verdict if state > 0 else is_stable)(E, H.subspace())
         if not verdict.stable:
             failures.append({
                 "kind": "unstable-hyperplane",
@@ -469,7 +507,7 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
                 "recession_direction": [float(t) for t in verdict.witness],
             })
             continue
-        ok, theta, margin = hyperplane_disjoint(E, H)
+        ok, theta, margin = next(disjoint)
         if not ok:
             common = hyperplane_common_point(E, H)
             entry = {
@@ -484,8 +522,8 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         verified_planes.append({
             "kind": "stable-hyperplane",
             "hyperplane": H.to_jsonable(),
-            "theta": theta,
-            "margin": margin,
+            "theta": float(theta),
+            "margin": float(margin),
             "aperture": verdict.aperture,
             "through": [float(t) for t in q],
         })
@@ -525,13 +563,20 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         if isinstance(outcome, TubeFound):
             tubes += 1
             continue
-        lifts.append((line.directions[0], outcome,
-                      Hyperplane.from_real_normal(outcome.contact, outcome.normal)))
-    for (d, outcome, H), state, v in zip(lifts, *stability_states(
-            E, np.array([H.coeffs for *_, H in lifts]).reshape(-1, n))):
-        if state == 0 or state < 0 and len(witnesses) < 5:  # open, or a witness to write
+        H = Hyperplane.from_real_normal(outcome.contact, outcome.normal)
+        delta = 1e-3 * (1.0 + np.linalg.norm(outcome.contact))  # pushed off E along the normal
+        lifts.append((line.directions[0], H,
+                      H.translated(complex(np.dot(H.coeffs, complexify(outcome.normal))) * delta)))
+    states, vs = stability_states(E, np.array([H.coeffs for _, H, _ in lifts]).reshape(-1, n))
+    unstable = 0
+    for k, (_, H, _) in enumerate(lifts):
+        if states[k] == 0 or states[k] < 0 and unstable < 5:  # open, or a witness to write
             verdict = is_stable(E, H.subspace())
-            state, v = (1 if verdict.stable else -1), verdict.witness
+            states[k], vs[k] = (1, vs[k]) if verdict.stable else (-1, verdict.witness)
+        unstable += states[k] < 0
+    offs = [H_off for (*_, H_off), state in zip(lifts, states) if state > 0]
+    disjoint = zip(*_disjoint_rows(E, *_hyperplane_rows(offs, n)))
+    for (d, H, H_off), state, v in zip(lifts, states, vs):
         if state < 0:
             witnesses.append({
                 "kind": "unstable-lift",
@@ -540,11 +585,7 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
                 "recession_direction": [float(t) for t in v],
             })
             continue
-        q = outcome.contact
-        delta = 1e-3 * (1.0 + np.linalg.norm(q))
-        shift = complex(np.dot(H.coeffs, complexify(outcome.normal))) * delta
-        H_off = H.translated(shift)
-        ok, theta, margin = hyperplane_disjoint(E, H_off)
+        ok, theta, margin = next(disjoint)
         if not ok:
             if not np.isfinite(margin):
                 # no finite support value at any angle: no evidence either way
@@ -554,7 +595,7 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
                 "kind": "lift-not-disjoint",
                 "line_direction": _cvec(d),
                 "hyperplane": H_off.to_jsonable(),
-                "margin": margin,
+                "margin": float(margin),
             })
             continue
         lifted += 1
@@ -595,26 +636,22 @@ def _cvec(z):
     return [[float(v.real), float(v.imag)] for v in np.atleast_1d(z)]
 
 
-def _support_value(E, c):
-    """sup of <c, x> over E from one row of ``support_values``, for its closed forms."""
-    return float(next(iter(E.support_values(c))))
-
-
 def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
-    """Stable hyperplanes disjoint from E: seeded list topped up by exterior
-    projections and by random conormals with support-based offsets."""
+    """(H, theta, margin) of stable hyperplanes disjoint from E: seeded list
+    topped up by exterior projections and by random conormals with
+    support-based offsets."""
     found = []
     keys = set()
 
-    def _push(H, theta):
+    def _push(H, theta, margin):
         k = H.key()
         if k in keys:
             return
         keys.add(k)
-        found.append((H, theta))
+        found.append((H, theta, margin))
 
     for entry in seeds or []:
-        _push(Hyperplane.from_jsonable(entry["hyperplane"]), entry.get("theta", 0.0))
+        _push(Hyperplane.from_jsonable(entry["hyperplane"]), entry["theta"], entry["margin"])
     n = E.complex_n()
     guard = 0
     while len(found) < target and guard < 20 * target:
@@ -632,7 +669,7 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
                 H0 = Hyperplane(c, 0.0)
             except ValueError:
                 continue
-            value = _support_value(E, H0.real_eta(0.0))
+            value = float(next(iter(E.support_values(H0.real_eta(0.0)))))
             if not np.isfinite(value):
                 continue
             beta = (value + 1.0 + float(rng.uniform(0, plan.window / 2))
@@ -641,9 +678,9 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
         state = stability_states(E, H.coeffs[None])[0][0]
         if state < 0 or state == 0 and not is_stable(E, H.subspace()).stable:
             continue
-        ok, theta, _ = hyperplane_disjoint(E, H)
+        ok, theta, margin = hyperplane_disjoint(E, H)
         if ok:
-            _push(H, theta)
+            _push(H, theta, margin)
     return found
 
 
@@ -675,67 +712,39 @@ def _phase_align(c_ref, c):
     return c * phase, phase
 
 
-def _disjoint_rows(E, coeffs, offsets, angles):
-    """For each hyperplane row, does one of its ``angles`` (NaN skipped)
-    separate it from E?  One ``support_values`` call; None when E gives its
-    support values lazily."""
-    r, j = np.nonzero(~np.isnan(angles))
-    rot = np.exp(-1j * angles[r, j])
-    values = E.support_values(realify(np.conj(rot[:, None] * coeffs[r])))
-    if not isinstance(values, np.ndarray):
-        return None
-    tol = -1e-10 * (1.0 + np.abs(offsets[r]))
-    hit = np.isfinite(values) & (values - np.real(rot * offsets[r]) < tol)
-    return np.bincount(r[hit], minlength=coeffs.shape[0]) > 0
-
-
-def _edge_ok(E, Hi, Hj, steps, theta_hints):
+def _edge_ok(E, Hi, Hj, steps, theta_hints) -> bool:
     """Interpolate in homogeneous conormal coordinates and keep every step
-    stable and disjoint; returns (ok, blocking_t) at the first failing step.
-    The unit endpoints, phase-aligned, keep every row's squared norm >= 1/2.
+    stable and disjoint, up to the first failing step.  The unit endpoints,
+    phase-aligned, keep every row's squared norm >= 1/2.
 
     ``is_stable`` runs, in step order, only on steps ``stability_states``
-    leaves open, and a step it shows unstable ends the edge.  One
-    ``_disjoint_rows`` call over the exact angles decides an edge whose
-    steps ``E.shadow_angles`` all decides; else the hints and the scan, then
-    the polar arcs, run on ``EDGE_BLOCK`` steps per call.  Lazy support
-    values keep the per-step scan, which stops at the first separating angle."""
+    leaves open, and a step it shows unstable ends the edge.  Disjointness
+    comes from one ``_disjoint_rows`` call per block of steps, with the
+    endpoint angles as hints: the whole edge when ``E.shadow_angles``
+    decides every step, ``EDGE_BLOCK`` steps when some are scanned, and one
+    step when support values are lazy, so that no LP runs past the first
+    failing step."""
     cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
     ts = np.linspace(0.0, 1.0, steps)
     C = (1 - ts)[:, None] * Hi.coeffs + ts[:, None] * cj
     b = (1 - ts) * Hi.offset + ts * (Hj.offset * phase)
     coeffs, offsets, stripped = _canonical_rows(C, b)
     states, _ = stability_states(E, coeffs)
-    exact, decided = E.shadow_angles(coeffs, offsets)
-    block = steps if decided.all() else EDGE_BLOCK
+    if not isinstance(E.support_values(realify(coeffs[:1])), np.ndarray):
+        block = 1
+    else:
+        block = steps if E.shadow_angles(coeffs, offsets)[1].all() else EDGE_BLOCK
     for k in range(steps):
+        if states[k] < 0 or not (states[k] or
+                                 is_stable(E, Hyperplane(C[k], b[k]).subspace()).stable):
+            return False
         if k % block == 0:
-            rows = np.arange(k, min(k + block, steps))
-            disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], exact[rows] if decided.all()
-                                      else _separation_angles(coeffs[rows], stripped[rows], theta_hints))
-            if disjoint is not None and not disjoint.all():  # arcs are NaN on decided sets
-                left = rows[~disjoint]
-                disjoint[~disjoint] = _disjoint_rows(E, coeffs[left], offsets[left],
-                                                     _polar_arc_angles(E, coeffs[left]))
-        H = None if states[k] and disjoint is not None else Hyperplane(C[k], b[k])
-        if states[k] < 0 or not (states[k] or is_stable(E, H.subspace()).stable):
-            return False, float(ts[k])
-        if not (disjoint[k % block] if disjoint is not None else
-                _separating_angle(E, H, theta_hints)[0] or hyperplane_disjoint(E, H)[0]):
-            return False, float(ts[k])
-    return True, None
-
-
-def _retract_to_contact(E, H, theta):
-    """Offset distance along e^{i theta} at which the translated hyperplane
-    first touches E.  Translating H by -s e^{i theta} raises its margin at
-    theta from m to m + s, so the contact is at s = -m: at the best angle of
-    ``hyperplane_disjoint`` on a decided shadow, the distance from it."""
-    value = _support_value(E, H.real_eta(theta))
-    if not np.isfinite(value):
-        return None
-    margin = value - float(np.real(np.exp(-1j * theta) * H.offset))
-    return max(0.0, -margin)
+            rows = slice(k, k + block)
+            disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], stripped[rows],
+                                      theta_hints)[0]
+        if not disjoint[k % block]:
+            return False
+    return True
 
 
 @_check()
@@ -760,15 +769,15 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
         if uf.components == 1:
             break
         if uf.find(i) != uf.find(j) and _edge_ok(E, nodes[i][0], nodes[j][0], plan.path_steps,
-                                                  [nodes[i][1], nodes[j][1]])[0]:
+                                                  [nodes[i][1], nodes[j][1]]):
             uf.union(i, j)
     if uf.components == 1:
-        contacts = (_retract_to_contact(E, H, theta) for H, theta in nodes)
+        # translating H by -s e^{i theta} raises its margin at theta by s: it
+        # touches E at s = -margin, on a decided shadow the node's distance
         return CheckResult(
             VERIFIED, samples=len(nodes),
             witnesses=[{"kind": "retraction-contacts",
-                        "offsets": list(itertools.islice(
-                            (c for c in contacts if c is not None), 10))}],
+                        "offsets": [max(0.0, -margin) for *_, margin in nodes[:10]]}],
             detail=f"{len(nodes)} hyperplanes connected with {len(nodes) - 1} verified edges")
     reps = [k for k in range(len(nodes)) if uf.find(k) == k][:2]
     witnesses = [{

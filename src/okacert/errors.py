@@ -13,10 +13,6 @@ class ZeroGradient(OkacertError):
     """A defining-function gradient vanished where a tangent was requested."""
 
 
-class PointNotOnSubspace(OkacertError):
-    """The anchor point does not lie on the given affine subspace."""
-
-
 class DimensionMismatch(OkacertError):
     """Operands live in different ambient dimensions."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChart, DimensionMismatch, PointNotOnSubspace, ZeroGradient
+from .errors import DegenerateChart, DimensionMismatch, ZeroGradient
 
 CHART_TOL = 1e-14
 ORTHO_TOL = 1e-12
@@ -211,45 +211,6 @@ def complex_tangent(grad, p):
     _, _, vh = np.linalg.svd(grad[None, :])
     dirs = np.conj(vh[1:])
     return AffineSubspaceC(p, dirs)
-
-
-@dataclass(frozen=True)
-class UnitaryFrame:
-    """Unitary affine change of coordinates w = M (z - origin)."""
-
-    matrix: np.ndarray
-    origin: np.ndarray
-
-    def apply(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (z - self.origin) @ self.matrix.T
-
-    def inverse(self, w):
-        w = np.asarray(w, dtype=complex)
-        return self.origin + w @ np.conj(self.matrix)
-
-
-def adapt_frame(subspace: AffineSubspaceC, p):
-    """Unitary frame sending p -> 0 and ``subspace`` -> {w : w'' = 0}.
-
-    The first ``dim`` output coordinates run along the subspace directions and
-    the trailing block w'' vanishes exactly on the subspace. Distances are
-    preserved (the matrix is unitary).
-    """
-    p = np.asarray(p, dtype=complex)
-    if not subspace.contains_point(p, tol=1e-8):
-        raise PointNotOnSubspace("anchor point is not on the subspace")
-    n, k = subspace.n, subspace.dim
-    if k == n:
-        mat = np.conj(subspace.directions)
-    elif k == 0:
-        mat = np.eye(n, dtype=complex)
-    else:
-        cols = subspace.directions.T  # n x k
-        u, _, _ = np.linalg.svd(cols, full_matrices=True)
-        comp = u[:, k:]  # Hermitian-orthonormal complement columns
-        mat = np.vstack([np.conj(subspace.directions), comp.conj().T])
-    return UnitaryFrame(mat, p)
 
 
 def complex_gradient_from_real(grad_real):

@@ -218,6 +218,12 @@ class RecessionCone:
         return None
 
 
+def _rows_dot(C, x):
+    """C @ x one row at a time: each value is that of its row alone, bit for
+    bit, which a matrix-vector product over many rows is not."""
+    return (C[:, None, :] @ x)[:, 0]
+
+
 def _planar_cone(G, ineq):
     """The planar Gordan test on {a : G a <= 0}, for G = ineq projected onto
     one or two columns, stacked over any leading shape: (zero, u), zero True
@@ -707,11 +713,11 @@ class QuadricBall(ConvexSet):
     def support_values(self, C):
         C = np.atleast_2d(np.asarray(C, dtype=float))
         nc = np.linalg.norm(C, axis=1)
-        return np.where(nc < 1e-14, 0.0, C @ self.center + self.radius * nc)
+        return np.where(nc < 1e-14, 0.0, _rows_dot(C, self.center) + self.radius * nc)
 
     def shadow_angles(self, C, b):
         """The shadow is a disc about C_i . center: arg(b_i - C_i . center) decides."""
-        theta = np.angle(b - C @ complexify(self.center)) % (2 * np.pi)
+        theta = np.angle(b - _rows_dot(C, complexify(self.center))) % (2 * np.pi)
         return theta[:, None], np.ones(theta.shape[0], dtype=bool)
 
     def nearest_boundary(self, q):
@@ -1172,7 +1178,7 @@ class Dilation(ConvexSet):
 
     def support_values(self, C):
         C = np.atleast_2d(np.asarray(C, dtype=float))
-        cc = C @ self.center
+        cc = _rows_dot(C, self.center)
         inner = self.base.support_values(C)
         if isinstance(inner, np.ndarray):
             return cc + self.factor * (inner - cc)
@@ -1180,7 +1186,7 @@ class Dilation(ConvexSet):
 
     def shadow_angles(self, C, b):
         """The base set's, at the offsets pulled back through the dilation."""
-        cc = C @ complexify(self.center)
+        cc = _rows_dot(C, complexify(self.center))
         return self.base.shadow_angles(C, cc + (b - cc) / self.factor)
 
     def nearest_boundary(self, q):

@@ -5,7 +5,6 @@ real span of L's directions only at the origin.  Equivalently the truncated
 cones around L (aperture c) cut E in compact pieces, which is what the
 certification layer ultimately consumes.  This module provides:
 
-* ``cone_membership`` -- the aperture-c cone test in a frame adapted to L,
 * ``is_stable`` -- the recession-cone criterion with a constructive witness
   (an aperture for stable L, a recession direction inside L's span otherwise),
 * ``stability_states`` -- one batch decision for many complex hyperplanes:
@@ -32,7 +31,6 @@ from .errors import SliceUnbounded, UnsupportedVariant
 from .geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
-    adapt_frame,
     complexify,
     mgs,
     realify,
@@ -79,23 +77,6 @@ def _to_real_subspace(subspace) -> AffineSubspaceR:
     if isinstance(subspace, AffineSubspaceR):
         return subspace
     return subspace.to_real()
-
-
-def cone_membership(subspace, p, c, x, tol=1e-12):
-    """Is x in the aperture-c cone around the complex subspace through p?
-
-    The cone is {|x''| <= c |x'|} where x' collects components along the
-    subspace directions and x'' the orthogonal rest, both measured in the
-    unitary frame adapted at p.  Monotone in c by construction.
-    """
-    if c < 0:
-        raise ValueError("aperture must be nonnegative")
-    frame = adapt_frame(subspace, p)
-    w = frame.apply(np.asarray(x, dtype=complex))
-    d = subspace.directions.shape[0]
-    along = np.linalg.norm(w[:d])
-    across = np.linalg.norm(w[d:])
-    return bool(across <= c * along + tol * (1.0 + np.linalg.norm(w)))
 
 
 def direction_ratios(rays: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from okacert.certify import (
     _collect_stable_disjoint,
     _edge_ok,
     _phase_align,
-    _separating_angle,
     _stable_lines,
     certify_oka_complement,
     check_connectivity,
@@ -244,6 +243,49 @@ def test_lineality_line_rows_solve_at_most_two_support_lps(monkeypatch):
         del calls[:]
 
 
+def _mixed_rows(E, rng):
+    """Hyperplanes for ``_disjoint_rows``: random ones, projection hyperplanes
+    of exterior points, and, where E has lineality L, rows with c . L = 0,
+    which ``shadow_angles`` leaves to the scan."""
+    n = E.complex_n()
+    planes = [_random_hyperplane(rng, n, scale=s) for s in (0.5, 3.0, 20.0) for _ in range(6)]
+    for q in E.sample_exterior(rng, 12, window=6.0):
+        H = certify._canonical_exterior_hyperplane(E, q)
+        planes += [H] if H is not None else []
+    L = complexify(E.lineality()).reshape(-1, n)
+    _, sv, vh = np.linalg.svd(L) if L.shape[0] else (None, np.zeros(0), np.eye(n))
+    null = np.conj(vh[np.sum(sv > 1e-9):])
+    for _ in range(8 if null.shape[0] else 0):
+        c = (rng.normal(size=null.shape[0]) + 1j * rng.normal(size=null.shape[0])) @ null
+        planes.append(Hyperplane(c, complex(*rng.normal(scale=3.0, size=2))))
+    return planes
+
+
+def test_batched_rows_equal_the_one_row_call_bit_for_bit():
+    """On mixed decided and scanned rows over the gallery, the benchmark's
+    pointed cones and a polytope with lazy support values, every row of one
+    ``_disjoint_rows`` call equals ``hyperplane_disjoint`` on that row alone."""
+    rng = np.random.default_rng(36)
+    sets_ = [build_example(name) for name in gallery_names()]
+    sets_ += [HPolyhedron(POINTED_CONE_A, POINTED_CONE_B), HPolyhedron(*POINTED_CONE_2),
+              _lazy_polytope(), QuadricBall(np.array([0.5, -1.0, 0.2, 0.7]), 1.3),
+              Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6]),
+              Tube(QuadricBall(np.array([0.3, -0.2, 0.5]), 0.8), [1, 2, 3], [0]),
+              HPolyhedron(np.vstack([np.eye(4), -np.eye(4), np.ones((1, 4))]),
+                          [1.0, 1.5, 0.7, 1.2, 0.9, 1.1, 1.3, 0.6, 1.4])]
+    kinds = set()
+    for E in sets_:
+        planes = _mixed_rows(E, rng)
+        C, b, stripped = certify._hyperplane_rows(planes, E.complex_n())
+        decided = E.shadow_angles(C, b)[1]
+        kinds |= {(E.lineality().shape[0] > 0, bool(d)) for d in decided}
+        got = certify._disjoint_rows(E, C, b, stripped)
+        for k, H in enumerate(planes):
+            want = hyperplane_disjoint(E, H)
+            assert (bool(got[0][k]), got[1][k], got[2][k]) == want, (E.json_type, k)
+    assert kinds >= {(True, True), (True, False), (False, False)}
+
+
 @pytest.mark.parametrize("seed", [1, 5, 9])
 def test_connectivity_holds_in_unitary_frames_of_a_pointed_cone(seed):
     """A unitary change of coordinates keeps the family of stable disjoint
@@ -285,7 +327,8 @@ def test_projection_failure_makes_the_check_inconclusive(monkeypatch, tmp_path):
 def test_line_lift_without_finite_support_is_skipped(monkeypatch):
     """No finite support value at any angle is no evidence: the line is
     skipped, and the certificate stays finite JSON."""
-    monkeypatch.setattr(certify, "hyperplane_disjoint", lambda E, H: (False, 0.0, np.inf))
+    monkeypatch.setattr(certify, "_disjoint_rows", lambda E, C, *_: (
+        np.zeros(len(C), dtype=bool), np.zeros(len(C)), np.full(len(C), np.inf)))
     cert = certify_oka_complement(QuadricBall(np.zeros(4), 1.0), SamplingPlan().scaled(30))
     canonical_json(cert.to_jsonable())
 
@@ -432,10 +475,10 @@ def test_connectivity_reports_each_component_by_its_first_hyperplane(monkeypatch
     the graph has two components, each represented by its first node."""
     E = QuadricBall(np.zeros(4), 1.0)
     nodes = _collect_stable_disjoint(E, SMALL, SMALL.rng("connect"), SMALL.hyperplanes)
-    sides = [H.offset.imag > 1.0 for H, _ in nodes]
+    sides = [H.offset.imag > 1.0 for H, *_ in nodes]
     assert len(set(sides)) == 2
     monkeypatch.setattr(certify, "_edge_ok", lambda E, Hi, Hj, steps, hints:
-                        ((Hi.offset.imag > 1.0) == (Hj.offset.imag > 1.0), None))
+                        (Hi.offset.imag > 1.0) == (Hj.offset.imag > 1.0))
     res = check_connectivity(E, SMALL)
     assert (res.verdict, res.samples) == ("refuted", len(nodes))
     assert res.detail == "hyperplane graph has 2 components"
@@ -468,9 +511,48 @@ def test_weak_projective_reports_skipped_exterior_samples(monkeypatch):
 # connectivity edges
 # ---------------------------------------------------------------------------
 
+def _separating_angle(E, H, thetas, first=True):
+    """The scalar angle scan, kept here as an independent reference: scan
+    ``thetas`` in order, NaN skipped, for one with margin
+    sup_E Re(e^{-i theta}(coeffs.z - offset)) < -1e-10 (1 + |offset|).
+
+    Returns (ok, theta, margin) at the first such angle when ``first``, else
+    at the least margin over the finite support values; (False, 0.0, inf)
+    when none is finite."""
+    thetas = np.asarray(thetas, dtype=float)
+    thetas = thetas[~np.isnan(thetas)]
+    shifts = np.real(np.exp(-1j * thetas) * H.offset)
+    tol = -1e-10 * (1.0 + abs(H.offset))
+    best = (np.inf, 0.0)
+    for theta, value, shift in zip(thetas, E.support_values(H.real_etas(thetas)), shifts):
+        if not np.isfinite(value):
+            continue
+        margin = value - shift
+        if margin < best[0]:
+            best = (margin, theta)
+        if first and margin < tol:
+            return True, float(theta), float(margin)
+    return bool(best[0] < tol), float(best[1]), float(best[0])
+
+
+def _reference_disjoint(E, H):
+    """The one-hyperplane separation built on ``_separating_angle``: the least
+    margin over the exact angles of a decided shadow, else the first angle of
+    the scan that separates, then of the polar arc."""
+    exact, decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))
+    if decided[0]:
+        return _separating_angle(E, H, exact[0], first=False)
+    scan = certify._separation_angles(H.coeffs[None], np.array([H.stripped_theta]))[0]
+    found = _separating_angle(E, H, scan)
+    arc = (False,) if found[0] else _separating_angle(
+        E, H, certify._polar_arc_angles(E, H.coeffs[None])[0])
+    return arc if arc[0] else found
+
+
 def _reference_edge_ok(E, Hi, Hj, steps, theta_hints):
     """The scalar loop that ``_edge_ok`` batches: one ``Hyperplane``, one
-    ``is_stable`` and one angle scan per step."""
+    ``is_stable`` and one angle scan per step; the hints are tried first on
+    steps whose shadow is not decided."""
     cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
     bj = Hj.offset * phase
     for t in np.linspace(0.0, 1.0, steps):
@@ -484,7 +566,9 @@ def _reference_edge_ok(E, Hi, Hj, steps, theta_hints):
             return False, float(t)
         if not is_stable(E, H.subspace()).stable:
             return False, float(t)
-        if not _separating_angle(E, H, theta_hints)[0] and not hyperplane_disjoint(E, H)[0]:
+        decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))[1][0]
+        if (decided or not _separating_angle(E, H, theta_hints)[0]) \
+                and not _reference_disjoint(E, H)[0]:
             return False, float(t)
     return True, None
 
@@ -551,13 +635,13 @@ def _edges(E, count, seed):
 
 
 def test_batched_edges_match_the_scalar_loop():
-    """Same (ok, blocking_t) as the per-step loop on seeded edges, some of
-    them blocked part way, over smooth, polyhedral and lazy sets."""
+    """The same verdict as the per-step loop on seeded edges, some of them
+    blocked part way, over smooth, polyhedral and lazy sets."""
     blocked = passed = 0
     for E, steps in [(E, 64) for E in _edge_sets()] + [(_lazy_polytope(), 12)]:
         for Hi, Hj, hints in _edges(E, 5, 41):
             want = _reference_edge_ok(E, Hi, Hj, steps, hints)
-            assert _edge_ok(E, Hi, Hj, steps, hints) == want
+            assert _edge_ok(E, Hi, Hj, steps, hints) is want[0]
             passed += want[0]
             blocked += not want[0] and 0.0 < want[1] < 1.0
     assert passed >= 50 and blocked >= 10
@@ -590,7 +674,7 @@ def test_batched_edges_skip_is_stable_and_extra_lps(monkeypatch):
         want = _reference_edge_ok(E, Hi, Hj, 12, hints)
         reference = len(lp_calls)
         del lp_calls[:]
-        assert _edge_ok(E, Hi, Hj, 12, hints) == want
+        assert _edge_ok(E, Hi, Hj, 12, hints) is want[0]
         assert 0 < len(lp_calls) <= reference
 
 

@@ -1,13 +1,12 @@
-"""Realification, chart maps, tangents, and unitary frames."""
+"""Realification, chart maps and tangents."""
 
 import numpy as np
 import pytest
 
-from okacert.errors import DegenerateChart, PointNotOnSubspace, ZeroGradient
+from okacert.errors import DegenerateChart, ZeroGradient
 from okacert.geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
-    adapt_frame,
     cayley_forward,
     cayley_inverse,
     complex_gradient_from_real,
@@ -104,33 +103,6 @@ def test_complex_tangent_is_complex_hyperplane():
 def test_complex_tangent_zero_gradient():
     with pytest.raises(ZeroGradient):
         complex_tangent(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
-
-
-def test_adapt_frame_unitary_and_flattening():
-    rng = np.random.default_rng(106)
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(1, n))
-        dirs = mgs(rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
-        base = rng.normal(size=n) + 1j * rng.normal(size=n)
-        S = AffineSubspaceC(base, dirs)
-        coeff = rng.normal(size=k) + 1j * rng.normal(size=k)
-        p = base + coeff @ dirs
-        F = adapt_frame(S, p)
-        M = F.matrix
-        assert np.allclose(M @ M.conj().T, np.eye(n), atol=1e-10)
-        assert np.allclose(F.apply(p), 0.0, atol=1e-10)
-        # points of S have vanishing trailing block
-        q = base + (rng.normal(size=k) + 1j * rng.normal(size=k)) @ dirs
-        w = F.apply(q)
-        assert np.max(np.abs(w[k:])) < 1e-9
-        assert np.allclose(F.inverse(F.apply(q)), q, atol=1e-9)
-
-
-def test_adapt_frame_rejects_off_subspace_anchor():
-    S = AffineSubspaceC(np.zeros(2, dtype=complex), np.array([[1.0 + 0j, 0.0]]))
-    with pytest.raises(PointNotOnSubspace):
-        adapt_frame(S, np.array([0.0, 5.0 + 0j]))
 
 
 def test_subspace_contains_and_translate():

@@ -9,14 +9,12 @@ import okacert.functions
 import okacert.sets
 from okacert.errors import (
     OkacertError,
-    PointNotOnSubspace,
     SliceUnbounded,
     UnsupportedVariant,
 )
 from okacert.geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
-    adapt_frame,
     complex_tangent,
     complexify,
     mgs,
@@ -33,7 +31,6 @@ from okacert.stability import (
     SupportingTranslate,
     TubeFound,
     _aperture,
-    cone_membership,
     direction_ratios,
     halfline_in_intersection,
     is_stable,
@@ -48,36 +45,6 @@ Z2_AXIS = AffineSubspaceC(np.zeros(2, dtype=complex),
 def _imz2_halfspace():
     # {Im z2 >= 0} in C^2, realified coordinates (x1, y1, x2, y2)
     return HPolyhedron(np.array([[0.0, 0.0, 0.0, -1.0]]), np.array([0.0]))
-
-
-# ---------------------------------------------------------------------------
-# cone membership
-# ---------------------------------------------------------------------------
-
-def test_cone_membership_basic():
-    assert cone_membership(Z2_AXIS, np.zeros(2), 1.0, np.array([1.0, 0.5]))
-    assert not cone_membership(Z2_AXIS, np.zeros(2), 1.0, np.array([0.1, 1.0]))
-
-
-def test_cone_membership_monotone_in_aperture():
-    """Membership at aperture c implies membership at any c' >= c; both sides
-    are checked against the raw |x''| <= c |x'| inequality in the adapted frame."""
-    rng = np.random.default_rng(411)
-    frame = adapt_frame(Z2_AXIS, np.zeros(2))
-    for _ in range(1000):
-        x = rng.normal(size=2) + 1j * rng.normal(size=2)
-        c = float(rng.uniform(0.05, 2.0))
-        inner = cone_membership(Z2_AXIS, np.zeros(2), c, x)
-        w = frame.apply(x)
-        oracle = abs(w[1]) <= c * abs(w[0]) + 1e-12 * (1 + np.linalg.norm(w))
-        assert inner == oracle
-        if inner:
-            assert cone_membership(Z2_AXIS, np.zeros(2), c + rng.uniform(0, 3), x)
-
-
-def test_cone_membership_rejects_off_subspace_apex():
-    with pytest.raises(PointNotOnSubspace):
-        cone_membership(Z2_AXIS, np.array([0.0, 1.0 + 0j]), 1.0, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
