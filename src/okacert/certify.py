@@ -57,12 +57,6 @@ VERIFIED = "verified-sampled"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
-# Evenly spaced rotation angles that _disjoint_rows scans on undecided shadows
-SEPARATION_GRID = 96
-_GRID_ANGLES = np.linspace(0.0, 2.0 * np.pi, SEPARATION_GRID, endpoint=False)
-# Hyperplane rows whose angle scan one support_values call runs; all of a
-# check's rows at once would raise the peak memory of a certificate
-EDGE_BLOCK = 8
 # Aperture c of the truncated cone that check_chart_compact tests per candidate
 CHART_APERTURE = 0.01
 
@@ -124,17 +118,26 @@ class Hyperplane:
 
     ``stripped_theta`` is the phase divided out of the given coefficients:
     ``real_eta(stripped_theta)`` is the real covector of the coefficients as
-    given, which for ``from_real_normal`` is the real normal itself.
+    given, which for ``from_real_normal`` is the real normal itself.  It is
+    the angle the hyperplane was built with.  On a shadow that
+    ``E.shadow_angles`` leaves undecided, ``_disjoint_rows`` tries that angle
+    only: a projection hyperplane through an exterior point, and its
+    ``translated`` lifts, miss E there by exactly their distance from E, and
+    a random conormal, whose offset lies past its support value at angle 0,
+    has phase 0.
     """
 
     __slots__ = ("coeffs", "offset", "stripped_theta")
 
     def __init__(self, coeffs, offset):
         c = np.asarray(coeffs, dtype=complex).ravel()
-        if np.sqrt(np.sum(np.abs(c) ** 2)) < 1e-14:
+        norm = np.sqrt(np.sum(np.abs(c) ** 2))
+        if norm < 1e-14:
             raise ValueError("hyperplane coefficients are zero")
-        C, b, theta = _canonical_rows(c[None], np.array([complex(offset)]))
-        self.coeffs, self.offset, self.stripped_theta = C[0], b[0], float(theta[0])
+        c = c / norm
+        self.stripped_theta = float(-np.angle(c[np.argmax(np.abs(c) > 1e-12)]))
+        phase = np.exp(1j * self.stripped_theta)
+        self.coeffs, self.offset = c * phase, complex(offset) / norm * phase
 
     @property
     def n(self) -> int:
@@ -163,12 +166,7 @@ class Hyperplane:
 
     def real_eta(self, theta: float) -> np.ndarray:
         """Real covector of x -> Re(e^{-i theta} (coeffs . z))."""
-        return self.real_etas([theta])[0]
-
-    def real_etas(self, thetas) -> np.ndarray:
-        """``real_eta`` of every angle in ``thetas``, one row each."""
-        return realify(np.conj(np.exp(-1j * np.asarray(thetas, dtype=float))[:, None]
-                               * self.coeffs))
+        return realify(np.conj(np.exp(-1j * theta) * self.coeffs))
 
     def translated(self, delta_offset: complex) -> "Hyperplane":
         H = Hyperplane(self.coeffs, self.offset + delta_offset)
@@ -194,105 +192,32 @@ class Hyperplane:
         return cls(c, beta)
 
 
-def _canonical_rows(C, b):
-    """(unit phase-canonical rows, offsets, stripped phases) of the rows of C
-    with offsets b, as ``Hyperplane`` stores them; the offsets are worked out
-    per component, as Python's complex arithmetic does, bit for bit."""
-    norm = np.sqrt(np.sum(np.abs(C) ** 2, axis=1))
-    C = C / norm[:, None]
-    stripped = -np.angle(C[np.arange(C.shape[0]), np.argmax(np.abs(C) > 1e-12, axis=1)])
-    phase = np.exp(1j * stripped)
-    re, im = b.real / norm, b.imag / norm
-    offsets = np.empty(b.shape[0], dtype=complex)
-    offsets.real = re * phase.real - im * phase.imag
-    offsets.imag = re * phase.imag + im * phase.real
-    return C * phase[:, None], offsets, stripped
+def _disjoint_rows(E: ConvexSet, coeffs, offsets, stripped):
+    """(ok, theta, margin) per hyperplane row {coeffs_i . z = offsets_i}:
+    does the offset lie outside the shadow coeffs_i . E in C?  The margin at
+    theta is sup_E Re(e^{-i theta}(coeffs_i . z - offsets_i)), ok is a margin
+    below -1e-10 (1 + |offsets_i|), and a row takes its least finite margin,
+    (False, 0.0, inf) when none is finite.
 
-
-def _separation_angles(coeffs, stripped, hints=()):
-    """The angle scan of each coefficient row, in the order tried: ``hints``,
-    the grid, four turns per coefficient and the stripped phase; NaN for the
-    four angles of a zero coefficient, which do not count."""
-    k = coeffs.shape[0]
-    ang = np.where(np.abs(coeffs) > 1e-12, np.angle(coeffs), np.nan)
-    turns = np.stack([ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2], axis=2).reshape(k, -1)
-    fixed = np.concatenate([hints, _GRID_ANGLES])
-    return np.hstack([np.broadcast_to(fixed, (k, fixed.shape[0])), turns, stripped[:, None]])
-
-
-def _separation(E: ConvexSet, coeffs, offsets, angles, first):
-    """(ok, theta, margin), stacked, of each row {coeffs_i . z = offsets_i}
-    over its ``angles`` (NaN skipped), where the margin at theta is
-    sup_E Re(e^{-i theta}(coeffs_i . z - offsets_i)) and ok is a margin below
-    -1e-10 (1 + |offsets_i|).  With ``first`` a row takes its first such
-    angle, else its least finite margin; (False, 0.0, inf) when none is
-    finite.  Lazy support values are read row by row, and with ``first``
-    no further than a row's first separating angle."""
+    A row that ``E.shadow_angles`` decides is tried at its exact angles, so
+    theta is the best angle and the margin minus the offset's distance from
+    the shadow.  Any other row is tried at its stripped phase only, the angle
+    its hyperplane was built with (``Hyperplane``)."""
+    exact, decided = E.shadow_angles(coeffs, offsets)
+    angles = np.hstack([exact, stripped[:, None]])
+    angles[decided, -1] = np.nan
+    angles[~decided, :-1] = np.nan
     r, j = np.nonzero(~np.isnan(angles))
     rot = np.exp(-1j * angles[r, j])
-    etas = realify(np.conj(rot[:, None] * coeffs[r]))
-    shifts = np.real(rot * offsets[r])
-    tol = -1e-10 * (1.0 + np.abs(offsets))
+    values = np.fromiter(E.support_values(realify(np.conj(rot[:, None] * coeffs[r]))),
+                         float, count=r.size)
     margins = np.full(angles.shape, np.inf)
-    values = E.support_values(etas)
-    if isinstance(values, np.ndarray):
-        margins[r, j] = np.where(np.isfinite(values), values - shifts, np.inf)
-    else:
-        for i in range(angles.shape[0]):
-            at = np.flatnonzero(r == i)
-            for a, value in zip(at, E.support_values(etas[at])):
-                margins[i, j[a]] = value - shifts[a] if np.isfinite(value) else np.inf
-                if first and margins[i, j[a]] < tol[i]:
-                    break
-    hit = margins < tol[:, None]
-    pick = np.where(first & hit.any(axis=1), hit.argmax(axis=1), margins.argmin(axis=1))
-    margin = margins[np.arange(angles.shape[0]), pick]
-    theta = np.where(np.isfinite(margin), angles[np.arange(angles.shape[0]), pick], 0.0)
-    return np.array([margin < tol, theta, margin])
-
-
-def _polar_arc_angles(E: ConvexSet, coeffs):
-    """(k, 3): the ends and the midpoint of the arc of angles theta with
-    Re(e^{-i theta} c . r) <= 0 on E's extreme rays r, inside the widest gap
-    g >= pi of the angles of the nonzero c . r; NaN where there is none."""
-    out = np.full((coeffs.shape[0], 3), np.nan)
-    R = E.recession_cone().extreme_rays
-    for i, p in enumerate(coeffs @ complexify(R).T if R is not None else []):
-        a = np.sort(np.angle(p[np.abs(p) > 1e-12]))
-        gaps = np.diff(a, append=a[:1] + 2 * np.pi)
-        if a.size and (g := gaps.max()) >= np.pi:
-            out[i] = a[np.argmax(gaps)] + np.array([np.pi / 2, g / 2, g - np.pi / 2])
-    return out
-
-
-def _disjoint_rows(E: ConvexSet, coeffs, offsets, stripped, hints=()):
-    """(ok, theta, margin) per hyperplane row {coeffs_i . z = offsets_i}:
-    does the offset lie outside the shadow coeffs_i . E in C, as an angle
-    theta with a negative margin (``_separation``) witnesses?
-
-    Where ``E.shadow_angles`` decides a row, theta is the best of its exact
-    angles and the margin minus the offset's distance from the shadow.  The
-    other rows, ``EDGE_BLOCK`` per ``support_values`` call, take the first
-    that separates of ``hints``, ``SEPARATION_GRID`` evenly spaced angles,
-    four angles per nonzero coefficient and the stripped phase, then of
-    ``_polar_arc_angles``; a row nothing separates keeps the scan's least
-    finite margin."""
-    exact, decided = E.shadow_angles(coeffs, offsets)
-    out = np.zeros((3, coeffs.shape[0]))
-    rows = np.flatnonzero(decided)
-    if rows.size:
-        out[:, rows] = _separation(E, coeffs[rows], offsets[rows], exact[rows], first=False)
-    scanned = np.flatnonzero(~decided)
-    for k in range(0, scanned.size, EDGE_BLOCK):
-        rows = scanned[k:k + EDGE_BLOCK]
-        out[:, rows] = _separation(E, coeffs[rows], offsets[rows],
-                                   _separation_angles(coeffs[rows], stripped[rows], hints), True)
-        left = rows[out[0, rows] == 0]
-        if left.size:
-            arc = _separation(E, coeffs[left], offsets[left],
-                              _polar_arc_angles(E, coeffs[left]), True)
-            out[:, left[arc[0] > 0]] = arc[:, arc[0] > 0]
-    return out[0] > 0, out[1], out[2]
+    margins[r, j] = np.where(np.isfinite(values), values - np.real(rot * offsets[r]), np.inf)
+    rows = np.arange(angles.shape[0])
+    pick = margins.argmin(axis=1)
+    margin = margins[rows, pick]
+    theta = np.where(np.isfinite(margin), angles[rows, pick], 0.0)
+    return margin < -1e-10 * (1.0 + np.abs(offsets)), theta, margin
 
 
 def _hyperplane_rows(planes, n):
@@ -303,7 +228,11 @@ def _hyperplane_rows(planes, n):
 
 
 def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
-    """``_disjoint_rows`` of the one hyperplane H, as (ok, theta, margin)."""
+    """``_disjoint_rows`` of the one hyperplane H, as (ok, theta, margin): at
+    the exact angles where ``E.shadow_angles`` decides H, else at its
+    stripped phase only.  Every hyperplane the certifier builds separates
+    there when it misses E; for any other H, False shows only that this angle
+    does not separate."""
     ok, theta, margin = _disjoint_rows(E, *_hyperplane_rows([H], H.n))
     return bool(ok[0]), float(theta[0]), float(margin[0])
 
@@ -588,7 +517,7 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         ok, theta, margin = next(disjoint)
         if not ok:
             if not np.isfinite(margin):
-                # no finite support value at any angle: no evidence either way
+                # no finite support value at the angles tried: no evidence either way
                 skipped += 1
                 continue
             witnesses.append({
@@ -705,52 +634,39 @@ class _UnionFind:
 
 
 def _phase_align(c_ref, c):
+    """c turned by the phase that makes its inner product with c_ref real and positive."""
     inner = complex(np.sum(np.conj(c_ref) * c))
-    if abs(inner) < 1e-12:
-        return c, 1.0 + 0j
-    phase = np.exp(-1j * np.angle(inner))
-    return c * phase, phase
+    return c if abs(inner) < 1e-12 else c * np.exp(-1j * np.angle(inner))
 
 
-def _edge_ok(E, Hi, Hj, steps, theta_hints) -> bool:
-    """Interpolate in homogeneous conormal coordinates and keep every step
-    stable and disjoint, up to the first failing step.  The unit endpoints,
-    phase-aligned, keep every row's squared norm >= 1/2.
+def _edge_ok(E, Hi, Hj, steps, thetas) -> bool:
+    """Is the straight path between the rotated rows e^{-i theta}(c, beta) of
+    Hi and Hj, at the angles ``thetas`` where each misses E, a path of stable
+    hyperplanes?  Every hyperplane on it misses E: the support function is
+    sublinear (Rockafellar, Thm 13.2), so the margin at angle 0 of the row at
+    t is at most (1 - t) times Hi's margin plus t times Hj's, both negative.
 
-    ``is_stable`` runs, in step order, only on steps ``stability_states``
-    leaves open, and a step it shows unstable ends the edge.  Disjointness
-    comes from one ``_disjoint_rows`` call per block of steps, with the
-    endpoint angles as hints: the whole edge when ``E.shadow_angles``
-    decides every step, ``EDGE_BLOCK`` steps when some are scanned, and one
-    step when support values are lazy, so that no LP runs past the first
-    failing step."""
-    cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
-    ts = np.linspace(0.0, 1.0, steps)
-    C = (1 - ts)[:, None] * Hi.coeffs + ts[:, None] * cj
-    b = (1 - ts) * Hi.offset + ts * (Hj.offset * phase)
-    coeffs, offsets, stripped = _canonical_rows(C, b)
-    states, _ = stability_states(E, coeffs)
-    if not isinstance(E.support_values(realify(coeffs[:1])), np.ndarray):
-        block = 1
-    else:
-        block = steps if E.shadow_angles(coeffs, offsets)[1].all() else EDGE_BLOCK
-    for k in range(steps):
-        if states[k] < 0 or not (states[k] or
-                                 is_stable(E, Hyperplane(C[k], b[k]).subspace()).stable):
-            return False
-        if k % block == 0:
-            rows = slice(k, k + block)
-            disjoint = _disjoint_rows(E, coeffs[rows], offsets[rows], stripped[rows],
-                                      theta_hints)[0]
-        if not disjoint[k % block]:
-            return False
-    return True
+    So the edge fails only where the coefficients come within 1e-9 of 0
+    anywhere on the path, or at a step that is unstable: ``stability_states``
+    decides the ``steps`` evenly spaced steps, and ``is_stable`` the ones it
+    leaves open, in step order, up to the first failure."""
+    ri, rj = (np.exp(-1j * theta) * np.append(H.coeffs, H.offset)
+              for H, theta in zip((Hi, Hj), thetas))
+    d = rj[:-1] - ri[:-1]
+    t = np.clip(-np.vdot(d, ri[:-1]).real / (np.vdot(d, d).real or 1.0), 0.0, 1.0)
+    if np.linalg.norm(ri[:-1] + t * d) < 1e-9:  # the least norm on the path
+        return False
+    ts = np.linspace(0.0, 1.0, steps)[:, None]
+    rows = (1 - ts) * ri + ts * rj
+    states, _ = stability_states(E, rows[:, :-1])
+    return all(state > 0 or state == 0 and is_stable(E, Hyperplane(r[:-1], r[-1]).subspace()).stable
+               for state, r in zip(states, rows))
 
 
 @_check()
 def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckResult:
     """The sampled family of stable disjoint hyperplanes must form a connected
-    graph under stable-and-disjoint linear interpolation of their parameters."""
+    graph under linear interpolation of their rotated parameters (``_edge_ok``)."""
     rng = plan.rng("connect")
     nodes = _collect_stable_disjoint(E, plan, rng, plan.hyperplanes, seeds=seeds)
     if len(nodes) < 2:
@@ -761,8 +677,7 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             ci, cj = nodes[i][0], nodes[j][0]
-            cj_al, _ = _phase_align(ci.coeffs, cj.coeffs)
-            dist = float(np.linalg.norm(ci.coeffs - cj_al) +
+            dist = float(np.linalg.norm(ci.coeffs - _phase_align(ci.coeffs, cj.coeffs)) +
                          abs(ci.offset - cj.offset) / (1 + abs(ci.offset)))
             pairs.append((dist, i, j))
     for _, i, j in sorted(pairs):
@@ -773,7 +688,8 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
             uf.union(i, j)
     if uf.components == 1:
         # translating H by -s e^{i theta} raises its margin at theta by s: it
-        # touches E at s = -margin, on a decided shadow the node's distance
+        # touches E at s = -margin, the node's distance from E's shadow on a
+        # decided shadow and on a hyperplane built through an exterior point
         return CheckResult(
             VERIFIED, samples=len(nodes),
             witnesses=[{"kind": "retraction-contacts",

@@ -563,8 +563,9 @@ class HPolyhedron(ConvexSet):
 
     def support_values(self, C):
         """Minkowski-Weyl form when the polyhedron is pointed and small
-        enough to enumerate: the max of C @ V.T over the vertices V, and +inf
-        on rows with C @ r > 1e-9 for an extreme ray r.  Otherwise one lazy
+        enough to enumerate: the max of C @ V.T over the vertices V, each row
+        on its own (``_rows_dot``), and +inf on rows with C @ r > 1e-9 for an
+        extreme ray r.  Otherwise one lazy
         LP per row, except on rows with |L c| > 1e-9 for the lineality space
         L: a functional that does not vanish on L is unbounded, +inf."""
         C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -573,7 +574,7 @@ class HPolyhedron(ConvexSet):
             unbounded = np.max(np.abs(C @ self.lineality().T), axis=1, initial=0.0) > 1e-9
             inner = super().support_values(C[~unbounded])
             return (np.inf if u else next(inner) for u in unbounded)
-        out = np.max(C @ V.T, axis=1)
+        out = np.max(_rows_dot(C, V.T), axis=1)
         R = self.recession_cone().extreme_rays
         out[np.max(C @ R.T, axis=1, initial=-np.inf) > 1e-9] = np.inf
         return out

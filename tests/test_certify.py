@@ -14,7 +14,6 @@ from okacert.certify import (
     SamplingPlan,
     _collect_stable_disjoint,
     _edge_ok,
-    _phase_align,
     _stable_lines,
     certify_oka_complement,
     check_connectivity,
@@ -113,7 +112,8 @@ def test_hyperplane_disjoint_and_common_point():
 
 def test_hyperplane_disjoint_tries_the_stripped_phase():
     """A projection hyperplane is separated at the phase its constructor
-    strips; the 96-angle grid alone reports it as meeting this cone."""
+    strips, the one angle tried on a shadow ``shadow_angles`` leaves
+    undecided; a grid of evenly spaced angles reports some as meeting this cone."""
     E = HPolyhedron(POINTED_CONE_A, POINTED_CONE_B)
     res = check_weak_projective(E, SamplingPlan().scaled(30))
     assert res.samples > 0
@@ -130,11 +130,14 @@ def _random_hyperplane(rng, n, scale=3.0):
 
 
 def _scan_margins(E, H):
-    """The margins of the angle scan's candidates: the grid, the coefficient
-    turns and the stripped phase."""
-    thetas = certify._separation_angles(H.coeffs[None], np.array([H.stripped_theta]))[0]
-    thetas = thetas[~np.isnan(thetas)]
-    values = np.fromiter(E.support_values(H.real_etas(thetas)), float)
+    """The margins of an angle scan, kept here as a reference for the exact
+    shadows: 96 evenly spaced angles, four turns per nonzero coefficient and
+    the stripped phase."""
+    ang = np.angle(H.coeffs[np.abs(H.coeffs) > 1e-12])
+    thetas = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False),
+                             ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2,
+                             [H.stripped_theta]])
+    values = np.fromiter(E.support_values(np.array([H.real_eta(t) for t in thetas])), float)
     return values - np.real(np.exp(-1j * thetas) * H.offset)
 
 
@@ -289,10 +292,10 @@ def test_batched_rows_equal_the_one_row_call_bit_for_bit():
 @pytest.mark.parametrize("seed", [1, 5, 9])
 def test_connectivity_holds_in_unitary_frames_of_a_pointed_cone(seed):
     """A unitary change of coordinates keeps the family of stable disjoint
-    hyperplanes connected.  In these frames of the pointed cone the angle
-    scan misses the narrow polar arcs of many steps' shadows, and the graph
-    fell into 2, 4 and 3 components; the arcs' ends and midpoints separate
-    those steps."""
+    hyperplanes connected.  In these frames of the pointed cone a scan of
+    evenly spaced angles missed the narrow polar arcs of many steps' shadows,
+    and the graph fell into 2, 4 and 3 components; an edge's steps now miss E
+    by the sublinearity of the support function, with no angle to find."""
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     R = realify(complexify(np.eye(4)) @ U.T).T  # x -> realify(U complexify(x))
@@ -477,7 +480,7 @@ def test_connectivity_reports_each_component_by_its_first_hyperplane(monkeypatch
     nodes = _collect_stable_disjoint(E, SMALL, SMALL.rng("connect"), SMALL.hyperplanes)
     sides = [H.offset.imag > 1.0 for H, *_ in nodes]
     assert len(set(sides)) == 2
-    monkeypatch.setattr(certify, "_edge_ok", lambda E, Hi, Hj, steps, hints:
+    monkeypatch.setattr(certify, "_edge_ok", lambda E, Hi, Hj, steps, thetas:
                         (Hi.offset.imag > 1.0) == (Hj.offset.imag > 1.0))
     res = check_connectivity(E, SMALL)
     assert (res.verdict, res.samples) == ("refuted", len(nodes))
@@ -511,64 +514,23 @@ def test_weak_projective_reports_skipped_exterior_samples(monkeypatch):
 # connectivity edges
 # ---------------------------------------------------------------------------
 
-def _separating_angle(E, H, thetas, first=True):
-    """The scalar angle scan, kept here as an independent reference: scan
-    ``thetas`` in order, NaN skipped, for one with margin
-    sup_E Re(e^{-i theta}(coeffs.z - offset)) < -1e-10 (1 + |offset|).
-
-    Returns (ok, theta, margin) at the first such angle when ``first``, else
-    at the least margin over the finite support values; (False, 0.0, inf)
-    when none is finite."""
-    thetas = np.asarray(thetas, dtype=float)
-    thetas = thetas[~np.isnan(thetas)]
-    shifts = np.real(np.exp(-1j * thetas) * H.offset)
-    tol = -1e-10 * (1.0 + abs(H.offset))
-    best = (np.inf, 0.0)
-    for theta, value, shift in zip(thetas, E.support_values(H.real_etas(thetas)), shifts):
-        if not np.isfinite(value):
-            continue
-        margin = value - shift
-        if margin < best[0]:
-            best = (margin, theta)
-        if first and margin < tol:
-            return True, float(theta), float(margin)
-    return bool(best[0] < tol), float(best[1]), float(best[0])
+def _rotated_rows(Hi, Hj, ts, thetas):
+    """The rows e^{-i theta}(c, beta) of Hi and Hj, interpolated at ``ts``."""
+    ri, rj = (np.exp(-1j * th) * np.append(H.coeffs, H.offset) for H, th in zip((Hi, Hj), thetas))
+    return [(1 - t) * ri + t * rj for t in ts]
 
 
-def _reference_disjoint(E, H):
-    """The one-hyperplane separation built on ``_separating_angle``: the least
-    margin over the exact angles of a decided shadow, else the first angle of
-    the scan that separates, then of the polar arc."""
-    exact, decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))
-    if decided[0]:
-        return _separating_angle(E, H, exact[0], first=False)
-    scan = certify._separation_angles(H.coeffs[None], np.array([H.stripped_theta]))[0]
-    found = _separating_angle(E, H, scan)
-    arc = (False,) if found[0] else _separating_angle(
-        E, H, certify._polar_arc_angles(E, H.coeffs[None])[0])
-    return arc if arc[0] else found
-
-
-def _reference_edge_ok(E, Hi, Hj, steps, theta_hints):
-    """The scalar loop that ``_edge_ok`` batches: one ``Hyperplane``, one
-    ``is_stable`` and one angle scan per step; the hints are tried first on
-    steps whose shadow is not decided."""
-    cj, phase = _phase_align(Hi.coeffs, Hj.coeffs)
-    bj = Hj.offset * phase
-    for t in np.linspace(0.0, 1.0, steps):
-        c = (1 - t) * Hi.coeffs + t * cj
-        b = (1 - t) * Hi.offset + t * bj
-        if np.linalg.norm(c) < 1e-8:
-            return False, float(t)
-        try:
-            H = Hyperplane(c, b)
-        except ValueError:
-            return False, float(t)
-        if not is_stable(E, H.subspace()).stable:
-            return False, float(t)
-        decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))[1][0]
-        if (decided or not _separating_angle(E, H, theta_hints)[0]) \
-                and not _reference_disjoint(E, H)[0]:
+def _reference_edge_ok(E, Hi, Hj, steps, thetas):
+    """A scalar reference for ``_edge_ok``: (ok, t of the first failure).  The
+    rotated path fails where its coefficients come within 1e-9 of 0 on a
+    dense grid of 4097 points, then at the first step ``is_stable`` calls
+    unstable; no step asks for disjointness."""
+    dense = _rotated_rows(Hi, Hj, np.linspace(0.0, 1.0, 4097), thetas)
+    if min(np.linalg.norm(r[:-1]) for r in dense) < 1e-9:
+        return False, None
+    ts = np.linspace(0.0, 1.0, steps)
+    for t, r in zip(ts, _rotated_rows(Hi, Hj, ts, thetas)):
+        if not is_stable(E, Hyperplane(r[:-1], r[-1]).subspace()).stable:
             return False, float(t)
     return True, None
 
@@ -628,30 +590,62 @@ def _edge_sets():
 
 
 def _edges(E, count, seed):
-    """Every pair of ``count`` stable disjoint hyperplanes, with their angles as hints."""
+    """Every pair of ``count`` stable disjoint hyperplanes, with their separating
+    angles and margins."""
     nodes = _collect_stable_disjoint(E, SMALL, np.random.default_rng(seed), count)
-    return [(nodes[i][0], nodes[j][0], [nodes[i][1], nodes[j][1]])
+    return [(nodes[i][0], nodes[j][0], [nodes[i][1], nodes[j][1]], [nodes[i][2], nodes[j][2]])
             for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
 
 
-def test_batched_edges_match_the_scalar_loop():
-    """The same verdict as the per-step loop on seeded edges, some of them
-    blocked part way, over smooth, polyhedral and lazy sets."""
-    blocked = passed = 0
+def test_edges_match_the_scalar_rotated_path():
+    """The same verdict as the scalar loop over the rotated path on seeded
+    edges over smooth, polyhedral and lazy sets; every step of every accepted
+    edge misses E at angle 0, by at least the interpolated endpoint margins."""
+    passed = 0
     for E, steps in [(E, 64) for E in _edge_sets()] + [(_lazy_polytope(), 12)]:
-        for Hi, Hj, hints in _edges(E, 5, 41):
-            want = _reference_edge_ok(E, Hi, Hj, steps, hints)
-            assert _edge_ok(E, Hi, Hj, steps, hints) is want[0]
-            passed += want[0]
-            blocked += not want[0] and 0.0 < want[1] < 1.0
-    assert passed >= 50 and blocked >= 10
+        for Hi, Hj, thetas, margins in _edges(E, 5, 41):
+            ok = _edge_ok(E, Hi, Hj, steps, thetas)
+            assert ok is _reference_edge_ok(E, Hi, Hj, steps, thetas)[0]
+            passed += ok
+            if not ok:
+                continue
+            ts = np.linspace(0.0, 1.0, steps)
+            rows = np.array(_rotated_rows(Hi, Hj, ts, thetas))
+            values = np.fromiter(E.support_values(realify(np.conj(rows[:, :-1]))), float)
+            got = values - rows[:, -1].real
+            assert np.all(got < 0)
+            assert np.all(got <= (1 - ts) * margins[0] + ts * margins[1] + 1e-12)
+    assert passed >= 60
 
 
-def test_batched_edges_skip_is_stable_and_extra_lps(monkeypatch):
+def test_blocked_edges():
+    """An edge fails at an unstable step: {(z1 + z2)/sqrt 2 = 5} and
+    {(z1 - z2)/sqrt 2 = 5} miss [-1, 1]^3 x [0, inf) at angle 0, and their
+    midpoint {z1 = 5 sqrt 2} contains the recession ray (0, i).  It fails
+    where the rotated rows vanish: {z1 = 5} and {z1 = -5} miss the unit ball
+    at angles 0 and pi, and e^{-i theta}(c, beta) is (1, 0, 5) and (-1, 0, 5),
+    which vanish at t = 1/2, between two of 64 steps."""
+    E = HPolyhedron(np.vstack([np.eye(4)[:3], -np.eye(4)]), [1.0] * 6 + [0.0])
+    Hi = Hyperplane(np.array([1.0, 1.0]), 5 * np.sqrt(2))
+    Hj = Hyperplane(np.array([1.0, -1.0]), 5 * np.sqrt(2))
+    assert hyperplane_disjoint(E, Hi)[:2] == hyperplane_disjoint(E, Hj)[:2] == (True, 0.0)
+    assert _reference_edge_ok(E, Hi, Hj, 65, [0.0, 0.0]) == (False, 0.5)
+    assert not _edge_ok(E, Hi, Hj, 65, [0.0, 0.0])
+    ball = QuadricBall(np.zeros(4), 1.0)
+    Hi, Hj = Hyperplane(np.array([1.0, 0.0]), 5.0), Hyperplane(np.array([1.0, 0.0]), -5.0)
+    thetas = [hyperplane_disjoint(ball, Hi)[1], hyperplane_disjoint(ball, Hj)[1]]
+    assert thetas == [0.0, np.pi]
+    rows = np.array(_rotated_rows(Hi, Hj, np.linspace(0.0, 1.0, 64), thetas))
+    assert np.min(np.linalg.norm(rows[:, :-1], axis=1)) > 0.01
+    assert _reference_edge_ok(ball, Hi, Hj, 64, thetas) == (False, None)
+    assert not _edge_ok(ball, Hi, Hj, 64, thetas)
+
+
+def test_edges_skip_is_stable_and_lps(monkeypatch):
     """Edges on siegel2, the ball, cone-ex14 and a pointed cone make no
     is_stable call, and a default-plan cone-ex14 certificate makes at most
-    600 (4,327 before the planar Gordan test was batched); on a set with
-    lazy support values edges solve no more LPs than the scalar loop."""
+    600 (4,327 before the planar Gordan test was batched); edges on a
+    polytope with lazy support values solve no LP."""
     edge_sets = [build_example(name) for name in ("siegel2", "ball", "cone-ex14")]
     edge_sets.append(HPolyhedron(POINTED_CONE_A, POINTED_CONE_B))
     batched = [(E, _edges(E, 4, 42)) for E in edge_sets]
@@ -662,20 +656,37 @@ def test_batched_edges_skip_is_stable_and_extra_lps(monkeypatch):
     monkeypatch.setattr(certify, "is_stable",
                         lambda *a: stable_calls.append(1) or real_is_stable(*a))
     for E, edges in batched:
-        for Hi, Hj, hints in edges:
-            _edge_ok(E, Hi, Hj, 64, hints)
+        for Hi, Hj, thetas, _ in edges:
+            _edge_ok(E, Hi, Hj, 64, thetas)
     assert not stable_calls
     certify_oka_complement(build_example("cone-ex14"))
     assert 0 < len(stable_calls) <= 600
-    monkeypatch.setattr(sets, "solve_lp", lambda *a, **k: lp_calls.append(1) or real_solve_lp(*a, **k))
-    E = lazy
-    for Hi, Hj, hints in lazy_edges:
-        del lp_calls[:]
-        want = _reference_edge_ok(E, Hi, Hj, 12, hints)
-        reference = len(lp_calls)
-        del lp_calls[:]
-        assert _edge_ok(E, Hi, Hj, 12, hints) is want[0]
-        assert 0 < len(lp_calls) <= reference
+    monkeypatch.setattr(sets, "solve_lp",
+                        lambda *a, **k: lp_calls.append(1) or real_solve_lp(*a, **k))
+    assert all(_edge_ok(lazy, Hi, Hj, 12, thetas) for Hi, Hj, thetas, _ in lazy_edges)
+    assert lazy_edges and not lp_calls
+
+
+def _seeded_polytope():
+    """A box with random offsets cut by four random halfspaces: bounded, line-free."""
+    rng = np.random.default_rng(7)
+    cuts = rng.normal(size=(4, 4))
+    A = np.vstack([np.eye(4), -np.eye(4), cuts / np.linalg.norm(cuts, axis=1, keepdims=True)])
+    return HPolyhedron(A, np.concatenate([rng.uniform(0.5, 1.5, 8), rng.uniform(0.3, 1.0, 4)]))
+
+
+def test_projection_hyperplanes_miss_E_by_their_distance():
+    """A projection hyperplane through q misses E at its stripped phase by
+    exactly the distance of q from E: every stable-hyperplane witness on the
+    cube and a seeded polytope has margin -|q - nearest_boundary(q)|."""
+    for E in (HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8)), _seeded_polytope()):
+        res = check_weak_projective(E, SMALL)
+        planes = [w for w in res.witnesses if w["kind"] == "stable-hyperplane"]
+        assert res.verdict == "verified-sampled" and len(planes) >= 8
+        for w in planes:
+            q = np.array(w["through"])
+            distance = np.linalg.norm(q - E.nearest_boundary(q))
+            assert w["margin"] == pytest.approx(-distance, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
