@@ -361,17 +361,20 @@ def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResu
         pts = E.sample_boundary(rng, plan.boundary, window=plan.window)
     except UnsupportedVariant as exc:
         return CheckResult(INCONCLUSIVE, detail=f"boundary sampling unavailable: {exc}")
-    witnesses = []
-    checked = 0
+    planes = []
     for p in pts:
         try:
-            g = E.boundary_gradient(p)
-            gc = complex_gradient_from_real(g)
-            plane = complex_tangent(gc, complexify(p))
+            gc = complex_gradient_from_real(E.boundary_gradient(p))
+            planes.append((p, gc, complex_tangent(gc, complexify(p))))
         except (UnsupportedVariant, ZeroGradient):
             continue
+    # a stable tangent plane meets no recession direction, so it holds no halfline
+    stable = stability_states(E, np.array([gc for _, gc, _ in planes]).reshape(-1, E.complex_n()))
+    witnesses = []
+    checked = 0
+    for (p, _, plane), ok in zip(planes, stable):
         checked += 1
-        hit = halfline_in_intersection(E, plane, base_point=p)
+        hit = None if ok else halfline_in_intersection(E, plane, base_point=p)
         if hit is not None:
             x0, v = hit
             witnesses.append({
@@ -414,12 +417,11 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     skipped = qs.shape[0] - len(planes)
     if not planes:
         return CheckResult(INCONCLUSIVE, detail=f"all {skipped} exterior samples unusable")
-    states, _ = stability_states(E, np.array([H.coeffs for _, H in planes]))
     verdicts, unstable = [], 0
-    for (_, H), state in zip(planes, states):
+    for (_, H), ok in zip(planes, stability_states(E, np.array([H.coeffs for _, H in planes]))):
         if unstable == 5:
             break  # the loop below stops by the fifth failure, so here at the latest
-        verdicts.append((stable_verdict if state > 0 else is_stable)(E, H.subspace()))
+        verdicts.append((stable_verdict if ok else is_stable)(E, H.subspace()))
         unstable += not verdicts[-1].stable
     stable = [H for (_, H), verdict in zip(planes, verdicts) if verdict.stable]
     disjoint = zip(*_disjoint_rows(E, *_hyperplane_rows(stable, E.complex_n())))
@@ -496,22 +498,23 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         delta = 1e-3 * (1.0 + np.linalg.norm(outcome.contact))  # pushed off E along the normal
         lifts.append((line.directions[0], H,
                       H.translated(complex(np.dot(H.coeffs, complexify(outcome.normal))) * delta)))
-    states, vs = stability_states(E, np.array([H.coeffs for _, H, _ in lifts]).reshape(-1, n))
-    unstable = 0
+    stable = stability_states(E, np.array([H.coeffs for _, H, _ in lifts]).reshape(-1, n))
+    vs, unstable = [None] * len(lifts), 0
     for k, (_, H, _) in enumerate(lifts):
-        if states[k] == 0 or states[k] < 0 and unstable < 5:  # open, or a witness to write
+        if not stable[k] and unstable < 5:  # a witness to write
             verdict = is_stable(E, H.subspace())
-            states[k], vs[k] = (1, vs[k]) if verdict.stable else (-1, verdict.witness)
-        unstable += states[k] < 0
-    offs = [H_off for (*_, H_off), state in zip(lifts, states) if state > 0]
+            stable[k], vs[k] = verdict.stable, verdict.witness
+        unstable += not stable[k]
+    offs = [H_off for (*_, H_off), ok in zip(lifts, stable) if ok]
     disjoint = zip(*_disjoint_rows(E, *_hyperplane_rows(offs, n)))
-    for (d, H, H_off), state, v in zip(lifts, states, vs):
-        if state < 0:
+    for (d, H, H_off), stable_lift, v in zip(lifts, stable, vs):
+        if not stable_lift:
             witnesses.append({
                 "kind": "unstable-lift",
                 "line_direction": _cvec(d),
                 "hyperplane": H.to_jsonable(),
-                "recession_direction": [float(t) for t in v],
+                # past the fifth unstable lift none is written
+                "recession_direction": [] if v is None else [float(t) for t in v],
             })
             continue
         ok, theta, margin = next(disjoint)
@@ -550,11 +553,11 @@ def _stable_lines(E: ConvexSet, plan: SamplingPlan):
         X = rng.standard_normal((min(plan.lines, 10 * plan.lines - attempts), 4, n))
         D = np.array([d / np.linalg.norm(d) for d in X[:, 0] + 1j * X[:, 1]])
         # in C^2 the line through d is the hyperplane (d2, -d1) . z = 0
-        states = stability_states(E, D[:, ::-1] * [1, -1])[0] if n == 2 else np.zeros(len(X))
-        for x, d, state in zip(X, D, states):
+        stable = stability_states(E, D[:, ::-1] * [1, -1]) if n == 2 else [None] * len(X)
+        for x, d, ok in zip(X, D, stable):
             attempts += 1
             line = AffineSubspaceC(base=(x[2] + 1j * x[3]) * (plan.window / 4), directions=d[None, :])
-            if state > 0 or state == 0 and is_stable(E, line).stable:
+            if is_stable(E, line).stable if ok is None else ok:
                 stable_lines.append(line)
                 if len(stable_lines) == plan.lines:
                     break
@@ -604,8 +607,7 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
             beta = (value + 1.0 + float(rng.uniform(0, plan.window / 2))
                     + 1j * float(rng.uniform(-plan.window / 4, plan.window / 4)))
             H = Hyperplane(H0.coeffs, beta)
-        state = stability_states(E, H.coeffs[None])[0][0]
-        if state < 0 or state == 0 and not is_stable(E, H.subspace()).stable:
+        if not stability_states(E, H.coeffs[None])[0]:
             continue
         ok, theta, margin = hyperplane_disjoint(E, H)
         if ok:
@@ -647,20 +649,15 @@ def _edge_ok(E, Hi, Hj, steps, thetas) -> bool:
     t is at most (1 - t) times Hi's margin plus t times Hj's, both negative.
 
     So the edge fails only where the coefficients come within 1e-9 of 0
-    anywhere on the path, or at a step that is unstable: ``stability_states``
-    decides the ``steps`` evenly spaced steps, and ``is_stable`` the ones it
-    leaves open, in step order, up to the first failure."""
-    ri, rj = (np.exp(-1j * theta) * np.append(H.coeffs, H.offset)
-              for H, theta in zip((Hi, Hj), thetas))
-    d = rj[:-1] - ri[:-1]
-    t = np.clip(-np.vdot(d, ri[:-1]).real / (np.vdot(d, d).real or 1.0), 0.0, 1.0)
-    if np.linalg.norm(ri[:-1] + t * d) < 1e-9:  # the least norm on the path
+    anywhere on the path, or at one of the ``steps`` evenly spaced steps that
+    ``stability_states`` decides unstable."""
+    ci, cj = (np.exp(-1j * theta) * H.coeffs for H, theta in zip((Hi, Hj), thetas))
+    d = cj - ci
+    t = np.clip(-np.vdot(d, ci).real / (np.vdot(d, d).real or 1.0), 0.0, 1.0)
+    if np.linalg.norm(ci + t * d) < 1e-9:  # the least norm on the path
         return False
     ts = np.linspace(0.0, 1.0, steps)[:, None]
-    rows = (1 - ts) * ri + ts * rj
-    states, _ = stability_states(E, rows[:, :-1])
-    return all(state > 0 or state == 0 and is_stable(E, Hyperplane(r[:-1], r[-1]).subspace()).stable
-               for state, r in zip(states, rows))
+    return bool(stability_states(E, (1 - ts) * ci + ts * cj).all())
 
 
 @_check()

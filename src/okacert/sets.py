@@ -24,8 +24,8 @@ from .geometry import AffineSubspaceR, complexify, mgs
 from .lp import feasible_point, solve_lp
 
 DEFAULT_TOL = 1e-9
-# Angular margin (rad) of the planar stability test; rows of the projected
-# cone system shorter than this, relative to their own length, are dropped
+# Margin of the planar stability tests (``_planar_cone``, ``stability_states``):
+# on angles (rad), and on lengths relative to the rows or unit covectors they come from
 PLANAR_MARGIN = 1e-6
 RECESSION_SAMPLE_COUNT = 64  # the fixed ray sample behind every stable verdict's aperture
 RECESSION_SAMPLE_SEED = 20240811
@@ -107,7 +107,7 @@ class RecessionCone:
         if not self.ineq.shape[0]:
             return V[0] / np.linalg.norm(V[0])
         w = V.shape[0]
-        if w <= 2 and _planar_cone(self.ineq @ V.T, self.ineq)[0]:
+        if w <= 2 and _planar_cone(self._unit_rows(self.ineq @ V.T)):
             return None
         signed = np.kron(np.eye(w), [[1.0], [-1.0]])  # e_0, -e_0, e_1, -e_1, ...
         return next(self._members(V, signed, 1e-7), None)
@@ -124,15 +124,18 @@ class RecessionCone:
 
     def _projections(self, V, Q):
         """Lazily, the projection of each row of Q onto the cone in span(V),
-        in the coordinates of V (orthonormal rows inside ker(eq)).  The rows
-        ineq V^T are normalised, and those shorter than PLANAR_MARGIN times
-        their ``ineq`` row dropped (``_planar_cone``'s rule): left
-        unnormalised, such rows stall ``_project``."""
-        G = self.ineq @ V.T
+        in the coordinates of V (orthonormal rows inside ker(eq)), cut out by
+        the ``_unit_rows`` of ineq V^T: left unnormalised, rows that vanish
+        on span(V) stall ``_project``."""
+        U = self._unit_rows(self.ineq @ V.T)
+        return (_project(U, np.zeros(U.shape[0]), q) for q in Q)
+
+    def _unit_rows(self, G):
+        """The rows of G = ineq V^T normalised, those shorter than
+        PLANAR_MARGIN times their ``ineq`` row left out."""
         n = np.linalg.norm(G, axis=1)
         keep = n > PLANAR_MARGIN * np.linalg.norm(self.ineq, axis=1)
-        U = G[keep] / n[keep, None]
-        return (_project(U, np.zeros(U.shape[0]), q) for q in Q)
+        return G[keep] / n[keep, None]
 
     @cached_property
     def seeded_members(self):
@@ -141,26 +144,29 @@ class RecessionCone:
         return self.sample_members(rng, RECESSION_SAMPLE_COUNT)
 
     @cached_property
-    def extreme_rays(self):
-        """Unit extreme rays of a pointed cone, or None (memoized).
-
-        Each is the null line of an (m-1)-row subsystem of rank m-1 of the
-        unit ``ineq`` rows, with the sign that keeps every row <= 1e-9, kept
-        once: a row within 1 - 1e-12 (dot product) of an earlier one is
-        dropped.  None when the cone has ``eq`` rows or lineality, or more
-        than MAX_VERTEX_SUBSYSTEMS subsystems; a {0} cone has no rays.
-        """
-        k, m = self.ineq.shape
-        if self.eq.shape[0] or math.comb(k, m - 1) > MAX_VERTEX_SUBSYSTEMS \
-                or self.lineality_rows().shape[0]:
+    def generators(self):
+        """(rays, L) with K = cone(rays) + span(L) (Minkowski-Weyl), memoized;
+        None past MAX_VERTEX_SUBSYSTEMS subsystems.  L is ``lineality_rows()``.
+        The rays are the unit extreme rays of K cap ker(eq) cap L^perp: in an
+        orthonormal basis B of that space (the identity without eq rows and
+        lineality), the null lines of the (d-1)-row subsystems of rank d-1 of
+        the ``_unit_rows`` of ineq B^T, signed to keep every row <= 1e-9, each
+        once.  A {0} cone (``is_zero``) enumerates nothing."""
+        L = self.lineality_rows()
+        B = _nullspace_rows(np.vstack([self.eq, L])) if self.eq.shape[0] or L.shape[0] else None
+        U = self._unit_rows(self.ineq if B is None else self.ineq @ B.T)
+        k, d = U.shape
+        if self.is_zero or not d:
+            return np.zeros((0, self.m)), L
+        if math.comb(k, d - 1) > MAX_VERTEX_SUBSYSTEMS:
             return None
-        U = self.ineq / np.linalg.norm(self.ineq, axis=1, keepdims=True)
-        idx = np.array(list(itertools.combinations(range(k), m - 1)), dtype=int)
+        idx = np.array(list(itertools.combinations(range(k), d - 1)), dtype=int)
         _, s, vh = np.linalg.svd(U[idx])
-        d = vh[np.all(s > 1e-10, axis=1), -1]
-        P = U @ d.T
-        R = np.vstack([d[np.all(P <= 1e-9, axis=0)], -d[np.all(P >= -1e-9, axis=0)]])
-        return R[~np.triu(R @ R.T > 1 - 1e-12, 1).any(axis=0)]
+        a = vh[np.all(s > 1e-10, axis=1), -1]
+        P = U @ a.T
+        R = np.vstack([a[np.all(P <= 1e-9, axis=0)], -a[np.all(P >= -1e-9, axis=0)]])
+        R = R[~np.triu(R @ R.T > 1 - 1e-12, 1).any(axis=0)]
+        return (R if B is None else R @ B), L
 
     def sample_members(self, rng, count):
         """Up to ``count`` unit cone members: the nonzero projections onto the
@@ -224,33 +230,25 @@ def _rows_dot(C, x):
     return (C[:, None, :] @ x)[:, 0]
 
 
-def _planar_cone(G, ineq):
-    """The planar Gordan test on {a : G a <= 0}, for G = ineq projected onto
-    one or two columns, stacked over any leading shape: (zero, u), zero True
-    where the cone is {0}, and u (two columns) a unit member, else NaN.
+def _widest_gap(G):
+    """The widest angle between consecutive rows of G (two columns, at least
+    one row) around the circle, over any leading shape."""
+    ang = np.sort(np.arctan2(G[..., 1], G[..., 0]), -1)
+    return np.diff(ang, axis=-1, append=ang[..., :1] + 2 * np.pi).max(-1)
 
-    Rows of G shorter than PLANAR_MARGIN times their ``ineq`` row are dropped.
-    By Gordan's alternative the rest must positively span the line or the
+
+def _planar_cone(U):
+    """The planar Gordan test on {a : U a <= 0}, for U the ``_unit_rows`` of
+    a cone projected onto one or two columns: is the cone {0}?
+
+    By Gordan's alternative the rows must positively span the line or the
     plane: both signs occur (one column), or more than two rows whose angles
     leave no gap of pi (two columns).  The gap must miss pi by PLANAR_MARGIN,
-    so a True is never a rounding artefact.  The bisector u of the widest gap
-    is a member when that gap exceeds pi + PLANAR_MARGIN, or when every kept
-    row (if any) is orthogonal to it to 1e-12, i.e. they lie on one line.
+    so a True is never a rounding artefact.
     """
-    norm = np.linalg.norm(G, axis=-1)
-    keep = norm > PLANAR_MARGIN * np.linalg.norm(ineq, axis=-1)
-    if G.shape[-1] == 1:
-        return np.any(keep & (G[..., 0] > 0), -1) & np.any(keep & (G[..., 0] < 0), -1), None
-    ang = np.arctan2(G[..., 1], G[..., 0])
-    # a dropped row repeats the angle of a kept one, which adds only zero gaps
-    ang = np.sort(np.where(keep, ang, np.take_along_axis(ang, keep.argmax(-1)[..., None], -1)), -1)
-    gaps = np.diff(ang, axis=-1, append=ang[..., :1] + 2 * np.pi)
-    widest = gaps.max(-1)
-    mid = np.take_along_axis(ang, gaps.argmax(-1)[..., None], -1)[..., 0] + widest / 2
-    u = np.stack([np.cos(mid), np.sin(mid)], -1)
-    flat = np.all(~keep | (np.abs(np.sum(G * u[..., None, :], -1)) <= 1e-12 * norm), -1)
-    shown = (widest > np.pi + PLANAR_MARGIN) | flat
-    return (keep.sum(-1) > 2) & (widest < np.pi - PLANAR_MARGIN), np.where(shown[..., None], u, np.nan)
+    if U.shape[1] == 1:
+        return bool(np.any(U > 0) and np.any(U < 0))
+    return U.shape[0] > 2 and _widest_gap(U) < np.pi - PLANAR_MARGIN
 
 
 def _with_box(A, b, bound):
@@ -308,18 +306,13 @@ def _project(A, b, q):
     raise ProjectionDidNotConverge("active-set steps did not reach a feasible point")
 
 
-def _rank(s, shape, tol=1e-9):
-    """Numerical rank of matrices of ``shape`` from their singular values s."""
-    return np.sum(s > tol * max(shape) * s[..., :1], axis=-1)
-
-
 def _nullspace_rows(M, cols=None, tol=1e-9):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     cols = M.shape[1] if cols is None else cols
     if not M.shape[0]:
         return np.eye(cols)
     _, s, vh = np.linalg.svd(M)
-    return vh[int(_rank(s, M.shape, tol)):]
+    return vh[int(np.sum(s > tol * max(M.shape) * s[:1])):]
 
 
 def _normcombo_projection(phi, qu, qg):
@@ -575,7 +568,7 @@ class HPolyhedron(ConvexSet):
             inner = super().support_values(C[~unbounded])
             return (np.inf if u else next(inner) for u in unbounded)
         out = np.max(_rows_dot(C, V.T), axis=1)
-        R = self.recession_cone().extreme_rays
+        R = self.recession_cone().generators[0]
         out[np.max(C @ R.T, axis=1, initial=-np.inf) > 1e-9] = np.inf
         return out
 
@@ -587,7 +580,8 @@ class HPolyhedron(ConvexSet):
             k, m = self.A.shape
             self._verts = np.zeros((0, m))
             if 0 < math.comb(k, m) <= MAX_VERTEX_SUBSYSTEMS \
-                    and self.recession_cone().extreme_rays is not None:
+                    and (gens := self.recession_cone().generators) is not None \
+                    and not gens[1].shape[0]:
                 idx = np.array(list(itertools.combinations(range(k), m)), dtype=int)
                 sub = self.A[idx]
                 ok = np.abs(np.linalg.det(sub)) > 1e-10

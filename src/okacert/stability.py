@@ -7,9 +7,8 @@ certification layer ultimately consumes.  This module provides:
 
 * ``is_stable`` -- the recession-cone criterion with a constructive witness
   (an aperture for stable L, a recession direction inside L's span otherwise),
-* ``stability_states`` -- one batch decision for many complex hyperplanes:
-  stable, unstable with a unit recession direction in the span, or open,
-  and only open ones need ``is_stable``,
+* ``stability_states`` -- stable or not, for many complex hyperplanes at once,
+  exactly from the generators of the recession cone,
 * ``halfline_in_intersection`` -- a halfline witness inside E intersect L,
 * ``tube_or_support`` -- the dichotomy between "E is a tube over E intersect L"
   and "some parallel translate of L supports E", the first read off the
@@ -31,11 +30,12 @@ from .errors import SliceUnbounded, UnsupportedVariant
 from .geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
+    complex_tangent,
     complexify,
     mgs,
     realify,
 )
-from .sets import ConvexSet, _nullspace_rows, _planar_cone, _rank
+from .sets import PLANAR_MARGIN, ConvexSet, _nullspace_rows, _widest_gap
 
 
 @dataclass
@@ -130,27 +130,32 @@ def stable_verdict(E: ConvexSet, subspace) -> StabilityVerdict:
         E.recession_cone().seeded_members, D)))
 
 
-def stability_states(E: ConvexSet, coeffs):
-    """Stability of the complex hyperplanes with coefficient rows c on their
-    real span S, the kernel of the real covectors of c . z and -i c . z:
-    (state, witness), state 1 (stable), -1 (unstable: that witness row is a
-    unit cone member in S, to 1e-7; other rows are NaN) or 0 (``is_stable``
-    decides).  A {0} cone, or eq rows of full rank on S, make a row stable;
-    for a cone with only ineq rows in C^2, ``_planar_cone`` decides."""
-    cone = E.recession_cone()
-    witness = np.full((coeffs.shape[0], E.m), np.nan)
-    if cone.is_zero or not (cone.eq.shape[0] or E.m == 4 and cone.ineq.shape[0]):
-        return np.full(coeffs.shape[0], int(cone.is_zero)), witness
-    _, _, vh = np.linalg.svd(realify(np.conj(np.stack([coeffs, -1j * coeffs], axis=1))))
-    S = np.swapaxes(vh[:, 2:], 1, 2)
-    if cone.eq.shape[0]:
-        M = cone.eq @ S
-        return (_rank(np.linalg.svd(M, compute_uv=False), M.shape[1:]) == M.shape[2]) * 1, witness
-    zero, u = _planar_cone(cone.ineq @ S, cone.ineq)
-    witness = np.einsum("kij,kj->ki", S, u)
-    unstable = np.max(witness @ cone.ineq.T, axis=1) <= 1e-7  # False on NaN rows
-    witness[~unstable] = np.nan
-    return np.where(zero, 1, -unstable.astype(int)), witness
+def stability_states(E: ConvexSet, coeffs) -> np.ndarray:
+    """One bool per coefficient row c: is the complex hyperplane stable, its
+    real span, the kernel of phi(v) = c . v from R^m onto C = R^2, meeting
+    the recession cone K only at 0?  With K = cone(rays) + span(L)
+    (``RecessionCone.generators``) it is exactly when phi is one-to-one on
+    span(L) and, by Gordan's alternative, the rays' images in C / phi(L) lie
+    in one open half-plane.  For unit c, the singular values of phi on L
+    (so dim L <= 2), the length of each projected image, and the widest
+    angular gap between them less pi must all exceed PLANAR_MARGIN.  Past
+    the vertex cap ``is_stable`` decides each row."""
+    coeffs = coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
+    gens = E.recession_cone().generators
+    if gens is None:
+        return np.array([is_stable(E, complex_tangent(c, 0 * c)).stable for c in coeffs], bool)
+    rays, L = gens
+    phi = np.swapaxes(realify(np.conj(np.stack([coeffs, -1j * coeffs], axis=1))), 1, 2)
+    images, stable = rays @ phi, np.full(coeffs.shape[0], L.shape[0] <= 2)
+    if L.shape[0]:
+        _, s, vh = np.linalg.svd(L @ phi)
+        Q = vh[:, L.shape[0]:]  # orthonormal rows across phi(L)
+        stable &= np.all(s > PLANAR_MARGIN, axis=1)
+        images = images @ np.swapaxes(Q, 1, 2) @ Q
+    if rays.shape[0]:
+        long = np.linalg.norm(images, axis=-1) > PLANAR_MARGIN
+        stable &= long.all(axis=1) & (_widest_gap(images) > np.pi + PLANAR_MARGIN)
+    return stable
 
 
 def halfline_in_intersection(E: ConvexSet, subspace, base_point=None):

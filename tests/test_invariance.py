@@ -1,0 +1,95 @@
+"""Frame invariance: certificates of E and of its complex-affine images agree.
+
+A map g(z) = M z + a with M in GL(n, C) carries complex hyperplanes, the
+recession cone and stable disjoint families of E onto those of gE, and the
+Oka property of the complement with them, so the certificates of E and gE
+must not contradict each other.  Sampled checks may still read verified in
+one frame and inconclusive in another, so verdicts are compared, not floats.
+"""
+
+import numpy as np
+import pytest
+
+from okacert.certify import (SamplingPlan, certify_oka_complement, check_connectivity,
+                             recheck_certificate)
+from okacert.gallery import build_example
+from okacert.geometry import realify
+from okacert.sets import HPolyhedron
+
+# The two pointed six-facet cones {A x <= b} of the polyhedral benchmark
+# (tests/test_stability.py::_POINTED_CONES).
+_POINTED_CONES = [
+    ([[0.832695, 0.342572, -0.221863, -0.374219], [0.683274, 0.711058, -0.161042, -0.039976],
+      [0.651092, 0.546447, -0.463249, -0.25075], [0.324265, 0.243151, -0.856319, -0.320075],
+      [-0.043702, 0.810131, -0.584399, 0.015959], [0.449397, 0.516027, -0.394933, -0.613013]],
+     [0.120099, -0.170765, -0.028719, 0.090641, -0.363966, 0.012728]),
+    ([[-0.090907, -0.342462, -0.417537, 0.836731], [-0.571289, -0.66526, -0.480632, 0.007169],
+      [-0.896531, -0.333342, -0.284719, -0.063638], [-0.771608, -0.283265, -0.465418, -0.328282],
+      [-0.808915, -0.497233, -0.227199, -0.216322], [-0.342654, -0.043952, -0.839544, 0.419312]],
+     [0.04859, 0.169458, -0.462783, -0.290798, -0.182432, -0.297704]),
+]
+
+
+def _sets():
+    """(A, b) of each polyhedron {A x <= b}, by name."""
+    sets = {f"pointed-cone-{k}": Ab for k, Ab in enumerate(_POINTED_CONES)}
+    sets["cube"] = (np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
+    for name in ("r2-in-c2", "halfspace"):
+        E = build_example(name)
+        sets[name] = (E.A_raw, E.b_raw)
+    return sets
+
+
+def _linear_map(seed, unitary):
+    """M = G1 + i G2 from default_rng(seed), or the unitary factor of its QR."""
+    g = np.random.default_rng(seed)
+    M = g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2))
+    return np.linalg.qr(M)[0] if unitary else M
+
+
+def _image(A, b, M, a):
+    """gE = {x : A R^-1 (x - a) <= b} for the realified map R of M."""
+    R = np.column_stack([realify(M @ (u * e)) for e in np.eye(2) for u in (1, 1j)])
+    A = np.asarray(A, float) @ np.linalg.inv(R)
+    return HPolyhedron(A, np.asarray(b, float) + A @ a)
+
+
+# two complex-linear frames (the first, default_rng(102), once made connectivity
+# fail to project on pointed-cone-0) and two unitary ones, each with a translation
+_FRAMES = [(102, False), (103, False), (201, True), (202, True)]
+
+
+@pytest.mark.parametrize("name", sorted(_sets()))
+def test_certificates_agree_across_frames(name):
+    """E and its four images: equal overall verdicts, equal certified-exact
+    checks, no check refuted in one frame and verified in another, and every
+    refutation witness rechecks in its own frame."""
+    A, b = _sets()[name]
+    plan = SamplingPlan().scaled(30)
+    images = [HPolyhedron(A, b)]
+    for k, (seed, unitary) in enumerate(_FRAMES):
+        shift = np.random.default_rng([seed, k]).normal(size=4)
+        images.append(_image(A, b, _linear_map(seed, unitary), shift))
+    certs = [certify_oka_complement(E, plan) for E in images]
+    assert len({c.overall for c in certs}) == 1, [c.overall for c in certs]
+    names = [c.name for c in certs[0].checks]
+    for check in names:
+        verdicts = {cert.check(check).verdict for cert in certs}
+        assert len(verdicts) == 1 or "certified-exact" not in verdicts, (check, verdicts)
+        assert not ("refuted" in verdicts and verdicts & {"verified-sampled", "certified-exact"}), \
+            (check, verdicts)
+    for E, cert in zip(images, certs):
+        assert all(ok for *_, ok in recheck_certificate(E, cert))
+
+
+def test_ill_conditioned_frame_of_a_pointed_cone_connects():
+    """In the complex-linear frame default_rng(102) (condition number 4.2)
+    of pointed-cone-0, every stable hyperplane connectivity meets is decided
+    from the cone's generators: the default-plan check verifies its 54
+    hyperplanes, where a projection inside ``is_stable`` failed before."""
+    A, b = _sets()["pointed-cone-0"]
+    M = _linear_map(102, unitary=False)
+    assert np.linalg.cond(M) == pytest.approx(4.2074, abs=1e-4)
+    res = check_connectivity(_image(A, b, M, np.zeros(4)), SamplingPlan())
+    assert (res.verdict, res.detail) == ("verified-sampled",
+                                         "54 hyperplanes connected with 53 verified edges")

@@ -195,7 +195,7 @@ def test_polyhedra_with_lineality_or_many_subsystems_keep_lazy_support():
         assert isinstance(got, types.GeneratorType)
         want = [E.support(c).value for c in C]
         assert np.allclose(list(got), want, rtol=1e-12)
-        assert E.recession_cone().extreme_rays is None or E is big
+        assert E.recession_cone().generators[1].shape[0] or E is big
 
 
 def test_pointed_polyhedra_support_values_match_lp():
@@ -207,7 +207,7 @@ def test_pointed_polyhedra_support_values_match_lp():
     unbounded = 0
     for seed in range(40):
         E = _pointed_cone(seed)
-        assert E.recession_cone().extreme_rays.shape[0] >= 1
+        assert E.recession_cone().generators[0].shape[0] >= 1
         C = np.vstack([rng.normal(size=(100, E.m)), rng.exponential(size=(100, 6)) @ E.A])
         got = E.support_values(C)
         assert isinstance(got, np.ndarray)
@@ -219,31 +219,73 @@ def test_pointed_polyhedra_support_values_match_lp():
     assert 2000 <= unbounded <= 6000
 
 
-def test_extreme_rays_generate_the_cone():
-    """Every extreme ray is a unit cone member, and a cone member is a
-    nonnegative combination of the rays (checked by one LP each)."""
+def _generator_sets():
+    """Every gallery set, both benchmark pointed cones and the cube, with
+    (rays, dim L) counts of their recession cones' generators."""
+    counts = {"siegel2": (1, 1), "siegel3": (1, 1), "disc-tube-prop49": (0, 1),
+              "cone-ex14": (6, 0), "halfspace": (1, 3), "r2-in-c2": (0, 2),
+              "ball": (0, 0), "tube-ex45": (0, 0)}
+    out = [(name, build_example(name), want) for name, want in counts.items()]
+    out += [(f"pointed-cone-{k}", HPolyhedron(A, b), ((6, 0), (8, 0))[k])
+            for k, (A, b) in enumerate(_BENCH_POINTED_CONES)]
+    return out + [("cube", _box([-1] * 4, [1] * 4), (0, 0))]
+
+
+def test_generators_are_listed_once():
+    """Each cone has its known number of extreme rays and lineality
+    dimension; its rays are unit cone members orthogonal to L, and none is
+    listed twice (no two within 1 - 1e-9, nor on seeded pointed cones)."""
+    for name, E, want in _generator_sets():
+        cone = E.recession_cone()
+        R, L = cone.generators
+        assert (R.shape[0], L.shape[0]) == want, name
+        np.testing.assert_allclose(np.linalg.norm(R, axis=1), 1.0, rtol=1e-12)
+        assert all(cone.member(r) for r in R), name
+        assert np.abs(R @ L.T).max(initial=0.0) < 1e-12, name
+        for R in [R] + [_pointed_cone(seed).recession_cone().generators[0] for seed in range(10)]:
+            assert np.all(np.triu(R @ R.T, 1) < 1 - 1e-9)
+
+
+def test_generators_generate_the_cone():
+    """Every ``sample_members`` draw is a nonnegative combination of the rays
+    plus a vector of span(L), to a SciPy NNLS residual below 1e-9."""
+    from scipy.optimize import nnls
     rng = np.random.default_rng(316)
-    for seed in range(10):
-        cone = _pointed_cone(seed).recession_cone()
-        R = cone.extreme_rays
-        np.testing.assert_allclose(np.linalg.norm(R, axis=1), 1.0)
-        assert all(cone.member(r) for r in R)
+    cones = [E.recession_cone() for _, E, _ in _generator_sets()]
+    cones += [_pointed_cone(seed).recession_cone() for seed in range(10)]
+    drawn = 0
+    for cone in cones:
+        R, L = cone.generators
+        G = np.vstack([R, L, -L]).T  # L's coefficients free, as two nonnegative parts
         for v in cone.sample_members(rng, 5):
-            res = solve_lp(np.zeros(R.shape[0]), A_ub=-np.eye(R.shape[0]),
-                           b_ub=np.zeros(R.shape[0]), A_eq=R.T, b_eq=v)
-            assert res.optimal
-    assert _box([-1] * 4, [1] * 4).recession_cone().extreme_rays.shape == (0, 4)
-    assert build_example("cone-ex14").recession_cone().extreme_rays.shape[0] >= 4
+            assert nnls(G, v)[1] < 1e-9
+            drawn += 1
+    assert drawn >= 5 * 17
 
 
-def test_extreme_rays_are_listed_once():
-    """A ray on several (m-1)-row subsystems is returned once: cone-ex14's
-    cone has exactly six pairwise-distinct rays, and no seeded pointed cone
-    repeats one."""
-    R = build_example("cone-ex14").recession_cone().extreme_rays
-    assert R.shape == (6, 4)
-    for R in [R] + [_pointed_cone(seed).recession_cone().extreme_rays for seed in range(10)]:
-        assert np.all(np.triu(R @ R.T, 1) < 1 - 1e-9)
+def _old_extreme_rays(cone):
+    """The deleted ``RecessionCone.extreme_rays``, on an equality-free pointed cone."""
+    k, m = cone.ineq.shape
+    U = cone.ineq / np.linalg.norm(cone.ineq, axis=1, keepdims=True)
+    idx = np.array(list(itertools.combinations(range(k), m - 1)), dtype=int)
+    _, s, vh = np.linalg.svd(U[idx])
+    d = vh[np.all(s > 1e-10, axis=1), -1]
+    P = U @ d.T
+    R = np.vstack([d[np.all(P <= 1e-9, axis=0)], -d[np.all(P >= -1e-9, axis=0)]])
+    return R[~np.triu(R @ R.T > 1 - 1e-12, 1).any(axis=0)]
+
+
+def test_generators_of_pointed_cones_are_the_old_extreme_rays():
+    """On equality-free pointed cones the enumeration runs in the identity
+    basis, so support values and vertices read the old rays bit for bit."""
+    sets = [build_example("cone-ex14"), _box([-1] * 4, [1] * 4)]
+    sets += [HPolyhedron(A, b) for A, b in _BENCH_POINTED_CONES]
+    sets += [_pointed_cone(seed) for seed in range(10)]
+    for E in sets:
+        cone = E.recession_cone()
+        assert not cone.eq.shape[0] and not cone.generators[1].shape[0]
+        R, want = cone.generators[0], _old_extreme_rays(cone)
+        assert R.shape == want.shape and R.tobytes() == want.tobytes()
 
 
 def _normcombo_epigraph(rng, k, terms):

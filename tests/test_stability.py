@@ -23,10 +23,10 @@ from okacert.geometry import (
 )
 from okacert.certify import (Hyperplane, SamplingPlan, _canonical_exterior_hyperplane,
                              certify_oka_complement)
-from okacert.gallery import build_example
+from okacert.gallery import build_example, gallery_names
 from okacert.lp import solve_lp
 from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure, Tube,
-                          _nullspace_rows, _planar_cone)
+                          _nullspace_rows)
 from okacert.stability import (
     SupportingTranslate,
     TubeFound,
@@ -157,7 +157,7 @@ def test_vectorized_ratios_and_aperture_match_reference_loop(name):
     E = build_example(name)
     cone = E.recession_cone()
     gens = _RAY_GENERATORS[name]
-    gens = cone.extreme_rays if gens is None else np.array(gens)
+    gens = cone.generators[0] if gens is None else np.array(gens)
     rng = np.random.default_rng(731)
     rays = rng.uniform(size=(64, gens.shape[0])) @ gens
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -189,36 +189,22 @@ _RANK_SETS = {
 }
 
 
-def _assert_decided(E, coeffs, states, witnesses):
-    """Each decided row gives ``is_stable``'s verdict; each unstable witness is a
-    unit cone member (to 1e-7) in the plane's span; the other witnesses are NaN.
-    Returns ``is_stable``'s verdicts."""
-    cone = E.recession_cone()
-    planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
-    want = np.array([is_stable(E, AffineSubspaceR(np.zeros(E.m), D)).stable for D in planes])
-    decided = states != 0
-    np.testing.assert_array_equal(states[decided] > 0, want[decided])
-    assert np.isnan(witnesses[states >= 0]).all()
-    for k in np.flatnonzero(states < 0):
-        D, v = planes[k], witnesses[k]
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12 and cone.member(v, 1e-7)
-        assert np.linalg.norm(v - (v @ D.T) @ D) < 1e-9
-    return want
+def _is_stable_rows(E, coeffs):
+    """``is_stable``'s verdict on the plane of each coefficient row."""
+    return np.array([is_stable(E, Hyperplane(c, 0.0).subspace()).stable for c in coeffs])
 
 
 @pytest.mark.parametrize("name", sorted(_RANK_SETS))
 def test_batched_rank_test_agrees_with_is_stable(name):
-    """On 2,000 seeded complex hyperplanes, a quarter of them nearly or
-    exactly containing a cone axis (coefficient 1e-12 to 1e-6, or 0, on the
-    coordinate of a cone member), plus the complex line through each extreme
-    ray of a pointed cone, ``stability_states`` gives ``is_stable``'s verdict
-    on every row it decides, with a unit cone member in the span of each
-    unstable one, and decides every stable row stable.  On r2-in-c2 the
-    projections behind the planar Gordan test prove more planes stable:
-    there the stable rows are the scalar Gordan step's on each plane, and
-    the planes with the rows in a band around a gap of pi stay open.  On
-    inequality-only cones the LP loop alone finds no member in any plane the
-    batch calls stable."""
+    """On 2,000 seeded complex hyperplanes, a quarter of them in the
+    near-axis band (coefficient 1e-12 to 1e-6, or 0, on the coordinate of a
+    cone member), plus the complex line through each extreme ray of a cone
+    in C^2, ``stability_states`` decides every row.  Outside the band it
+    gives ``is_stable``'s verdict.  Inside the band it calls no plane stable
+    that ``is_stable`` calls unstable: its one margin, PLANAR_MARGIN = 1e-6,
+    calls unstable some planes that ``is_stable``'s rank tolerance of 1e-9
+    calls stable.  On inequality-only cones the LP loop alone finds no
+    member in any plane the batch calls stable."""
     E = _RANK_SETS[name]()
     cone = E.recession_cone()
     n = E.m // 2
@@ -232,31 +218,30 @@ def test_batched_rank_test_agrees_with_is_stable(name):
             c[axis] = 0.0 if k % 40 == 0 else 10.0 ** rng.uniform(-12, -6) * np.exp(
                 2j * np.pi * rng.uniform())
         coeffs.append(Hyperplane(c, rng.normal()).coeffs)
-    for z in complexify(cone.extreme_rays if cone.extreme_rays is not None else np.zeros((0, 4))):
+    for z in complexify(cone.generators[0]) if n == 2 else ():
         coeffs.append(Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs)  # c . z = 0 on the ray
-    states, witnesses = stability_states(E, np.array(coeffs))
-    want = _assert_decided(E, coeffs, states, witnesses)
-    stable = states > 0
-    planes = [Hyperplane(c, 0.0).subspace().to_real() for c in coeffs]
+    band = np.arange(len(coeffs)) % 4 == 0
+    band[2000:] = False
+    stable = stability_states(E, np.array(coeffs))
+    assert stable.dtype == bool and stable.shape == (len(coeffs),)
+    want = _is_stable_rows(E, coeffs)
+    np.testing.assert_array_equal(stable[~band], want[~band])
+    assert not (stable & ~want).any()
     if not cone.eq.shape[0]:
-        assert not any(g and _ref_member_in_span(cone, S.directions) is not None
-                       for g, S in zip(stable, planes))
-        assert (states < 0).sum() > 400 and (states == 0).sum() < 50
-    if name == "r2-in-c2":
-        scalar = [_planar_cone(cone.ineq @ mgs(S.directions).T, cone.ineq)[0] for S in planes]
-        np.testing.assert_array_equal(stable, scalar)
-        assert not (stable & ~want).any() and 1000 < stable.sum() < want.sum()
-    else:
-        np.testing.assert_array_equal(stable, want)
-        assert stable.sum() > (200 if name.startswith("pointed") else 1000)
-        assert name == "ball" or not want.all()
+        planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
+        assert not any(g and _ref_member_in_span(cone, D) is not None
+                       for g, D in zip(stable, planes))
+        assert (~stable).sum() > 400
+    assert stable.sum() > (200 if name.startswith("pointed") else 1000)
+    assert name == "ball" or not want.all()
 
 
 def test_batched_rank_test_on_a_cone_with_many_facets():
-    """A pointed cone in C^2 cut out by 2,000 inequality rows alone: the
-    batch over 64 complex lines, one of them through a cone member, gives
-    the span search's and ``is_stable``'s verdict on each, and the LP loop's
-    on the first four, and decides every one of them."""
+    """A pointed cone in C^2 cut out by 2,000 inequality rows alone, past
+    the vertex cap, so ``is_stable`` decides each row: over 64 complex
+    lines, one of them through a cone member, the batch gives the span
+    search's and ``is_stable``'s verdict on each, and the LP loop's on the
+    first four."""
     rng = np.random.default_rng(8213)
     d = rng.normal(size=4)
     A = rng.normal(size=(2000, 4))
@@ -267,20 +252,21 @@ def test_batched_rank_test_on_a_cone_with_many_facets():
     coeffs = [Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs]
     coeffs += [Hyperplane(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0).coeffs
                for _ in range(63)]
-    states, witnesses = stability_states(E, np.array(coeffs))
-    assert (states != 0).all()
-    want = _assert_decided(E, coeffs, states, witnesses)
+    stable = stability_states(E, np.array(coeffs))
+    assert cone.generators is None
+    want = _is_stable_rows(E, coeffs)
+    np.testing.assert_array_equal(stable, want)
     planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
     np.testing.assert_array_equal(want, [cone.intersect_subspace(D) is None for D in planes])
     assert [_ref_member_in_span(cone, D) is None for D in planes[:4]] == list(want[:4])
-    assert states[0] < 0 and (states > 0).sum() > 32
+    assert not stable[0] and stable.sum() > 32
 
 
 def test_lineality_planes_are_decided_unstable():
     """Planes that meet the cone along a line of the lineality space are
     decided unstable, as ``is_stable`` finds them: halfspace's planes
     {z2 = const}, which its cone contains, and r2-in-c2's exterior planes,
-    whose projected cone rows all lie on one line."""
+    on which its two lineality directions have images on one line."""
     rng = np.random.default_rng(8215)
     half = build_example("halfspace")
     flat = [Hyperplane([0.0, np.exp(1j * t)], complex(*rng.normal(size=2))).coeffs
@@ -289,21 +275,49 @@ def test_lineality_planes_are_decided_unstable():
     exterior = [_canonical_exterior_hyperplane(r2, q).coeffs
                 for q in r2.sample_exterior(rng, 200, window=10.0)]
     for E, coeffs in ((half, flat), (r2, exterior)):
-        states, witnesses = stability_states(E, np.array(coeffs))
-        assert (states == -1).all()
-        assert not _assert_decided(E, coeffs, states, witnesses).any()
+        assert not stability_states(E, np.array(coeffs)).any()
+        assert not _is_stable_rows(E, coeffs).any()
 
 
-def test_rows_near_one_line_stay_open():
+def _counting(monkeypatch, module, name):
+    """Count the calls to ``module.name`` from then on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_rows_near_one_line_are_decided(monkeypatch):
     """r2-in-c2's planes {z1 + t e^{i eps} z2 = 0} meet its cone, the real
-    plane, only at 0 unless eps = 0, while its projected rows lie within
-    about eps of one line: decided unstable on the line, left open in the
-    band around a gap of pi, and decided stable outside it."""
+    plane, only at 0 unless eps = 0; for eps from 1e-10 to 1e-6
+    ``is_stable``'s projection fails on them.  The generator test decides
+    each one with no projection: unstable while the images of the two
+    lineality directions lie within PLANAR_MARGIN of one line, up to
+    eps = 1e-7, and stable at 1e-4."""
     E = build_example("r2-in-c2")
-    for eps, want in [(0.0, -1), (1e-10, 0), (1e-8, 0), (1e-7, 0), (1e-4, 1)]:
+    E.recession_cone().is_zero
+    calls = _counting(monkeypatch, okacert.sets, "_project")
+    for eps, want in [(0.0, False), (1e-10, False), (1e-8, False), (1e-7, False), (1e-4, True)]:
         for t in (0.3, 1.0, 3.0):
             c = Hyperplane(np.array([1.0, t * np.exp(1j * eps)]), 0.0).coeffs
-            assert stability_states(E, c[None])[0][0] == want, (eps, t)
+            assert stability_states(E, c[None])[0] == want, (eps, t)
+    assert not calls
+
+
+def test_stability_states_needs_no_projection_or_lp(monkeypatch):
+    """Once ``is_zero`` is known, deciding 200 seeded planes, generators
+    included, makes no ``_project`` and no ``solve_lp`` call, on every
+    gallery set and both pointed cones."""
+    sets = [build_example(name) for name in gallery_names()]
+    sets += [HPolyhedron(A, b) for A, b in _POINTED_CONES]
+    for E in sets:
+        E.recession_cone().is_zero
+    projections = _counting(monkeypatch, okacert.sets, "_project")
+    lps = _counting_solve_lp(monkeypatch)
+    rng = np.random.default_rng(8216)
+    for E in sets:
+        n = E.m // 2
+        stability_states(E, rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n)))
+    assert not projections and not lps
 
 
 # ---------------------------------------------------------------------------
