@@ -15,6 +15,7 @@ adjacent to the fixed line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -26,6 +27,8 @@ CONVERGENCE_TOL = 1e-8
 ESCAPE_RADIUS = 1e6
 MAX_ITER = 200
 OVERFLOW_LIMIT = 1e150
+_TUBE_DELTA = 1e-3  # classify_points' tube: the |z2| bound of the rows it tests
+_TUBE_KAPPA = 0.05  # and the decay rate of |z2| it proves
 
 FIXED_POINT_MISMATCH = "family mismatch: fixed point must be (0, 1)"
 
@@ -338,9 +341,10 @@ def _k_samples(config: BasinConfig, count: int = 400) -> np.ndarray:
     return np.array(pts)
 
 
+@lru_cache(maxsize=None)
 def _sphere_dirs(count: int = 60) -> np.ndarray:
     """Deterministic unit directions in C^2 (as (count, 2) complex array),
-    from a 3-angle spherical Fibonacci lattice on S^3."""
+    from a 3-angle spherical Fibonacci lattice on S^3; memoized, read-only."""
     dirs = []
     golden = (1 + np.sqrt(5)) / 2
     for i in range(count):
@@ -351,7 +355,9 @@ def _sphere_dirs(count: int = 60) -> np.ndarray:
                       np.cos(t2) * np.cos(u), np.sin(t2) * np.cos(u)])
         d = d / np.linalg.norm(d)
         dirs.append([d[0] + 1j * d[1], d[2] + 1j * d[3]])
-    return np.array(dirs)
+    dirs = np.array(dirs)
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _sphere_ratios(psi, f, radius):
@@ -511,8 +517,20 @@ def classify_points(psi, points, config: BasinConfig):
     An orbit that lands on an exact floating-point fixed point of psi outside
     the convergence ball stops iterating early; it is still reported
     undecided with steps = max_iter, as iterating to the cap would give.
+
+    For psi = FiberScale(g) o BaseScale(h, q), so do orbits that every 4th
+    step ``_in_tube`` proves to stay near the fixed line.  A step sends z1 to
+    z1 e^{h(z2)} + z2 q(z2), then z2 to z2 e^{g(z1)}.  While |z2_j| <= s e^{-j
+    kappa}, s = |z2| <= delta, the majorants H, Q of h, q and the lowest
+    degrees N of h, M of z2 q bound the total z1 drift by r = (|z1| A + B) /
+    (1 - A), A = expm1(H(s)) / (1 - e^{-N kappa}), B = s Q(s) / (1 - e^{-M
+    kappa}); Re g <= Re g(z1) + r sum k|g_k| (|z1| + r)^{k-1} <= -kappa on the
+    disc B(z1, r) keeps z2 shrinking.  By induction the orbit stays in |z2| <=
+    s, |z1| <= |z1| + r, far from f and the escape radius.  Rounding, about
+    1e-16 relative per step, is far inside the kappa margin.
     """
     f = config.fixed_point
+    tube = isinstance(psi, Composite) and list(map(type, psi.factors)) == [FiberScale, BaseScale]
     cur = np.array(points, dtype=complex)  # iterates of the live rows only
     m = cur.shape[0]
     labels = np.full(m, UNDECIDED, dtype=object)
@@ -536,10 +554,29 @@ def classify_points(psi, points, config: BasinConfig):
             # psi acts row by row, so a row with psi(z) == z bit for bit repeats
             # this step's undecided answer until the cap
             keep = ~(esc | conv | (w == cur).all(axis=-1))
+            if tube and k % 4 == 0:
+                keep &= ~_in_tube(*psi.factors, w, config)
             active, cur = active[keep], w[keep]
             if active.size == 0:
                 break
     return labels, steps
+
+
+def _in_tube(fiber: FiberScale, base: BaseScale, z, config: BasinConfig):
+    """Rows of z whose orbits provably stay in the tube of ``classify_points``."""
+    out = np.abs(z[:, 1]) <= _TUBE_DELTA
+    if not out.any():
+        return out
+    a1, s = np.abs(z[out]).T
+    N = max(int(np.argmax(base.h != 0)), 1)  # h(0) = 0
+    M = 1 + int(np.argmax(base.q != 0))
+    A = np.expm1(P.polyval(s, np.abs(base.h))) / -np.expm1(-N * _TUBE_KAPPA)
+    B = s * P.polyval(s, np.abs(base.q)) / -np.expm1(-M * _TUBE_KAPPA)
+    r = (a1 * A + B) / (1 - A)
+    re_g = _polyval(fiber.g, z[out, 0]).real + r * P.polyval(a1 + r, np.abs(_polyder(fiber.g)))
+    out[out] = ((A < 1) & (re_g <= -_TUBE_KAPPA) & (a1 + r <= config.escape_radius)
+                & (np.abs(config.fixed_point[1]) - s > config.convergence_tol))
+    return out
 
 
 def rate_brackets(psi, config: BasinConfig, radius: float, k_max: int = 6,

@@ -361,20 +361,22 @@ def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResu
         pts = E.sample_boundary(rng, plan.boundary, window=plan.window)
     except UnsupportedVariant as exc:
         return CheckResult(INCONCLUSIVE, detail=f"boundary sampling unavailable: {exc}")
-    planes = []
+    rows = []
     for p in pts:
         try:
             gc = complex_gradient_from_real(E.boundary_gradient(p))
-            planes.append((p, gc, complex_tangent(gc, complexify(p))))
-        except (UnsupportedVariant, ZeroGradient):
+        except UnsupportedVariant:
             continue
+        if np.linalg.norm(gc) > 1e-12:  # complex_tangent raises ZeroGradient otherwise
+            rows.append((p, gc))
     # a stable tangent plane meets no recession direction, so it holds no halfline
-    stable = stability_states(E, np.array([gc for _, gc, _ in planes]).reshape(-1, E.complex_n()))
+    stable = stability_states(E, np.array([gc for _, gc in rows]).reshape(-1, E.complex_n()))
     witnesses = []
     checked = 0
-    for (p, _, plane), ok in zip(planes, stable):
+    for (p, gc), ok in zip(rows, stable):
         checked += 1
-        hit = None if ok else halfline_in_intersection(E, plane, base_point=p)
+        hit = None if ok else halfline_in_intersection(
+            E, complex_tangent(gc, complexify(p)), base_point=p)
         if hit is not None:
             x0, v = hit
             witnesses.append({

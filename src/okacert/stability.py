@@ -139,12 +139,13 @@ def stability_states(E: ConvexSet, coeffs) -> np.ndarray:
     in one open half-plane.  For unit c, the singular values of phi on L
     (so dim L <= 2), the length of each projected image, and the widest
     angular gap between them less pi must all exceed PLANAR_MARGIN.  Past
-    the vertex cap ``is_stable`` decides each row."""
+    the vertex cap the span search ``intersect_subspace`` decides each row."""
     coeffs = coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
-    gens = E.recession_cone().generators
-    if gens is None:
-        return np.array([is_stable(E, complex_tangent(c, 0 * c)).stable for c in coeffs], bool)
-    rays, L = gens
+    cone = E.recession_cone()
+    if cone.generators is None:
+        return np.array([cone.intersect_subspace(complex_tangent(c, 0 * c).to_real().directions)
+                         is None for c in coeffs], bool)
+    rays, L = cone.generators
     phi = np.swapaxes(realify(np.conj(np.stack([coeffs, -1j * coeffs], axis=1))), 1, 2)
     images, stable = rays @ phi, np.full(coeffs.shape[0], L.shape[0] <= 2)
     if L.shape[0]:

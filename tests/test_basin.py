@@ -16,8 +16,11 @@ from okacert.basin import (
     Composite,
     FiberScale,
     Shear,
+    _TUBE_DELTA,
     _csv_rows,
+    _in_tube,
     _polyval,
+    _sphere_dirs,
     automorphism_from_jsonable,
     basin_report,
     classify_points,
@@ -332,3 +335,111 @@ def test_csv_rows_match_per_row_formatting():
         lines.append(f"{p[0].real:.6g},{p[0].imag:.6g},"
                      f"{p[1].real:.6g},{p[1].imag:.6g},{lab},{int(k)}")
     assert _csv_rows(points, labels, steps) == "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the proven tube around the fixed line, against the loop that runs to the cap
+# ---------------------------------------------------------------------------
+
+def _seeded_config(seed, grid_n=80):
+    """Drawn as perfbench's seeded basin configs: K and the slice vary."""
+    rng = np.random.default_rng(seed)
+    k1 = 2.0 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    return BasinConfig(k_center=np.array([k1, 0.0]), k_radius=float(rng.uniform(0.3, 0.6)),
+                       grid_center=tuple(rng.uniform(-0.5, 1.5, 2)),
+                       grid_halfwidth=float(rng.uniform(1.5, 3.0)), grid_n=grid_n,
+                       slice_plane=str(rng.choice(["re", "im", "z1", "z2"])))
+
+
+_TUBE_CONFIGS = [BasinConfig(grid_n=60, slice_plane=plane) for plane in ("re", "im", "z1", "z2")]
+_TUBE_CONFIGS += [BasinConfig(grid_n=60, k_center=_ROTATED_K, k_radius=0.4, slice_plane="z1",
+                              grid_center=(0.3, 0.9), grid_halfwidth=2.8)]
+_TUBE_CONFIGS += [_seeded_config(seed) for seed in (1, 2, 3)]
+
+
+def _counting_rows(monkeypatch):
+    """Rows handed to ``Composite.apply`` from then on."""
+    rows, real = [0], Composite.apply
+
+    def counted(self, z, safe=False):
+        rows[0] += len(z)
+        return real(self, z, safe=safe)
+
+    monkeypatch.setattr(Composite, "apply", counted)
+    return rows
+
+
+@pytest.mark.parametrize("cfg", _TUBE_CONFIGS, ids=lambda c: f"{c.slice_plane}-{c.grid_n}")
+def test_tube_stop_matches_the_loop_that_runs_to_the_cap(cfg, monkeypatch):
+    psi = design_contraction_step(cfg).psi
+    points, _, _ = slice_grid(cfg)
+    rows = _counting_rows(monkeypatch)
+    labels, steps = classify_points(psi, points, cfg)
+    applied = rows[0]
+    ref_labels, ref_steps = _reference_classify(psi, points, cfg)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(steps, ref_steps)
+    assert applied < rows[0] - applied  # the tube retired rows the reference iterated
+
+
+def test_composites_outside_the_family_take_no_tube(monkeypatch):
+    """A Shear factor makes z1's drift unbounded by the tube's majorants,
+    so every row iterates as before and still matches the reference."""
+    cfg = BasinConfig(grid_n=30)
+    fiber, base = design_contraction_step(cfg).psi.factors
+    psi = Composite([fiber, base, Shear([0.0, 0.0, 1e-3])])
+    calls = []
+    monkeypatch.setattr("okacert.basin._in_tube", lambda *a: calls.append(1))
+    points, _, _ = slice_grid(cfg)
+    labels, steps = classify_points(psi, points, cfg)
+    ref_labels, ref_steps = _reference_classify(psi, points, cfg)
+    assert calls == []
+    assert np.array_equal(labels, ref_labels) and np.array_equal(steps, ref_steps)
+
+
+def test_default_config_applies_psi_to_at_most_a_million_rows(monkeypatch):
+    """Iterating every near-line orbit to the cap applies psi to 2,496,550
+    rows on this grid."""
+    cfg = BasinConfig()
+    psi = design_contraction_step(cfg).psi
+    points, _, _ = slice_grid(cfg)
+    rows = _counting_rows(monkeypatch)
+    classify_points(psi, points, cfg)
+    assert rows[0] <= 1_000_000
+
+
+def test_retired_rows_stay_in_their_tube():
+    """Each row the tube retires keeps |z2| <= delta and z1 within its
+    drift radius r for 200 further steps."""
+    cfg = BasinConfig()
+    psi = design_contraction_step(cfg).psi
+    fiber, base = psi.factors
+    cur, _, _ = slice_grid(cfg)
+    retired = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 13):
+            cur = psi.apply(cur, safe=True)
+            cur = cur[np.isfinite(cur).all(axis=-1)]
+            if k % 4 == 0:
+                retired.append(cur[_in_tube(fiber, base, cur, cfg)])
+    start = np.concatenate(retired)
+    assert len(start) > 10_000
+    z1, s = start[:, 0], np.abs(start[:, 1])
+    N = int(np.argmax(base.h != 0))
+    M = 1 + int(np.argmax(base.q != 0))
+    A = np.expm1(P.polyval(s, np.abs(base.h))) / -np.expm1(-N * 0.05)
+    r = (np.abs(z1) * A + s * P.polyval(s, np.abs(base.q)) / -np.expm1(-M * 0.05)) / (1 - A)
+    z = start
+    for _ in range(200):
+        z = psi.apply(z)
+        assert np.all(np.abs(z[:, 1]) <= _TUBE_DELTA)
+        assert np.all(np.abs(z[:, 1]) <= s)
+        assert np.all(np.abs(z[:, 0] - z1) <= r + 1e-12 * (1 + np.abs(z1)))
+
+
+def test_sphere_dirs_are_memoized_read_only():
+    dirs = _sphere_dirs(60)
+    assert _sphere_dirs(60) is dirs and not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.0
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)

@@ -774,6 +774,24 @@ def test_certification_is_deterministic():
 # refutations carry independently recheckable witnesses
 # ---------------------------------------------------------------------------
 
+def test_tangent_planes_are_built_only_for_unstable_rows(monkeypatch):
+    """Siegel's tangent planes are all stable, so none is built; a point
+    whose gradient vanishes is skipped and not counted as checked, as
+    ``complex_tangent``'s ZeroGradient made it before."""
+    calls, real = [], certify.complex_tangent
+    monkeypatch.setattr(certify, "complex_tangent",
+                        lambda *a: calls.append(1) or real(*a))
+    E = SiegelClosure(2)
+    res = certify.check_tangent_slice_halflines(E, SMALL)
+    assert res.verified and res.samples > 0 and calls == []
+    grad, seen = type(E).boundary_gradient, []
+    monkeypatch.setattr(type(E), "boundary_gradient", lambda self, p: (
+        seen.append(1), 0.0 * grad(self, p) if len(seen) % 2 else grad(self, p))[1])
+    assert certify.check_tangent_slice_halflines(E, SMALL).samples == res.samples // 2
+    half = certify.check_tangent_slice_halflines(build_example("halfspace"), SMALL)
+    assert half.verdict == "refuted" and 0 < len(calls) <= half.samples
+
+
 def test_halfspace_refuted_with_recheckable_halfline():
     E = build_example("halfspace")
     cert = certify_oka_complement(E, SMALL)

@@ -238,10 +238,10 @@ def test_batched_rank_test_agrees_with_is_stable(name):
 
 def test_batched_rank_test_on_a_cone_with_many_facets():
     """A pointed cone in C^2 cut out by 2,000 inequality rows alone, past
-    the vertex cap, so ``is_stable`` decides each row: over 64 complex
+    the vertex cap, so the span search decides each row: over 64 complex
     lines, one of them through a cone member, the batch gives the span
     search's and ``is_stable``'s verdict on each, and the LP loop's on the
-    first four."""
+    first four, without drawing the members an aperture would need."""
     rng = np.random.default_rng(8213)
     d = rng.normal(size=4)
     A = rng.normal(size=(2000, 4))
@@ -253,6 +253,7 @@ def test_batched_rank_test_on_a_cone_with_many_facets():
     coeffs += [Hyperplane(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0).coeffs
                for _ in range(63)]
     stable = stability_states(E, np.array(coeffs))
+    assert "seeded_members" not in vars(cone)
     assert cone.generators is None
     want = _is_stable_rows(E, coeffs)
     np.testing.assert_array_equal(stable, want)
