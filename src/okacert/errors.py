@@ -34,8 +34,10 @@ class PointInsideSet(OkacertError):
 
 
 class ProjectionDidNotConverge(OkacertError):
-    """A projection ran out of iterations: the Newton descent on an
-    epigraph, or the active-set steps onto a polyhedron or a recession cone."""
+    """An exact projection did not finish: the active-set steps of
+    ``sets._project`` (onto a polyhedron, a recession cone or a NormCombo
+    epigraph) ran past their cap or met a singular active set, or the
+    secular Newton steps onto a quadratic epigraph ran past 100."""
 
 
 class SliceUnbounded(OkacertError):

@@ -47,9 +47,6 @@ class Quadratic:
     def grad(self, u):
         return 2.0 * self.Q @ np.asarray(u, dtype=float) + self.l
 
-    def hess(self, u):
-        return 2.0 * self.Q
-
     def recession_rows(self):
         eq = self.Q.copy()
         ineq = np.concatenate([self.l, [-1.0]])[None, :]

@@ -315,60 +315,6 @@ def _nullspace_rows(M, cols=None, tol=1e-9):
     return vh[int(np.sum(s > tol * max(M.shape) * s[:1])):]
 
 
-def _normcombo_projection(phi, qu, qg):
-    """Exact minimizer of |u - qu|^2 + max(phi(u) - qg, 0)^2 for piecewise
-    linear phi(u) = sum_i c_i |<w_i, u>|.
-
-    Enumerates the pieces of phi: a subset Z of functionals pinned to zero
-    and a sign pattern on the rest make phi affine, so the restricted problem
-    has a closed form. Inconsistent candidates are harmless because the true
-    objective arbitrates, and the global minimizer's own piece is always in
-    the enumeration.
-    """
-    W, c = phi.vectors, phi.coefs
-    T, k = phi.terms, phi.k
-
-    def objective(u):
-        r = max(float(phi.value(u)) - qg, 0.0)
-        d = u - qu
-        return float(d @ d) + r * r
-
-    best_u = qu.copy()
-    best_f = objective(best_u)
-    for zmask in range(2 ** T):
-        pinned = [i for i in range(T) if zmask >> i & 1]
-        B = _nullspace_rows(W[pinned]) if pinned else np.eye(k)
-        rest = [i for i in range(T) if not (zmask >> i & 1)]
-        if not B.shape[0]:
-            cand = np.zeros(k)
-            fc = objective(cand)
-            if fc < best_f:
-                best_u, best_f = cand, fc
-            continue
-        yq = B @ qu
-        cand = B.T @ yq  # residual-inactive case: plain subspace projection
-        fc = objective(cand)
-        if fc < best_f:
-            best_u, best_f = cand, fc
-        for smask in range(2 ** len(rest)):
-            signs = np.array([1.0 if smask >> j & 1 else -1.0
-                              for j in range(len(rest))])
-            a = (signs * c[rest]) @ W[rest] if rest else np.zeros(k)
-            at = B @ a
-            na2 = float(at @ at)
-            if na2 <= 1e-300:
-                continue
-            r0 = float(at @ yq) - qg
-            cands = [B.T @ (yq - (r0 / na2) * at)]  # pinned to phi(u) = qg
-            if r0 > 0:
-                cands.append(B.T @ (yq - (r0 / (1.0 + na2)) * at))
-            for cand in cands:
-                fc = objective(cand)
-                if fc < best_f:
-                    best_u, best_f = cand, fc
-    return best_u
-
-
 def _fraction_nullspace(A):
     """Exact rational nullspace basis rows of a float/int matrix."""
     rows = [[Fraction(v) for v in row] for row in np.atleast_2d(A).tolist()]
@@ -767,13 +713,6 @@ class Epigraph(ConvexSet):
     def is_c1_boundary(self):
         return self.phi.is_c1
 
-    def _smooth_phi(self):
-        if self.phi.is_c1:
-            return self.phi
-        if isinstance(self.phi, NormCombo):
-            return self.phi.smoothed(1e-9)
-        return None
-
     def _violation(self, x):
         x = np.asarray(x, dtype=float)
         return self.phi.value(x[..., self.bi]) - x[..., self.gi]
@@ -848,64 +787,39 @@ class Epigraph(ConvexSet):
                          + cg[rows] * self.phi.value(U))
         return out
 
-    def nearest_boundary(self, q, max_iter=300):
+    def nearest_boundary(self, q):
+        """The exact nearest point of E to an exterior q; free coordinates stay.
+
+        A NormCombo phi is positively homogeneous, so E is its own recession
+        cone and ``_project`` onto the cone's unit rows answers.  For a
+        quadratic phi = u.Q u + l.u + c with Q = V diag(lam) V^T, the nearest
+        point is u(mu) = V (I + 2 mu diag(lam))^-1 V^T (q_u - mu l), g = q_g + mu,
+        at the root mu of the secular function F(mu) = phi(u(mu)) - q_g - mu
+        (More & Sorensen, 1983).  F is convex with F' = -sum_j (V^T grad
+        phi)_j^2 / (1 + 2 mu lam_j) - 1 <= -1 and F(0) > 0, so Newton from 0
+        climbs to the root without overshooting; it stops at a step of at
+        most 1e-15 (1 + mu) and raises ProjectionDidNotConverge after 100.
+        Other phi raise UnsupportedVariant.
+        """
         q = np.asarray(q, dtype=float)
         if self.contains(q):
             raise PointInsideSet("q already lies in the set")
-        if isinstance(self.phi, NormCombo) and self.phi.terms <= 8:
-            u = _normcombo_projection(self.phi, q[self.bi], float(q[self.gi]))
-            free = q[self.fi] if self.fi.shape[0] else None
-            return self.assemble(u, float(self.phi.value(u)), free)
-        phi = self._smooth_phi()
-        if phi is None:
-            raise UnsupportedVariant("no smooth surrogate for this phi")
-        qu, qg = q[self.bi], q[self.gi]
-
-        def fval(u):
-            r = max(phi.value(u) - qg, 0.0)
-            return float(np.dot(u - qu, u - qu) + r * r)
-
-        u = qu.copy()
-        f = fval(u)
-        scale = 1.0 + np.linalg.norm(q)
-        stalled = 0
-        converged = False
-        for _ in range(max_iter):
-            r = max(phi.value(u) - qg, 0.0)
-            grad = 2.0 * (u - qu) + 2.0 * r * phi.grad(u)
-            gn = np.linalg.norm(grad)
-            if gn <= 1e-10 * scale:
-                converged = True
-                break
-            step = 1.0
-            # Newton direction when curvature data is available
-            H = 2.0 * np.eye(self.phi.k)
-            if r > 0:
-                gphi = phi.grad(u)
-                H = H + 2.0 * (np.outer(gphi, gphi) + r * phi.hess(u))
-            try:
-                d = -np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:
-                d = -grad
-            if d @ grad > -1e-16 * gn * np.linalg.norm(d):
-                d = -grad
-            improved = False
-            for _ in range(40):
-                cand = u + step * d
-                fc = fval(cand)
-                if fc < f - 1e-12 * abs(f):
-                    meaningful = f - fc > 1e-10 * (1.0 + abs(f))
-                    u, f, improved = cand, fc, True
-                    stalled = 0 if meaningful else stalled + 1
-                    break
-                step *= 0.5
-            if not improved or stalled >= 5:
-                converged = True
-                break
-        if not converged and gn > 1e-5 * scale:
-            raise ProjectionDidNotConverge("descent budget exhausted")
-        free = q[self.fi] if self.fi.shape[0] else None
-        return self.assemble(u, float(self.phi.value(u)), free)
+        if isinstance(self.phi, NormCombo):
+            return next(self.recession_cone()._projections(np.eye(self.m), [q]))
+        if not isinstance(self.phi, Quadratic):
+            raise UnsupportedVariant("no exact projection onto this epigraph")
+        lam, V = np.linalg.eigh(self.phi.Q)
+        qt, lt = V.T @ q[self.bi], V.T @ self.phi.l
+        qg, mu = float(q[self.gi]), 0.0
+        for _ in range(100):
+            d = 1.0 + 2.0 * mu * lam
+            u = V @ ((qt - mu * lt) / d)
+            gt = V.T @ self.phi.grad(u)
+            step = (float(self.phi.value(u)) - qg - mu) / (gt @ (gt / d) + 1.0)
+            if step <= 1e-15 * (1.0 + mu):
+                return self.assemble(u, qg + mu, q[self.fi])
+            mu += step
+        raise ProjectionDidNotConverge("secular Newton steps did not reach the root")
 
     def sample_boundary(self, rng, count, window):
         u = rng.normal(size=(count, self.phi.k))

@@ -71,6 +71,16 @@ def test_approx_writes_state(tmp_path):
     assert state["delta"] == 0.1
 
 
+def test_approx_on_a_nine_term_normcombo_set(tmp_path):
+    """Every exterior point of the 9-term normcombo set of C^5 projects
+    exactly, so its outer approximation is built."""
+    f = tmp_path / "set.json"
+    write_json(f, {"type": "normcombo", "n": 5, "a": [1, 1, 1, 1], "b": [1, 1, 1, 1], "c": 1})
+    out = tmp_path / "state.json"
+    assert run("approx", str(f), "--out", str(out)) == 0
+    assert len(json.loads(out.read_text())["separators"]) == 3
+
+
 def test_approx_fails_cleanly_on_sets_with_lines(capsys):
     code = run("approx", "halfspace", "--steps", "2")
     assert code == 2

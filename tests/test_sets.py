@@ -508,22 +508,81 @@ def test_polyhedral_projection_is_exact():
                 E.nearest_boundary(p)
 
 
+def _assert_moreau_projection(E, q, p, rng):
+    """p is the nearest point of the cone E = {U x <= 0} (unit rows U) to q:
+    p in E to 1e-12, q - p a nonnegative combination of the rows active at
+    p, p . (q - p) = 0 (Moreau), free coordinates unchanged, and no feasible
+    probe near p is nearer to q."""
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    A = E.recession_cone().ineq
+    U = A / np.linalg.norm(A, axis=1, keepdims=True)
+    scale = 1.0 + np.linalg.norm(q)
+    slack = U @ p
+    assert np.max(slack) <= 1e-12
+    _, resid = nnls(U[slack >= -1e-9 * scale].T, q - p)
+    assert resid <= 1e-10 * scale
+    assert abs(p @ (q - p)) <= 1e-10 * scale * scale
+    assert np.array_equal(p[E.fi], q[E.fi])
+    X = np.repeat(p[None, :], 200, axis=0)
+    X[:, E.bi] += rng.normal(size=(200, E.bi.shape[0])) * 1e-3
+    X[:, E.gi] = np.maximum(E.phi.value(X[:, E.bi]), q[E.gi])
+    assert np.linalg.norm(q - p) <= np.min(np.linalg.norm(q - X, axis=1)) + 1e-9
+
+
 def test_normcombo_projection_beats_local_probes():
+    """NormCombo epigraphs with up to 12 terms and one free coordinate, and
+    the 9-term normcombo set of C^5, project exactly onto their cone."""
     rng = np.random.default_rng(303)
     for _ in range(40):
-        T = int(rng.integers(1, 5))
+        T = int(rng.integers(1, 13))
         k = int(rng.integers(1, 4))
         phi = NormCombo(rng.uniform(0.2, 2.0, size=T), rng.normal(size=(T, k)))
-        E = Epigraph(phi, k + 1, graph_index=k, base_indices=list(range(k)))
-        q = np.concatenate([rng.normal(size=k) * 2, [0.0]])
+        E = Epigraph(phi, k + 2, graph_index=k, base_indices=list(range(k)),
+                     free_indices=[k + 1])
+        q = np.concatenate([rng.normal(size=k) * 2, [0.0], rng.normal(size=1)])
         q[k] = phi.value(q[:k]) - rng.uniform(0.5, 2.0)
-        p = E.nearest_boundary(q)
-        d0 = np.linalg.norm(q - p)
-        u = p[:k]
-        for _ in range(200):
-            cand = u + rng.normal(size=k) * 1e-3
-            x = np.concatenate([cand, [max(phi.value(cand), q[k])]])
-            assert d0 <= np.linalg.norm(q - x) + 1e-9
+        _assert_moreau_projection(E, q, E.nearest_boundary(q), rng)
+    E = normcombo_cone_set(5, [1.0] * 4, [1.0] * 4, 1.0)
+    for q in E.sample_exterior(rng, 200, window=5.0):
+        _assert_moreau_projection(E, q, E.nearest_boundary(q), rng)
+
+
+def _seeded_quadratic_epigraph(rng):
+    """phi = u.Q u + l.u + c on three base coordinates, Q = B B^T of rank 2
+    (singular PSD), l and c nonzero, and one free coordinate, with the
+    five ambient axes shuffled among base, graph and free."""
+    B = rng.normal(size=(3, 2))
+    axes = rng.permutation(5)
+    return Epigraph(Quadratic(B @ B.T, rng.normal(size=3), rng.uniform(-2.0, 2.0)), 5,
+                    graph_index=axes[3], base_indices=axes[:3], free_indices=axes[4:])
+
+
+def test_quadratic_epigraph_projection_is_exact():
+    """nearest_boundary on quadratic epigraphs (Siegel sets, a dilated Siegel
+    set, seeded singular Q) solves the KKT system: p on the graph to
+    1e-12 (1 + |q|), q - p = mu (grad phi(p_u), -1) with mu > 0 to the same
+    tolerance, and the free coordinates unchanged."""
+    rng = np.random.default_rng(305)
+    siegel2 = SiegelClosure(2)
+    cases = [siegel2, SiegelClosure(3),
+             Dilation(siegel2, 2.2, center=np.array([0.3, -0.4, 0.5, 0.9]))]
+    cases += [_seeded_quadratic_epigraph(rng) for _ in range(3)]
+    for E in cases:
+        base = getattr(E, "base", E)
+        X = E.sample_exterior(rng, 100, window=10.0)
+        assert X.shape[0] == 100
+        for q in X:
+            p = E.nearest_boundary(q)
+            tol = 1e-12 * (1.0 + np.linalg.norm(q))
+            assert abs(E._violation(p)) <= tol
+            g = E.boundary_gradient(p)
+            mu = (q - p) @ g / (g @ g)
+            assert mu > 0
+            assert np.linalg.norm(q - p - mu * g) <= tol
+            if E is base:
+                assert np.array_equal(p[E.fi], q[E.fi])
+            else:
+                np.testing.assert_allclose(p[base.fi], q[base.fi], rtol=0, atol=tol)
 
 
 # ---------------------------------------------------------------------------
