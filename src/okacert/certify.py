@@ -43,12 +43,11 @@ from .geometry import (
 )
 from .sets import ConvexSet
 from .stability import (
+    StabilityVerdict,
     TubeFound,
-    direction_ratios,
     halfline_in_intersection,
     is_stable,
     stability_states,
-    stable_verdict,
     tube_or_support,
 )
 
@@ -56,9 +55,6 @@ CERTIFIED = "certified-exact"
 VERIFIED = "verified-sampled"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
-
-# Aperture c of the truncated cone that check_chart_compact tests per candidate
-CHART_APERTURE = 0.01
 
 # route -> the checks that must all verify for the route to certify.  A route
 # counts only when all its checks are in the certificate, so the smoothing
@@ -370,7 +366,7 @@ def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResu
         if np.linalg.norm(gc) > 1e-12:  # complex_tangent raises ZeroGradient otherwise
             rows.append((p, gc))
     # a stable tangent plane meets no recession direction, so it holds no halfline
-    stable = stability_states(E, np.array([gc for _, gc in rows]).reshape(-1, E.complex_n()))
+    stable = stability_states(E, np.array([gc for _, gc in rows]).reshape(-1, E.complex_n()))[0]
     witnesses = []
     checked = 0
     for (p, gc), ok in zip(rows, stable):
@@ -419,17 +415,18 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     skipped = qs.shape[0] - len(planes)
     if not planes:
         return CheckResult(INCONCLUSIVE, detail=f"all {skipped} exterior samples unusable")
+    states, apertures = stability_states(E, np.array([H.coeffs for _, H in planes]))
     verdicts, unstable = [], 0
-    for (_, H), ok in zip(planes, stability_states(E, np.array([H.coeffs for _, H in planes]))):
+    for (_, H), ok in zip(planes, states):
         if unstable == 5:
             break  # the loop below stops by the fifth failure, so here at the latest
-        verdicts.append((stable_verdict if ok else is_stable)(E, H.subspace()))
+        verdicts.append(StabilityVerdict("stable") if ok else is_stable(E, H.subspace()))
         unstable += not verdicts[-1].stable
     stable = [H for (_, H), verdict in zip(planes, verdicts) if verdict.stable]
     disjoint = zip(*_disjoint_rows(E, *_hyperplane_rows(stable, E.complex_n())))
     verified_planes = []
     failures = []
-    for (q, H), verdict in zip(planes, verdicts):
+    for (q, H), verdict, aperture in zip(planes, verdicts, apertures):
         if len(failures) == 5:
             break  # every plane counts as a sample; only five failures are written
         if not verdict.stable:
@@ -457,7 +454,9 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
             "hyperplane": H.to_jsonable(),
             "theta": float(theta),
             "margin": float(margin),
-            "aperture": verdict.aperture,
+            # None where no aperture is proven: past the vertex cap, or on a
+            # plane that only ``is_stable`` calls stable
+            "aperture": float(aperture) if np.isfinite(aperture) else None,
             "through": [float(t) for t in q],
         })
     note = f"; {skipped} exterior samples skipped (projection failed)" if skipped else ""
@@ -500,7 +499,7 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         delta = 1e-3 * (1.0 + np.linalg.norm(outcome.contact))  # pushed off E along the normal
         lifts.append((line.directions[0], H,
                       H.translated(complex(np.dot(H.coeffs, complexify(outcome.normal))) * delta)))
-    stable = stability_states(E, np.array([H.coeffs for _, H, _ in lifts]).reshape(-1, n))
+    stable = stability_states(E, np.array([H.coeffs for _, H, _ in lifts]).reshape(-1, n))[0]
     vs, unstable = [None] * len(lifts), 0
     for k, (_, H, _) in enumerate(lifts):
         if not stable[k] and unstable < 5:  # a witness to write
@@ -555,7 +554,7 @@ def _stable_lines(E: ConvexSet, plan: SamplingPlan):
         X = rng.standard_normal((min(plan.lines, 10 * plan.lines - attempts), 4, n))
         D = np.array([d / np.linalg.norm(d) for d in X[:, 0] + 1j * X[:, 1]])
         # in C^2 the line through d is the hyperplane (d2, -d1) . z = 0
-        stable = stability_states(E, D[:, ::-1] * [1, -1]) if n == 2 else [None] * len(X)
+        stable = stability_states(E, D[:, ::-1] * [1, -1])[0] if n == 2 else [None] * len(X)
         for x, d, ok in zip(X, D, stable):
             attempts += 1
             line = AffineSubspaceC(base=(x[2] + 1j * x[3]) * (plan.window / 4), directions=d[None, :])
@@ -609,7 +608,7 @@ def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
             beta = (value + 1.0 + float(rng.uniform(0, plan.window / 2))
                     + 1j * float(rng.uniform(-plan.window / 4, plan.window / 4)))
             H = Hyperplane(H0.coeffs, beta)
-        if not stability_states(E, H.coeffs[None])[0]:
+        if not stability_states(E, H.coeffs[None])[0][0]:
             continue
         ok, theta, margin = hyperplane_disjoint(E, H)
         if ok:
@@ -659,7 +658,7 @@ def _edge_ok(E, Hi, Hj, steps, thetas) -> bool:
     if np.linalg.norm(ci + t * d) < 1e-9:  # the least norm on the path
         return False
     ts = np.linspace(0.0, 1.0, steps)[:, None]
-    return bool(stability_states(E, (1 - ts) * ci + ts * cj).all())
+    return bool(stability_states(E, (1 - ts) * ci + ts * cj)[0].all())
 
 
 @_check()
@@ -706,35 +705,21 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckRes
 
 @_check()
 def check_chart_compact(E: ConvexSet, plan: SamplingPlan, candidates=None) -> CheckResult:
-    """Truncated cones around candidate hyperplanes must cut E compactly:
-    no sampled recession direction may satisfy |r''| <= c |r'|."""
+    """Truncated cones around candidate hyperplanes must cut E compactly: each
+    needs an aperture c > 0 with |r''| > c |r'| on every nonzero recession
+    direction r, which ``stability_states`` proves from the generators."""
     if not candidates:
         return CheckResult(INCONCLUSIVE, detail="no candidate hyperplanes available")
-    rng = plan.rng("chart")
-    rays = E.recession_cone().sample_members(rng, 200)
-    witnesses = []
-    refuted = []
-    for H in candidates[:3]:
-        ratios = direction_ratios(rays, H.subspace().to_real().directions)
-        if np.all(ratios > CHART_APERTURE):
-            witnesses.append({
-                "kind": "compact-chart",
-                "hyperplane": H.to_jsonable(),
-                "aperture": CHART_APERTURE,
-            })
-        else:
-            worst = int(np.argmin(ratios)) if len(rays) else -1
-            refuted.append({
-                "kind": "cone-ray",
-                "hyperplane": H.to_jsonable(),
-                "direction": [float(t) for t in rays[worst]] if worst >= 0 else [],
-                "ratio": float(ratios[worst]) if worst >= 0 else None,
-            })
-    if refuted:
-        return CheckResult(REFUTED, witnesses=refuted, samples=len(rays),
-                           detail="a recession direction enters every candidate cone")
-    return CheckResult(VERIFIED, witnesses=witnesses, samples=len(rays),
-                       detail=f"{len(witnesses)} candidate cones verified compact")
+    candidates = candidates[:3]
+    _, apertures = stability_states(E, np.array([H.coeffs for H in candidates]))
+    unproven = int(np.sum(~np.isfinite(apertures)))
+    if unproven:
+        return CheckResult(INCONCLUSIVE, detail=f"{unproven} of {len(candidates)} candidate "
+                                                f"hyperplanes have no proven aperture")
+    witnesses = [{"kind": "compact-chart", "hyperplane": H.to_jsonable(), "aperture": float(c)}
+                 for H, c in zip(candidates, apertures)]
+    return CheckResult(CERTIFIED, witnesses=witnesses,
+                       detail=f"{len(witnesses)} candidate cones compact at proven apertures")
 
 
 @_check(needs_complex_plane=False)
@@ -863,9 +848,6 @@ def recheck_witness(E: ConvexSet, witness: dict) -> bool:
         x = np.asarray(witness["common_point"], dtype=float)
         H = Hyperplane.from_jsonable(witness["hyperplane"])
         return bool(E.contains(x, tol=1e-6)) and abs(H.eval(complexify(x))) < 1e-5
-    if kind == "cone-ray":
-        v = np.asarray(witness["direction"], dtype=float)
-        return _recession_brute(E, v)
     if kind == "line-direction":
         v = np.asarray(witness["direction"], dtype=float)
         return _recession_brute(E, v) and _recession_brute(E, -v)

@@ -27,8 +27,6 @@ DEFAULT_TOL = 1e-9
 # Margin of the planar stability tests (``_planar_cone``, ``stability_states``):
 # on angles (rad), and on lengths relative to the rows or unit covectors they come from
 PLANAR_MARGIN = 1e-6
-RECESSION_SAMPLE_COUNT = 64  # the fixed ray sample behind every stable verdict's aperture
-RECESSION_SAMPLE_SEED = 20240811
 
 
 @dataclass
@@ -136,12 +134,6 @@ class RecessionCone:
         n = np.linalg.norm(G, axis=1)
         keep = n > PLANAR_MARGIN * np.linalg.norm(self.ineq, axis=1)
         return G[keep] / n[keep, None]
-
-    @cached_property
-    def seeded_members(self):
-        """RECESSION_SAMPLE_COUNT ``sample_members`` from RECESSION_SAMPLE_SEED, drawn once."""
-        rng = np.random.default_rng(RECESSION_SAMPLE_SEED)
-        return self.sample_members(rng, RECESSION_SAMPLE_COUNT)
 
     @cached_property
     def generators(self):

@@ -5,10 +5,11 @@ real span of L's directions only at the origin.  Equivalently the truncated
 cones around L (aperture c) cut E in compact pieces, which is what the
 certification layer ultimately consumes.  This module provides:
 
-* ``is_stable`` -- the recession-cone criterion with a constructive witness
-  (an aperture for stable L, a recession direction inside L's span otherwise),
-* ``stability_states`` -- stable or not, for many complex hyperplanes at once,
-  exactly from the generators of the recession cone,
+* ``is_stable`` -- the recession-cone criterion, with a recession direction
+  inside L's span as the witness of an unstable L,
+* ``stability_states`` -- stable or not, with a proven aperture, for many
+  complex hyperplanes at once, exactly from the generators of the recession
+  cone,
 * ``halfline_in_intersection`` -- a halfline witness inside E intersect L,
 * ``tube_or_support`` -- the dichotomy between "E is a tube over E intersect L"
   and "some parallel translate of L supports E", the first read off the
@@ -43,7 +44,6 @@ class StabilityVerdict:
     """Outcome of the stability test for one affine subspace."""
 
     tag: str  # "stable" | "unstable"
-    aperture: Optional[float] = None
     witness: Optional[np.ndarray] = None  # real unit recession direction
 
     @property
@@ -79,84 +79,68 @@ def _to_real_subspace(subspace) -> AffineSubspaceR:
     return subspace.to_real()
 
 
-def direction_ratios(rays: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """|r''| / |r'| for each row r of ``rays``, split by the orthonormal rows of D.
-
-    r' is the component of r in span(D) and r'' the rest; rows whose r' is
-    shorter than 1e-12 get ``inf``.
-    """
-    along = (rays @ D.T) @ D
-    na = np.linalg.norm(along, axis=1)
-    nc = np.linalg.norm(rays - along, axis=1)
-    out = np.full(rays.shape[0], np.inf)
-    ok = na >= 1e-12
-    out[ok] = nc[ok] / na[ok]
-    return out
-
-
-def _aperture(ratios: np.ndarray) -> float:
-    """Aperture c violated by every sampled recession direction: |r''| > c |r'|.
-
-    c = max(0.999 * min(min finite ratio, 2**30), 1e-12), or 1.0 when no ratio
-    is finite.  Every sampled finite ratio is strictly greater than c, except
-    when the smallest one is at or below the 1e-12 floor.
-    """
-    finite = ratios[np.isfinite(ratios)]
-    if not finite.shape[0]:
-        return 1.0
-    return max(0.999 * min(float(finite.min()), 2.0 ** 30), 1e-12)
-
-
 def is_stable(E: ConvexSet, subspace) -> StabilityVerdict:
     """Decide whether the recession cone of E meets the span of ``subspace``.
 
-    Unstable verdicts carry a unit recession direction inside the span;
-    stable verdicts carry an aperture c > 0 such that every sampled recession
-    direction violates the cone inequality |r''| <= c |r'|.
+    Unstable verdicts carry a unit recession direction inside the span.
     """
     S = _to_real_subspace(subspace)
     if S.directions.shape[1] != E.m:
         raise ValueError("subspace lives in a different ambient dimension")
     v = E.recession_cone().intersect_subspace(S.directions)
-    if v is not None:
-        return StabilityVerdict("unstable", witness=v)
-    return stable_verdict(E, S)
+    return StabilityVerdict("stable" if v is None else "unstable", witness=v)
 
 
-def stable_verdict(E: ConvexSet, subspace) -> StabilityVerdict:
-    """``is_stable``'s verdict on a subspace already known to be stable."""
-    D = _to_real_subspace(subspace).directions
-    return StabilityVerdict("stable", aperture=_aperture(direction_ratios(
-        E.recession_cone().seeded_members, D)))
+def stability_states(E: ConvexSet, coeffs):
+    """(stable, aperture), one entry per coefficient row c.
 
+    Stable: is the complex hyperplane stable, its real span, the kernel of
+    phi(v) = c . v from R^m onto C = R^2, meeting the recession cone K only
+    at 0?  With K = cone(rays) + span(L) (``RecessionCone.generators``) it is
+    exactly when phi is one-to-one on span(L) and, by Gordan's alternative,
+    the rays' images u_i in C / phi(L) lie in one open half-plane.  For unit
+    c, the singular values of phi on L (so dim L <= 2), each |u_i|, and the
+    widest angular gap gamma between the u_i less pi must all exceed
+    PLANAR_MARGIN.  Past the vertex cap the span search
+    ``intersect_subspace`` decides each row.
 
-def stability_states(E: ConvexSet, coeffs) -> np.ndarray:
-    """One bool per coefficient row c: is the complex hyperplane stable, its
-    real span, the kernel of phi(v) = c . v from R^m onto C = R^2, meeting
-    the recession cone K only at 0?  With K = cone(rays) + span(L)
-    (``RecessionCone.generators``) it is exactly when phi is one-to-one on
-    span(L) and, by Gordan's alternative, the rays' images in C / phi(L) lie
-    in one open half-plane.  For unit c, the singular values of phi on L
-    (so dim L <= 2), the length of each projected image, and the widest
-    angular gap between them less pi must all exceed PLANAR_MARGIN.  Past
-    the vertex cap the span search ``intersect_subspace`` decides each row."""
+    Aperture: a proven c > 0 with |r''| > c |r'| on K minus 0, r' the part of
+    r in the hyperplane's span and r'' = phi r the rest (phi has orthonormal
+    rows).  Write r = p + l, p = sum lam_i g_i over the unit rays, l in
+    span(L), |r| = 1.  With delta = min |u_i| (-cos(gamma / 2)), the bisector
+    of the arc holding the u_i gives |phi r| >= delta |p|; with sigma the
+    least singular value of phi on L, |phi r| >= sigma |l| - |p|.  The larger
+    of the two is least, over |p|^2 + |l|^2 = 1, at
+    rho = delta sigma / sqrt((1 + delta)^2 + sigma^2): delta alone without
+    lineality, sigma alone without rays.  So c = 0.999 rho / sqrt(1 - rho^2),
+    1.0 on a {0} cone, and NaN on unstable rows and past the vertex cap,
+    where no aperture is proven."""
     coeffs = coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
     cone = E.recession_cone()
+    unproven = np.full(coeffs.shape[0], np.nan)
     if cone.generators is None:
         return np.array([cone.intersect_subspace(complex_tangent(c, 0 * c).to_real().directions)
-                         is None for c in coeffs], bool)
+                         is None for c in coeffs], bool), unproven
     rays, L = cone.generators
     phi = np.swapaxes(realify(np.conj(np.stack([coeffs, -1j * coeffs], axis=1))), 1, 2)
     images, stable = rays @ phi, np.full(coeffs.shape[0], L.shape[0] <= 2)
+    rho = None  # stays None on a {0} cone, where any aperture holds
     if L.shape[0]:
         _, s, vh = np.linalg.svd(L @ phi)
         Q = vh[:, L.shape[0]:]  # orthonormal rows across phi(L)
         stable &= np.all(s > PLANAR_MARGIN, axis=1)
         images = images @ np.swapaxes(Q, 1, 2) @ Q
+        rho = s[:, -1]
     if rays.shape[0]:
-        long = np.linalg.norm(images, axis=-1) > PLANAR_MARGIN
-        stable &= long.all(axis=1) & (_widest_gap(images) > np.pi + PLANAR_MARGIN)
-    return stable
+        length, gap = np.linalg.norm(images, axis=-1), _widest_gap(images)
+        stable &= (length > PLANAR_MARGIN).all(axis=1) & (gap > np.pi + PLANAR_MARGIN)
+        delta = length.min(axis=1) * -np.cos(gap / 2)
+        rho = delta if rho is None else delta * rho / np.sqrt((1 + delta) ** 2 + rho ** 2)
+    if rho is None:
+        return stable, np.ones(coeffs.shape[0])
+    # the floor keeps c finite where rounding puts rho at 1
+    aperture = 0.999 * rho / np.sqrt(np.maximum(1 - rho ** 2, 2.0 ** -60))
+    return stable, np.where(stable, aperture, unproven)
 
 
 def halfline_in_intersection(E: ConvexSet, subspace, base_point=None):

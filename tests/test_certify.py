@@ -35,7 +35,7 @@ from okacert.lp import LPResult
 from okacert.functions import MAX_VERTEX_SUBSYSTEMS
 from okacert.sets import Dilation, HPolyhedron, QuadricBall, SiegelClosure, Tube
 from okacert.specjson import canonical_json
-from okacert.stability import SupportingTranslate, tube_or_support
+from okacert.stability import SupportingTranslate, stability_states, tube_or_support
 
 SMALL = SamplingPlan().scaled(100)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -687,6 +687,45 @@ def test_projection_hyperplanes_miss_E_by_their_distance():
             q = np.array(w["through"])
             distance = np.linalg.norm(q - E.nearest_boundary(q))
             assert w["margin"] == pytest.approx(-distance, rel=1e-9)
+
+
+def test_chart_compact_reads_the_proven_apertures(monkeypatch):
+    """At SMALL, chart_compact is certified-exact with no samples on siegel2,
+    the disc tube and the ball.  Each witness carries the aperture that
+    ``stability_states`` proves for its candidate, the first three
+    weak_projective hyperplanes, and no certificate draws a cone member."""
+    draws, real = [], sets.RecessionCone.sample_members
+    monkeypatch.setattr(sets.RecessionCone, "sample_members",
+                        lambda *a, **k: draws.append(1) or real(*a, **k))
+    for name in ("siegel2", "disc-tube-prop49", "ball"):
+        E = build_example(name)
+        cert = certify_oka_complement(E, SMALL)
+        chart = cert.check("chart_compact")
+        assert (chart.verdict, chart.samples, len(chart.witnesses)) == ("certified-exact", 0, 3)
+        cand = [Hyperplane.from_jsonable(w["hyperplane"])
+                for w in cert.check("weak_projective").witnesses[:3]]
+        assert [w["hyperplane"] for w in chart.witnesses] == [H.to_jsonable() for H in cand]
+        _, want = stability_states(E, np.array([H.coeffs for H in cand]))
+        assert [w["aperture"] for w in chart.witnesses] == list(want)
+        assert all(w["aperture"] > 0 for w in chart.witnesses)
+    assert not draws
+
+
+def test_chart_compact_without_a_proven_aperture_is_inconclusive():
+    """Past the vertex cap no aperture is proven, so a stable candidate on a
+    pointed cone cut out by 2,000 inequality rows leaves the check
+    inconclusive, never refuted."""
+    rng = np.random.default_rng(8213)
+    d = rng.normal(size=4)
+    A = rng.normal(size=(2000, 4))
+    A[A @ d > 0] *= -1.0
+    E = HPolyhedron(A, np.ones(2000))
+    assert E.recession_cone().generators is None
+    H = next(H for H in (Hyperplane(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
+                         for _ in range(64)) if is_stable(E, H.subspace()).stable)
+    res = certify.check_chart_compact(E, SMALL, candidates=[H])
+    assert (res.verdict, res.samples, res.witnesses) == ("inconclusive", 0, [])
+    assert res.detail == "1 of 1 candidate hyperplanes have no proven aperture"
 
 
 # ---------------------------------------------------------------------------

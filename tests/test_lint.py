@@ -106,6 +106,47 @@ def test_no_unread_module_constants():
     assert unread_module_constants(sources) == []
 
 
+def _strings(node) -> set:
+    """The string constants of ``node``, or of its elements when it is a tuple,
+    list or set display."""
+    elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {e.value for e in elts if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+
+
+def stale_recheck_kinds(sources: dict, function: str = "recheck_witness") -> list:
+    """Witness kinds that ``function`` compares the name ``kind`` against
+    but that no module of ``sources`` (name -> text) emits as a
+    ``"kind": "<k>"`` entry of a dict literal."""
+    compared, emitted = set(), set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Dict):
+                for k, v in zip(node.keys, node.values):
+                    if k is not None and _strings(k) == {"kind"}:
+                        emitted |= _strings(v)
+            elif isinstance(node, ast.FunctionDef) and node.name == function:
+                for cmp in ast.walk(node):
+                    if isinstance(cmp, ast.Compare) and isinstance(cmp.left, ast.Name) \
+                            and cmp.left.id == "kind":
+                        for c in cmp.comparators:
+                            compared |= _strings(c)
+    return sorted(compared - emitted)
+
+
+def test_stale_recheck_kind_detector():
+    srcs = {"a.py": "def recheck_witness(w):\n    kind = w['kind']\n"
+                    "    if kind == 'kept':\n        return True\n"
+                    "    if kind in ('gone', 'also'):\n        return True\n"
+                    "    return w['x'] == 'ignored'\n",
+            "b.py": "def emit():\n    return [{'kind': 'kept'}, {'kind': 'also', 'x': 1}]\n"}
+    assert stale_recheck_kinds(srcs) == ["gone"]
+
+
+def test_every_rechecked_witness_kind_is_emitted():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert stale_recheck_kinds(sources) == []
+
+
 def test_benchmark_tracer_installs_on_this_source():
     """perfbench's tracer finds every function and method it wraps: a rename
     or deletion in ``src/`` would make it raise. It runs in a child process,

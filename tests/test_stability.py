@@ -30,8 +30,6 @@ from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, Sie
 from okacert.stability import (
     SupportingTranslate,
     TubeFound,
-    _aperture,
-    direction_ratios,
     halfline_in_intersection,
     is_stable,
     stability_states,
@@ -54,16 +52,17 @@ def _imz2_halfspace():
 def test_siegel_complex_axis_is_stable():
     E = SiegelClosure(2)
     v = is_stable(E, Z2_AXIS)
-    assert v.stable and v.tag == "stable"
-    assert v.aperture is not None and v.aperture > 0
-    # witness property: sampled recession directions all violate the cone
-    # inequality |r''| <= c |r'| for the reported aperture
+    assert v.stable and v.tag == "stable" and v.witness is None
+    # the axis is the plane {z2 = 0}: sampled recession directions all
+    # violate the cone inequality |r''| <= c |r'| for its proven aperture
+    stable, aperture = stability_states(E, np.array([[0.0, 1.0 + 0j]]))
+    assert stable[0] and aperture[0] > 0
     D = Z2_AXIS.to_real().directions
     rng = np.random.default_rng(7)
     for r in E.recession_cone().sample_members(rng, 64):
         along = (r @ D.T) @ D
         across = r - along
-        assert np.linalg.norm(across) > v.aperture * np.linalg.norm(along)
+        assert np.linalg.norm(across) > aperture[0] * np.linalg.norm(along)
 
 
 def test_halfspace_is_unstable_with_recession_witness():
@@ -103,77 +102,6 @@ def test_stable_verdict_is_open_under_direction_perturbation():
         d /= np.linalg.norm(d)
         S = AffineSubspaceC(np.zeros(2, dtype=complex), d[None, :])
         assert is_stable(E, S).stable
-
-
-def _ratios_loop(rays, D):
-    """Reference: the scalar per-ray loop the vectorized kernel replaced."""
-    ratios = []
-    for r in rays:
-        along = (r @ D.T) @ D
-        na, nc = np.linalg.norm(along), np.linalg.norm(r - along)
-        ratios.append(np.inf if na < 1e-12 else nc / na)
-    return ratios
-
-
-def _aperture_bisect(ratios):
-    """Reference: the 60-step bisection the closed-form aperture replaced."""
-    finite = [r for r in ratios if np.isfinite(r)]
-    if not finite:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while all(r > hi for r in finite) and hi < 2 ** 30:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if all(r > mid for r in finite):
-            lo = mid
-        else:
-            hi = mid
-    return max(lo * 0.999, 1e-12)
-
-
-def _random_subspaces(rng, count):
-    """Real direction matrices: complex lines of C^2 and real subspaces of R^4."""
-    out = []
-    for _ in range(count):
-        d = rng.normal(size=2) + 1j * rng.normal(size=2)
-        d /= np.linalg.norm(d)
-        out.append(AffineSubspaceC(np.zeros(2, dtype=complex), d[None, :]).to_real().directions)
-        out.append(mgs(rng.normal(size=(int(rng.integers(1, 4)), 4))))
-    return out
-
-
-# Generators of each recession cone, for rays drawn as their nonnegative
-# combinations; None takes the cone's extreme rays.
-_RAY_GENERATORS = {
-    "siegel2": [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
-    "disc-tube-prop49": [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]],
-    "cone-ex14": None,
-}
-
-
-@pytest.mark.parametrize("name", sorted(_RAY_GENERATORS))
-def test_vectorized_ratios_and_aperture_match_reference_loop(name):
-    E = build_example(name)
-    cone = E.recession_cone()
-    gens = _RAY_GENERATORS[name]
-    gens = cone.generators[0] if gens is None else np.array(gens)
-    rng = np.random.default_rng(731)
-    rays = rng.uniform(size=(64, gens.shape[0])) @ gens
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    assert all(cone.member(r) for r in rays)
-    compared = 0
-    for D in _random_subspaces(rng, 40):
-        got = direction_ratios(rays, D)
-        want = np.array(_ratios_loop(rays, D))
-        assert np.array_equal(np.isinf(got), np.isinf(want))
-        np.testing.assert_allclose(got[np.isfinite(got)], want[np.isfinite(want)], rtol=1e-12)
-        c = _aperture(got)
-        if c > 1e-6:
-            compared += 1
-            assert c == pytest.approx(_aperture_bisect(want), rel=1e-9)
-            assert np.all(got[np.isfinite(got)] > c)
-    assert compared > 0
 
 
 _RANK_SETS = {
@@ -222,7 +150,7 @@ def test_batched_rank_test_agrees_with_is_stable(name):
         coeffs.append(Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs)  # c . z = 0 on the ray
     band = np.arange(len(coeffs)) % 4 == 0
     band[2000:] = False
-    stable = stability_states(E, np.array(coeffs))
+    stable, _ = stability_states(E, np.array(coeffs))
     assert stable.dtype == bool and stable.shape == (len(coeffs),)
     want = _is_stable_rows(E, coeffs)
     np.testing.assert_array_equal(stable[~band], want[~band])
@@ -241,7 +169,7 @@ def test_batched_rank_test_on_a_cone_with_many_facets():
     the vertex cap, so the span search decides each row: over 64 complex
     lines, one of them through a cone member, the batch gives the span
     search's and ``is_stable``'s verdict on each, and the LP loop's on the
-    first four, without drawing the members an aperture would need."""
+    first four, and proves no aperture."""
     rng = np.random.default_rng(8213)
     d = rng.normal(size=4)
     A = rng.normal(size=(2000, 4))
@@ -252,9 +180,8 @@ def test_batched_rank_test_on_a_cone_with_many_facets():
     coeffs = [Hyperplane(np.array([z[1], -z[0]]), 0.0).coeffs]
     coeffs += [Hyperplane(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0).coeffs
                for _ in range(63)]
-    stable = stability_states(E, np.array(coeffs))
-    assert "seeded_members" not in vars(cone)
-    assert cone.generators is None
+    stable, aperture = stability_states(E, np.array(coeffs))
+    assert cone.generators is None and np.isnan(aperture).all()
     want = _is_stable_rows(E, coeffs)
     np.testing.assert_array_equal(stable, want)
     planes = [Hyperplane(c, 0.0).subspace().to_real().directions for c in coeffs]
@@ -276,7 +203,7 @@ def test_lineality_planes_are_decided_unstable():
     exterior = [_canonical_exterior_hyperplane(r2, q).coeffs
                 for q in r2.sample_exterior(rng, 200, window=10.0)]
     for E, coeffs in ((half, flat), (r2, exterior)):
-        assert not stability_states(E, np.array(coeffs)).any()
+        assert not stability_states(E, np.array(coeffs))[0].any()
         assert not _is_stable_rows(E, coeffs).any()
 
 
@@ -300,7 +227,7 @@ def test_rows_near_one_line_are_decided(monkeypatch):
     for eps, want in [(0.0, False), (1e-10, False), (1e-8, False), (1e-7, False), (1e-4, True)]:
         for t in (0.3, 1.0, 3.0):
             c = Hyperplane(np.array([1.0, t * np.exp(1j * eps)]), 0.0).coeffs
-            assert stability_states(E, c[None])[0] == want, (eps, t)
+            assert stability_states(E, c[None])[0][0] == want, (eps, t)
     assert not calls
 
 
@@ -319,6 +246,57 @@ def test_stability_states_needs_no_projection_or_lp(monkeypatch):
         n = E.m // 2
         stability_states(E, rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n)))
     assert not projections and not lps
+
+
+def _seeded_cone(dim_lineality):
+    """A seeded polyhedral cone {A x <= 0} in C^2 with a lineality space of
+    the given dimension: five rows across a random subspace L, oriented to
+    hold a common member, or for dim L = 2 the subspace L itself."""
+    rng = np.random.default_rng(8217 + dim_lineality)
+    across = _nullspace_rows(mgs(rng.normal(size=(dim_lineality, 4))), cols=4)
+    if dim_lineality == 2:
+        return HPolyhedron(np.vstack([across, -across]), np.zeros(4))
+    A = rng.normal(size=(5, across.shape[0])) @ across
+    d = rng.normal(size=across.shape[0]) @ across
+    A[A @ d > 0] *= -1.0
+    return HPolyhedron(A, np.zeros(5))
+
+
+_APERTURE_SETS = {**{name: _RANK_SETS[name] for name in (
+    "siegel2", "siegel3", "disc-tube-prop49", "cone-ex14", "siegel-dilation",
+    "pointed-cone-0", "pointed-cone-1")},
+    **{f"seeded-lineality-{k}": (lambda k=k: _seeded_cone(k)) for k in range(3)}}
+
+
+@pytest.mark.parametrize("name", sorted(_APERTURE_SETS))
+def test_every_proven_aperture_holds_on_cone_members(name):
+    """On 400 seeded complex hyperplanes, every stable row's aperture c is
+    positive and violated by the generators of the recession cone (its rays
+    and +-L) and by 20,000 seeded nonnegative combinations of them:
+    |r''| > c |r'| for the parts r' in the hyperplane's span and r'' across
+    it.  Unstable rows have no aperture."""
+    E = _APERTURE_SETS[name]()
+    cone = E.recession_cone()
+    rays, L = cone.generators
+    G = np.vstack([rays, L, -L])
+    rng = np.random.default_rng(8218)
+    shape = (20000, G.shape[0])
+    weights = rng.exponential(size=shape) * (rng.uniform(size=shape) < 0.5)  # on faces too
+    members = np.vstack([G, weights @ G])
+    members = members[np.linalg.norm(members, axis=1) > 1e-9]
+    members /= np.linalg.norm(members, axis=1, keepdims=True)
+    assert np.abs(members @ cone.eq.T).max(initial=0.0) <= 1e-9
+    assert (members @ cone.ineq.T).max(initial=0.0) <= 1e-9
+    n = E.m // 2
+    coeffs = rng.normal(size=(400, n)) + 1j * rng.normal(size=(400, n))
+    stable, aperture = stability_states(E, coeffs)
+    assert np.isnan(aperture[~stable]).all() and (aperture[stable] > 0).all()
+    assert stable.sum() >= 40
+    for c, a in zip(coeffs[stable], aperture[stable]):
+        D = Hyperplane(c, 0.0).subspace().to_real().directions
+        along = (members @ D.T) @ D
+        across = np.linalg.norm(members - along, axis=1)
+        assert (across > a * np.linalg.norm(along, axis=1)).all(), (name, c, a)
 
 
 # ---------------------------------------------------------------------------
