@@ -41,7 +41,8 @@ from .geometry import (
     complexify,
     realify,
 )
-from .sets import ConvexSet
+from .lp import solve_lp
+from .sets import PLANAR_MARGIN, ConvexSet
 from .stability import (
     StabilityVerdict,
     TubeFound,
@@ -86,11 +87,10 @@ class SamplingPlan:
     exterior: int = 200
     lines: int = 100
     hyperplanes: int = 60
-    path_steps: int = 64
     window: float = 10.0
 
     def __post_init__(self):
-        for name in ("boundary", "exterior", "lines", "hyperplanes", "path_steps"):
+        for name in ("boundary", "exterior", "lines", "hyperplanes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.window <= 0:
@@ -118,9 +118,7 @@ class Hyperplane:
     the angle the hyperplane was built with.  On a shadow that
     ``E.shadow_angles`` leaves undecided, ``_disjoint_rows`` tries that angle
     only: a projection hyperplane through an exterior point, and its
-    ``translated`` lifts, miss E there by exactly their distance from E, and
-    a random conormal, whose offset lies past its support value at angle 0,
-    has phase 0.
+    ``translated`` lifts, miss E there by exactly their distance from E.
     """
 
     __slots__ = ("coeffs", "offset", "stripped_theta")
@@ -168,12 +166,6 @@ class Hyperplane:
         H = Hyperplane(self.coeffs, self.offset + delta_offset)
         H.stripped_theta = self.stripped_theta
         return H
-
-    def key(self):
-        parts = [round(float(v), 6) for pair in
-                 ((z.real, z.imag) for z in self.coeffs) for v in pair]
-        parts += [round(self.offset.real, 6), round(self.offset.imag, 6)]
-        return tuple(parts)
 
     def to_jsonable(self):
         return {
@@ -569,138 +561,105 @@ def _cvec(z):
     return [[float(v.real), float(v.imag)] for v in np.atleast_1d(z)]
 
 
-def _collect_stable_disjoint(E, plan, rng, target, seeds=None):
-    """(H, theta, margin) of stable hyperplanes disjoint from E: seeded list
-    topped up by exterior projections and by random conormals with
-    support-based offsets."""
-    found = []
-    keys = set()
+def _class_covector(rays, v, sigma):
+    """A c with c.v > 0 and sigma Im(c.r) > 0 on every ray r, or None.
 
-    def _push(H, theta, margin):
-        k = H.key()
-        if k in keys:
-            return
-        keys.add(k)
-        found.append((H, theta, margin))
-
-    for entry in seeds or []:
-        _push(Hyperplane.from_jsonable(entry["hyperplane"]), entry["theta"], entry["margin"])
-    n = E.complex_n()
-    guard = 0
-    while len(found) < target and guard < 20 * target:
-        guard += 1
-        if guard % 2 == 0:
-            qs = E.sample_exterior(rng, 1, window=plan.window)
-            if qs.shape[0] == 0:
-                continue
-            H = _canonical_exterior_hyperplane(E, qs[0])
-            if H is None:
-                continue
-        else:
-            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            try:
-                H0 = Hyperplane(c, 0.0)
-            except ValueError:
-                continue
-            value = float(next(iter(E.support_values(H0.real_eta(0.0)))))
-            if not np.isfinite(value):
-                continue
-            beta = (value + 1.0 + float(rng.uniform(0, plan.window / 2))
-                    + 1j * float(rng.uniform(-plan.window / 4, plan.window / 4)))
-            H = Hyperplane(H0.coeffs, beta)
-        if not stability_states(E, H.coeffs[None])[0][0]:
-            continue
-        ok, theta, margin = hyperplane_disjoint(E, H)
-        if ok:
-            _push(H, theta, margin)
-    return found
+    psi(x) = Im(c.x) is a real covector with psi.v = 0, psi.Jv = Re(c.v) and
+    c = i conj(psi) as a complex vector.  By Gordan's alternative such a psi
+    exists exactly when the LP max t, t <= g.psi for g = Jv and every
+    sigma r, psi.v = 0, |psi_j| <= 1, has a positive optimum."""
+    m = v.shape[0]
+    G = np.vstack([realify(1j * complexify(v)), sigma * rays])
+    box = np.hstack([np.eye(m), np.zeros((m, 1))])
+    res = solve_lp(np.eye(m + 1)[-1],
+                   A_ub=np.vstack([np.hstack([-G, np.ones((G.shape[0], 1))]), box, -box]),
+                   b_ub=np.concatenate([np.zeros(G.shape[0]), np.ones(2 * m)]),
+                   A_eq=np.append(v, 0.0)[None], b_eq=np.zeros(1), maximize=True)
+    if not res.optimal or res.value <= 0:
+        return None
+    return 1j * np.conj(complexify(res.x[:m]))
 
 
-class _UnionFind:
-    """Disjoint sets of 0..n-1; each root is the least index of its set."""
+def _side_representatives(E, rays, v):
+    """(c, side) per component of the stable disjoint family when the
+    lineality space is span(v): c a stable unit covector and side the sign of
+    Im(beta / c.v) - Im(c.E / c.v) on the hyperplanes {c.z = beta} it
+    stands for.
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.components = n
+    Write each ray r = alpha v + w, with w Hermitian-orthogonal to v.  The
+    shadow c.E is a strip along c.v without rays, so c = conj(v) stands for
+    both sides.  With rays it is a half-plane, on the side of
+    sign Im(c.r / c.v), one sign for every ray of a stable c, and the
+    disjoint hyperplanes of that sign class lie on the other side.  When
+    every w is 0, Im(c.r / c.v) = Im(alpha) for every c, so conj(v) stands
+    for the one class; otherwise ``_class_covector`` finds a c per sign.
+    ``stability_states`` keeps the stable ones."""
+    vc = complexify(v)
+    R = complexify(rays)
+    alpha = R @ np.conj(vc)
+    if np.abs(R - alpha[:, None] * vc).max(initial=0.0) <= 1e-12:
+        cands = [np.conj(vc)]
+    else:
+        cands = [c for c in (_class_covector(rays, v, s) for s in (1, -1)) if c is not None]
+    cands = [c / np.linalg.norm(c) for c in cands]
+    stable = stability_states(E, np.array(cands).reshape(-1, vc.shape[0]))[0]
+    cands = [c for c, ok in zip(cands, stable) if ok]
+    if not rays.shape[0]:
+        return [(c, side) for c in cands for side in (1, -1)]
+    return [(c, -np.sign(np.imag((c @ R[0]) / (c @ vc)))) for c in cands]
 
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
 
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-            self.components -= 1
-
-
-def _phase_align(c_ref, c):
-    """c turned by the phase that makes its inner product with c_ref real and positive."""
-    inner = complex(np.sum(np.conj(c_ref) * c))
-    return c if abs(inner) < 1e-12 else c * np.exp(-1j * np.angle(inner))
-
-
-def _edge_ok(E, Hi, Hj, steps, thetas) -> bool:
-    """Is the straight path between the rotated rows e^{-i theta}(c, beta) of
-    Hi and Hj, at the angles ``thetas`` where each misses E, a path of stable
-    hyperplanes?  Every hyperplane on it misses E: the support function is
-    sublinear (Rockafellar, Thm 13.2), so the margin at angle 0 of the row at
-    t is at most (1 - t) times Hi's margin plus t times Hj's, both negative.
-
-    So the edge fails only where the coefficients come within 1e-9 of 0
-    anywhere on the path, or at one of the ``steps`` evenly spaced steps that
-    ``stability_states`` decides unstable."""
-    ci, cj = (np.exp(-1j * theta) * H.coeffs for H, theta in zip((Hi, Hj), thetas))
-    d = cj - ci
-    t = np.clip(-np.vdot(d, ci).real / (np.vdot(d, d).real or 1.0), 0.0, 1.0)
-    if np.linalg.norm(ci + t * d) < 1e-9:  # the least norm on the path
-        return False
-    ts = np.linspace(0.0, 1.0, steps)[:, None]
-    return bool(stability_states(E, (1 - ts) * ci + ts * cj)[0].all())
+def _strip_hyperplane(E, c, v, side):
+    """The hyperplane {c.z = beta} on ``side`` of the shadow c.E, with
+    beta = side u (h + 1) for the strip normal u = i (c.v) / |c.v| and h the
+    support value of E along side u: it misses E by 1 at that angle."""
+    cv = complex(c @ complexify(v))
+    normal = side * 1j * cv / abs(cv)
+    h = E.support(realify(np.conj(np.conj(normal) * c))).value
+    return Hyperplane(c, normal * (h + 1.0))
 
 
 @_check()
-def check_connectivity(E: ConvexSet, plan: SamplingPlan, seeds=None) -> CheckResult:
-    """The sampled family of stable disjoint hyperplanes must form a connected
-    graph under linear interpolation of their rotated parameters (``_edge_ok``)."""
-    rng = plan.rng("connect")
-    nodes = _collect_stable_disjoint(E, plan, rng, plan.hyperplanes, seeds=seeds)
-    if len(nodes) < 2:
-        return CheckResult(INCONCLUSIVE, samples=len(nodes),
-                           detail="fewer than two stable disjoint hyperplanes found")
-    uf = _UnionFind(len(nodes))
-    pairs = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            ci, cj = nodes[i][0], nodes[j][0]
-            dist = float(np.linalg.norm(ci.coeffs - _phase_align(ci.coeffs, cj.coeffs)) +
-                         abs(ci.offset - cj.offset) / (1 + abs(ci.offset)))
-            pairs.append((dist, i, j))
-    for _, i, j in sorted(pairs):
-        if uf.components == 1:
-            break
-        if uf.find(i) != uf.find(j) and _edge_ok(E, nodes[i][0], nodes[j][0], plan.path_steps,
-                                                  [nodes[i][1], nodes[j][1]]):
-            uf.union(i, j)
-    if uf.components == 1:
-        # translating H by -s e^{i theta} raises its margin at theta by s: it
-        # touches E at s = -margin, the node's distance from E's shadow on a
-        # decided shadow and on a hyperplane built through an exterior point
-        return CheckResult(
-            VERIFIED, samples=len(nodes),
-            witnesses=[{"kind": "retraction-contacts",
-                        "offsets": [max(0.0, -margin) for *_, margin in nodes[:10]]}],
-            detail=f"{len(nodes)} hyperplanes connected with {len(nodes) - 1} verified edges")
-    reps = [k for k in range(len(nodes)) if uf.find(k) == k][:2]
-    witnesses = [{
-        "kind": "disconnected-components",
-        "representatives": [nodes[r][0].to_jsonable() for r in reps],
-        "components": uf.components,
-    }]
-    return CheckResult(REFUTED, witnesses=witnesses, samples=len(nodes),
-                       detail=f"hyperplane graph has {uf.components} components")
+def check_connectivity(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
+    """Count the components of the family of stable complex hyperplanes
+    missing E from the recession cone K = cone(rays) + span(L)
+    (``RecessionCone.generators``), with no sampling.
+
+    For a stable c the shadow c.E is closed with recession cone c.K
+    (Rockafellar, Thm 9.1), and the family is open over the stable
+    covectors, so each connected set of stable c with connected fibres
+    C - c.E carries one component.  Hence: one component on a {0} or pointed
+    K (the stable c are C^* int K polar, and c.E holds no line); none when
+    dim L >= 2 (c is unstable or c.E = C); with dim L = 1 two sides of a
+    strip without rays, else one per realizable sign class
+    (``_side_representatives``)."""
+    cone = E.recession_cone()
+    if cone.generators is None:
+        return CheckResult(INCONCLUSIVE, detail="unknown cone: no generators past the vertex cap")
+    rays, L = cone.generators
+    d = L.shape[0]
+    kind = ("zero" if not rays.shape[0] else "pointed") if d == 0 else (
+        ("line" if not rays.shape[0] else "line-and-rays") if d == 1 else f"lineality-{d}")
+    if d >= 2:
+        return CheckResult(REFUTED, detail=f"{kind} cone: no stable hyperplane misses E",
+                           witnesses=[{"kind": "line-direction", "direction": [float(t) for t in r]}
+                                      for r in L])
+    reps = [] if d == 0 else _side_representatives(E, rays, L[0])
+    count = 1 if d == 0 else len(reps)
+    if count == 0:
+        return CheckResult(INCONCLUSIVE,
+                           detail=f"{kind} cone: no sign class has a stable hyperplane")
+    if count == 2:
+        planes = [_strip_hyperplane(E, c, L[0], side) for c, side in reps]
+        return CheckResult(REFUTED, detail=f"{kind} cone: the stable disjoint hyperplanes "
+                                           f"form 2 components",
+                           witnesses=[{"kind": "disconnected-components", "components": 2,
+                                       "direction": [float(t) for t in L[0]],
+                                       "representatives": [H.to_jsonable() for H in planes]}])
+    return CheckResult(CERTIFIED, detail=f"{kind} cone: the stable disjoint hyperplanes "
+                                         f"form 1 component",
+                       witnesses=[{"kind": "cone-components", "cone": kind,
+                                   "rays": int(rays.shape[0]), "lineality": d, "components": 1}])
 
 
 @_check()
@@ -781,10 +740,10 @@ def certify_oka_complement(E: ConvexSet, plan: Optional[SamplingPlan] = None) ->
 
     plan = plan or SamplingPlan()
     checks = [check_no_affine_line(E, plan), check_tangent_slice_halflines(E, plan),
-              check_weak_projective(E, plan), check_line_lift(E, plan)]
-    seeds = [w for w in checks[2].witnesses if w.get("kind") == "stable-hyperplane"]
-    checks.append(check_connectivity(E, plan, seeds=seeds))
-    cand = [Hyperplane.from_jsonable(w["hyperplane"]) for w in seeds[:3]]
+              check_weak_projective(E, plan), check_line_lift(E, plan),
+              check_connectivity(E, plan)]
+    cand = [Hyperplane.from_jsonable(w["hyperplane"]) for w in checks[2].witnesses
+            if w.get("kind") == "stable-hyperplane"][:3]
     checks.append(check_chart_compact(E, plan, candidates=cand))
     if isinstance(getattr(E, "phi", None), NormCombo):
         checks.append(check_normcombo_smoothing(E, plan))
@@ -851,7 +810,39 @@ def recheck_witness(E: ConvexSet, witness: dict) -> bool:
     if kind == "line-direction":
         v = np.asarray(witness["direction"], dtype=float)
         return _recession_brute(E, v) and _recession_brute(E, -v)
+    if kind == "disconnected-components":
+        return _recheck_sides(E, witness)
     return False
+
+
+def _recheck_sides(E: ConvexSet, witness: dict) -> bool:
+    """Two hyperplanes {c.z = beta} with c.v != 0, for a line direction v of
+    E, that miss E on opposite sides.  Since c.x0 + R c.v lies in c.E for
+    any x0 in E, the side sign Im((beta - c.x0) / c.v) is continuous and
+    nonzero on every disjoint hyperplane with c.v != 0, so the two lie in
+    different components.  Each side is read at a boundary point x0, and
+    each hyperplane must miss E along its strip normal i (c.v) / |c.v|
+    signed by its side, by the scalar support value."""
+    v = np.asarray(witness["direction"], dtype=float)
+    if not (_recession_brute(E, v) and _recession_brute(E, -v)):
+        return False
+    x0 = E.sample_boundary(np.random.default_rng(99), 1, window=8.0)
+    if x0.shape[0] == 0:
+        return False
+    z0, vc = complexify(x0[0]), complexify(v)
+    sides = []
+    for entry in witness["representatives"]:
+        H = Hyperplane.from_jsonable(entry)
+        cv = complex(H.coeffs @ vc)
+        if abs(cv) <= PLANAR_MARGIN:
+            return False
+        side = np.sign(np.imag((H.offset - H.coeffs @ z0) / cv))
+        normal = side * 1j * cv / abs(cv)
+        res = E.support(realify(np.conj(np.conj(normal) * H.coeffs)))
+        if not (res.finite and res.value < np.real(np.conj(normal) * H.offset)):
+            return False
+        sides.append(side)
+    return sorted(sides) == [-1.0, 1.0]
 
 
 def recheck_certificate(E: ConvexSet, cert: Certificate):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,6 @@ from okacert import certify, sets, smoothing
 from okacert.certify import (
     Hyperplane,
     SamplingPlan,
-    _collect_stable_disjoint,
-    _edge_ok,
     _stable_lines,
     certify_oka_complement,
     check_connectivity,
@@ -93,7 +92,6 @@ def test_hyperplane_real_covector_and_roundtrip():
             assert abs(eta @ x - want) < 1e-12
     H2 = Hyperplane.from_jsonable(H.to_jsonable())
     assert np.allclose(H.coeffs, H2.coeffs) and abs(H.offset - H2.offset) < 1e-12
-    assert H.key() == H2.key()
 
 
 def test_hyperplane_disjoint_and_common_point():
@@ -292,23 +290,21 @@ def test_batched_rows_equal_the_one_row_call_bit_for_bit():
 @pytest.mark.parametrize("seed", [1, 5, 9])
 def test_connectivity_holds_in_unitary_frames_of_a_pointed_cone(seed):
     """A unitary change of coordinates keeps the family of stable disjoint
-    hyperplanes connected.  In these frames of the pointed cone a scan of
-    evenly spaced angles missed the narrow polar arcs of many steps' shadows,
-    and the graph fell into 2, 4 and 3 components; an edge's steps now miss E
-    by the sublinearity of the support function, with no angle to find."""
+    hyperplanes connected: the image of a pointed cone is pointed."""
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     R = realify(complexify(np.eye(4)) @ U.T).T  # x -> realify(U complexify(x))
     E = HPolyhedron(np.asarray(POINTED_CONE_A) @ np.linalg.inv(R), POINTED_CONE_B)
     res = check_connectivity(E, SamplingPlan())
-    assert res.verdict == "verified-sampled", res.detail
+    assert res.verdict == "certified-exact", res.detail
 
 
 def test_projection_failure_makes_the_check_inconclusive(monkeypatch, tmp_path):
     """Near-degenerate planes of r2-in-c2 give a singular active set in the
     cone projection, which raises ProjectionDidNotConverge, and a check that
     meets a failed projection is inconclusive with the reason while the
-    certificate is still written."""
+    certificate is still written.  Connectivity meets it in the recession
+    cone's ``is_zero`` search, which ``generators`` runs first."""
     E = build_example("r2-in-c2")
     for t in (0.3, 1.0, 3.0):
         H = Hyperplane(np.array([1.0, t * np.exp(1e-9j)]), 0.0)
@@ -408,12 +404,12 @@ def test_sampling_plan_scaling_and_validation():
 def test_sampling_plan_fields_are_listed_once():
     """The certificate's plan record is exactly the dataclass fields, and
     rescaling keeps every field it does not rescale."""
-    plan = SamplingPlan(seed=3, path_steps=17, window=4.5)
+    plan = SamplingPlan(seed=3, window=4.5)
     fields = [f.name for f in dataclasses.fields(SamplingPlan)]
     assert list(plan.to_jsonable()) == fields
     assert plan.to_jsonable() == {name: getattr(plan, name) for name in fields}
     scaled = plan.scaled(100)
-    assert (scaled.seed, scaled.path_steps, scaled.window) == (3, 17, 4.5)
+    assert (scaled.seed, scaled.window) == (3, 4.5)
 
 
 def test_sampling_plan_rng_streams():
@@ -463,33 +459,6 @@ def test_line_lift_contains_the_line_direction():
     assert checked >= 200
 
 
-def test_connectivity_with_seeds_on_ball():
-    E = QuadricBall(np.zeros(4), 1.0)
-    wp = check_weak_projective(E, SMALL)
-    assert wp.verdict == "verified-sampled"
-    seeds = [w for w in wp.witnesses if w["kind"] == "stable-hyperplane"]
-    assert seeds
-    conn = check_connectivity(E, SMALL, seeds=seeds)
-    assert conn.verdict == "verified-sampled"
-
-
-def test_connectivity_reports_each_component_by_its_first_hyperplane(monkeypatch):
-    """With edges only between hyperplanes on the same side of Im offset = 1,
-    the graph has two components, each represented by its first node."""
-    E = QuadricBall(np.zeros(4), 1.0)
-    nodes = _collect_stable_disjoint(E, SMALL, SMALL.rng("connect"), SMALL.hyperplanes)
-    sides = [H.offset.imag > 1.0 for H, *_ in nodes]
-    assert len(set(sides)) == 2
-    monkeypatch.setattr(certify, "_edge_ok", lambda E, Hi, Hj, steps, thetas:
-                        (Hi.offset.imag > 1.0) == (Hj.offset.imag > 1.0))
-    res = check_connectivity(E, SMALL)
-    assert (res.verdict, res.samples) == ("refuted", len(nodes))
-    assert res.detail == "hyperplane graph has 2 components"
-    firsts = (0, sides.index(not sides[0]))
-    assert res.witnesses == [{"kind": "disconnected-components", "components": 2,
-                              "representatives": [nodes[k][0].to_jsonable() for k in firsts]}]
-
-
 def test_weak_projective_reports_skipped_exterior_samples(monkeypatch):
     """Exterior points whose projection fails are counted in the detail."""
     E = QuadricBall(np.zeros(4), 1.0)
@@ -511,29 +480,8 @@ def test_weak_projective_reports_skipped_exterior_samples(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# connectivity edges
+# stable lines
 # ---------------------------------------------------------------------------
-
-def _rotated_rows(Hi, Hj, ts, thetas):
-    """The rows e^{-i theta}(c, beta) of Hi and Hj, interpolated at ``ts``."""
-    ri, rj = (np.exp(-1j * th) * np.append(H.coeffs, H.offset) for H, th in zip((Hi, Hj), thetas))
-    return [(1 - t) * ri + t * rj for t in ts]
-
-
-def _reference_edge_ok(E, Hi, Hj, steps, thetas):
-    """A scalar reference for ``_edge_ok``: (ok, t of the first failure).  The
-    rotated path fails where its coefficients come within 1e-9 of 0 on a
-    dense grid of 4097 points, then at the first step ``is_stable`` calls
-    unstable; no step asks for disjointness."""
-    dense = _rotated_rows(Hi, Hj, np.linspace(0.0, 1.0, 4097), thetas)
-    if min(np.linalg.norm(r[:-1]) for r in dense) < 1e-9:
-        return False, None
-    ts = np.linspace(0.0, 1.0, steps)
-    for t, r in zip(ts, _rotated_rows(Hi, Hj, ts, thetas)):
-        if not is_stable(E, Hyperplane(r[:-1], r[-1]).subspace()).stable:
-            return False, float(t)
-    return True, None
-
 
 def _reference_stable_lines(E, plan):
     """The scalar loop that ``_stable_lines`` batches: four draws, one line
@@ -579,92 +527,6 @@ def _lazy_polytope():
     E = HPolyhedron(A / np.linalg.norm(A, axis=1, keepdims=True), np.ones(20))
     assert not isinstance(E.support_values(np.eye(4)), np.ndarray)
     return E
-
-
-def _edge_sets():
-    dilation = Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6])
-    return ([build_example(name) for name in
-             ("siegel2", "siegel3", "disc-tube-prop49", "ball", "cone-ex14")]
-            + [dilation, HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8)),
-               HPolyhedron(POINTED_CONE_A, POINTED_CONE_B), HPolyhedron(*POINTED_CONE_2)])
-
-
-def _edges(E, count, seed):
-    """Every pair of ``count`` stable disjoint hyperplanes, with their separating
-    angles and margins."""
-    nodes = _collect_stable_disjoint(E, SMALL, np.random.default_rng(seed), count)
-    return [(nodes[i][0], nodes[j][0], [nodes[i][1], nodes[j][1]], [nodes[i][2], nodes[j][2]])
-            for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
-
-
-def test_edges_match_the_scalar_rotated_path():
-    """The same verdict as the scalar loop over the rotated path on seeded
-    edges over smooth, polyhedral and lazy sets; every step of every accepted
-    edge misses E at angle 0, by at least the interpolated endpoint margins."""
-    passed = 0
-    for E, steps in [(E, 64) for E in _edge_sets()] + [(_lazy_polytope(), 12)]:
-        for Hi, Hj, thetas, margins in _edges(E, 5, 41):
-            ok = _edge_ok(E, Hi, Hj, steps, thetas)
-            assert ok is _reference_edge_ok(E, Hi, Hj, steps, thetas)[0]
-            passed += ok
-            if not ok:
-                continue
-            ts = np.linspace(0.0, 1.0, steps)
-            rows = np.array(_rotated_rows(Hi, Hj, ts, thetas))
-            values = np.fromiter(E.support_values(realify(np.conj(rows[:, :-1]))), float)
-            got = values - rows[:, -1].real
-            assert np.all(got < 0)
-            assert np.all(got <= (1 - ts) * margins[0] + ts * margins[1] + 1e-12)
-    assert passed >= 60
-
-
-def test_blocked_edges():
-    """An edge fails at an unstable step: {(z1 + z2)/sqrt 2 = 5} and
-    {(z1 - z2)/sqrt 2 = 5} miss [-1, 1]^3 x [0, inf) at angle 0, and their
-    midpoint {z1 = 5 sqrt 2} contains the recession ray (0, i).  It fails
-    where the rotated rows vanish: {z1 = 5} and {z1 = -5} miss the unit ball
-    at angles 0 and pi, and e^{-i theta}(c, beta) is (1, 0, 5) and (-1, 0, 5),
-    which vanish at t = 1/2, between two of 64 steps."""
-    E = HPolyhedron(np.vstack([np.eye(4)[:3], -np.eye(4)]), [1.0] * 6 + [0.0])
-    Hi = Hyperplane(np.array([1.0, 1.0]), 5 * np.sqrt(2))
-    Hj = Hyperplane(np.array([1.0, -1.0]), 5 * np.sqrt(2))
-    assert hyperplane_disjoint(E, Hi)[:2] == hyperplane_disjoint(E, Hj)[:2] == (True, 0.0)
-    assert _reference_edge_ok(E, Hi, Hj, 65, [0.0, 0.0]) == (False, 0.5)
-    assert not _edge_ok(E, Hi, Hj, 65, [0.0, 0.0])
-    ball = QuadricBall(np.zeros(4), 1.0)
-    Hi, Hj = Hyperplane(np.array([1.0, 0.0]), 5.0), Hyperplane(np.array([1.0, 0.0]), -5.0)
-    thetas = [hyperplane_disjoint(ball, Hi)[1], hyperplane_disjoint(ball, Hj)[1]]
-    assert thetas == [0.0, np.pi]
-    rows = np.array(_rotated_rows(Hi, Hj, np.linspace(0.0, 1.0, 64), thetas))
-    assert np.min(np.linalg.norm(rows[:, :-1], axis=1)) > 0.01
-    assert _reference_edge_ok(ball, Hi, Hj, 64, thetas) == (False, None)
-    assert not _edge_ok(ball, Hi, Hj, 64, thetas)
-
-
-def test_edges_skip_is_stable_and_lps(monkeypatch):
-    """Edges on siegel2, the ball, cone-ex14 and a pointed cone make no
-    is_stable call, and a default-plan cone-ex14 certificate makes at most
-    600 (4,327 before the planar Gordan test was batched); edges on a
-    polytope with lazy support values solve no LP."""
-    edge_sets = [build_example(name) for name in ("siegel2", "ball", "cone-ex14")]
-    edge_sets.append(HPolyhedron(POINTED_CONE_A, POINTED_CONE_B))
-    batched = [(E, _edges(E, 4, 42)) for E in edge_sets]
-    lazy = _lazy_polytope()
-    lazy_edges = _edges(lazy, 4, 43)
-    stable_calls, lp_calls = [], []
-    real_is_stable, real_solve_lp = certify.is_stable, sets.solve_lp
-    monkeypatch.setattr(certify, "is_stable",
-                        lambda *a: stable_calls.append(1) or real_is_stable(*a))
-    for E, edges in batched:
-        for Hi, Hj, thetas, _ in edges:
-            _edge_ok(E, Hi, Hj, 64, thetas)
-    assert not stable_calls
-    certify_oka_complement(build_example("cone-ex14"))
-    assert 0 < len(stable_calls) <= 600
-    monkeypatch.setattr(sets, "solve_lp",
-                        lambda *a, **k: lp_calls.append(1) or real_solve_lp(*a, **k))
-    assert all(_edge_ok(lazy, Hi, Hj, 12, thetas) for Hi, Hj, thetas, _ in lazy_edges)
-    assert lazy_edges and not lp_calls
 
 
 def _seeded_polytope():
@@ -726,6 +588,201 @@ def test_chart_compact_without_a_proven_aperture_is_inconclusive():
     res = certify.check_chart_compact(E, SMALL, candidates=[H])
     assert (res.verdict, res.samples, res.witnesses) == ("inconclusive", 0, [])
     assert res.detail == "1 of 1 candidate hyperplanes have no proven aperture"
+
+
+# ---------------------------------------------------------------------------
+# connectivity from the recession cone
+# ---------------------------------------------------------------------------
+
+def _polyhedral_tube():
+    """The cube [-1, 1]^3 in x1..x3 times the free line R e0: K = span(e0), no rays."""
+    A = np.zeros((6, 4))
+    A[:, 1:] = np.vstack([np.eye(3), -np.eye(3)])
+    return HPolyhedron(A, np.ones(6))
+
+
+def _skew_ray_cones():
+    """Two polyhedra with lineality R e0 whose rays leave the complex line
+    of e0 (w != 0).  Class sigma holds a stable hyperplane exactly when
+    -sigma i e0 = -sigma e1 is no recession direction (Gordan): in
+    {x1 >= |x2| + |x3| - 1} e1 recedes and -e1 does not, so one class; in
+    {|x3| <= 1, x2 >= |x1| - 1}, with rays (0, +-1, 1, 0) / sqrt 2, neither
+    recedes, so two."""
+    one = HPolyhedron([[0.0, -1.0, s2, s3] for s2 in (1, -1) for s3 in (1, -1)], np.ones(4))
+    two = HPolyhedron([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0],
+                       [0.0, 1.0, -1.0, 0.0], [0.0, -1.0, -1.0, 0.0]], np.ones(4))
+    return one, two
+
+
+def _seeded_pointed_cone():
+    """{A x <= 1} for six random rows on one side of a random direction d:
+    a pointed K that holds -d."""
+    rng = np.random.default_rng(4417)
+    d = rng.normal(size=4)
+    A = rng.normal(size=(6, 4))
+    A[A @ d < 0] *= -1.0
+    return HPolyhedron(A, np.ones(6))
+
+
+def _classifier_sets():
+    """(name, E, components) for every cone type the classifier reads."""
+    one, two = _skew_ray_cones()
+    counts = {"siegel2": 1, "siegel3": 1, "cone-ex14": 1, "tube-ex45": 1,
+              "disc-tube-prop49": 2, "r2-in-c2": 0, "halfspace": 0, "ball": 1}
+    return ([(name, build_example(name), counts[name]) for name in gallery_names()]
+            + [("pointed-cone-0", HPolyhedron(POINTED_CONE_A, POINTED_CONE_B), 1),
+               ("pointed-cone-1", HPolyhedron(*POINTED_CONE_2), 1),
+               ("seeded-pointed-cone", _seeded_pointed_cone(), 1),
+               ("polyhedral-tube", _polyhedral_tube(), 2),
+               ("siegel-dilation", Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6]), 1),
+               ("skew-rays-one-class", one, 1), ("skew-rays-two-classes", two, 2)])
+
+
+def _kept_rows(E, rng, draws=2000):
+    """The seeded rows (c, beta), rotated by the angle that separates them,
+    that ``stability_states`` calls stable and ``_disjoint_rows`` disjoint.
+    Half the real covectors at the stripped phase are Gaussian, half polar to
+    the recession cone {eq x = 0, ineq x <= 0}: mu eq + lambda ineq with
+    lambda >= 0.  beta is Gaussian, or, where the support value h at the
+    stripped phase is finite, past it: Re beta = h + U(0.1, 3), as the one
+    angle tried on an undecided shadow is that phase."""
+    n, cone = E.complex_n(), E.recession_cone()
+    eta = rng.normal(size=(draws, 2 * n))
+    mu = rng.normal(size=(draws // 2, cone.eq.shape[0]))
+    lam = rng.uniform(0.0, 1.0, size=(draws // 2, cone.ineq.shape[0]))
+    eta[draws // 2:] = mu @ cone.eq + lam @ cone.ineq
+    h = np.fromiter(E.support_values(eta), float, count=draws)
+    b = rng.normal(scale=4.0, size=draws) + 1j * rng.normal(scale=4.0, size=draws)
+    b.real = np.where(np.isfinite(h), h + rng.uniform(0.1, 3.0, draws), b.real)
+    planes = [Hyperplane(np.conj(complexify(e)), beta) for e, beta in zip(eta, b)]
+    C, b, stripped = certify._hyperplane_rows(planes, n)
+    stable = stability_states(E, C)[0]
+    ok, theta, _ = certify._disjoint_rows(E, C, b, stripped)
+    keep = stable & ok
+    rot = np.exp(-1j * theta[keep])[:, None]
+    return rot * C[keep], rot[:, 0] * b[keep]
+
+
+def _segments_stable(E, C, pairs, steps=64):
+    """Is every step of each straight segment between rows C[i] and C[j] stable?"""
+    ts = np.linspace(0.0, 1.0, steps)[None, :, None]
+    rows = (1 - ts) * C[[i for i, _ in pairs]][:, None] + ts * C[[j for _, j in pairs]][:, None]
+    return stability_states(E, rows.reshape(-1, C.shape[1]))[0].reshape(len(pairs), steps).all(1)
+
+
+@pytest.mark.parametrize("name,E,components", _classifier_sets(),
+                         ids=[entry[0] for entry in _classifier_sets()])
+def test_connectivity_counts_match_seeded_rows(name, E, components):
+    """The classifier's component count against 2,000 seeded rows (c, beta)
+    per set, rotated by their separating angle.
+
+    * 0: no row is both stable and disjoint.
+    * 2 (lineality R v): rows occur on both sides Im(beta / c.v) of the
+      shadow; every segment between opposite sides passes through c.v = 0,
+      an unstable hyperplane, and every segment within one side is stable at
+      every step.
+    * 1: every segment between kept rows is stable at every step, and with
+      rays every kept row has the one realizable sign of Im(c.r / c.v)."""
+    res = check_connectivity(E, SamplingPlan())
+    assert res.samples == 0
+    count = {"certified-exact": 1, "refuted": 0 if res.witnesses[0]["kind"] == "line-direction"
+             else res.witnesses[0]["components"]}[res.verdict]
+    assert count == components, (res.verdict, res.detail)
+    C, b = _kept_rows(E, np.random.default_rng(zlib.crc32(name.encode())))
+    if count == 0:
+        assert C.shape[0] == 0
+        return
+    assert C.shape[0] >= 20
+    pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]  # segments: the first 24
+    rays, L = E.recession_cone().generators
+    if L.shape[0] == 0:
+        assert _segments_stable(E, C, pairs).all()
+        return
+    cv = C @ complexify(L[0])
+    if count == 1:
+        assert _segments_stable(E, C, pairs).all()
+        sign = np.sign(np.imag((C @ complexify(rays).T) / cv[:, None]))
+        (c, side), = certify._side_representatives(E, rays, L[0])
+        assert np.all(sign == -side)
+        return
+    x0 = complexify(E.sample_boundary(np.random.default_rng(0), 1, window=8.0)[0])
+    side = np.sign(np.imag((b - C @ x0) / cv))
+    assert set(side) == {-1.0, 1.0}
+    # the rotated c.v are -side i |c.v|: opposite points of the imaginary axis
+    assert np.allclose(cv.real, 0.0, atol=1e-9) and np.all(np.sign(cv.imag) == -side)
+    across = [(i, j) for i, j in pairs if side[i] != side[j]]
+    within = [(i, j) for i, j in pairs if side[i] == side[j]]
+    assert across and within and _segments_stable(E, C, within).all()
+    i, j = np.array(across).T
+    t = (np.abs(cv[i]) / (np.abs(cv[i]) + np.abs(cv[j])))[:, None]
+    assert not stability_states(E, (1 - t) * C[i] + t * C[j])[0].any()
+
+
+@pytest.mark.parametrize("E", [build_example("disc-tube-prop49"),
+                               Tube(QuadricBall(np.array([0.4, -0.3, 0.8]), 0.7), [1, 2, 3], [0]),
+                               _polyhedral_tube(), _skew_ray_cones()[1]],
+                         ids=["disc-tube", "seeded-disc-tube", "polyhedral-tube", "skew-rays"])
+def test_disconnected_family_is_refuted_with_recheckable_sides(E):
+    """Two stable representatives on opposite sides of the shadow, each
+    missing E by 1 at its strip normal, and a certificate whose refutation
+    witnesses all recheck."""
+    res = check_connectivity(E, SMALL)
+    assert res.verdict == "refuted"
+    (w,) = res.witnesses
+    assert (w["kind"], w["components"], len(w["representatives"])) == (
+        "disconnected-components", 2, 2)
+    v = complexify(np.array(w["direction"]))
+    x0 = complexify(E.sample_boundary(np.random.default_rng(1), 1, window=8.0)[0])
+    sides = []
+    for entry in w["representatives"]:
+        H = Hyperplane.from_jsonable(entry)
+        assert stability_states(E, H.coeffs[None])[0][0]
+        ok, _, margin = hyperplane_disjoint(E, H)
+        assert ok and margin == pytest.approx(-1.0, rel=1e-9)
+        sides.append(np.sign(np.imag((H.offset - H.coeffs @ x0) / (H.coeffs @ v))))
+    assert sorted(sides) == [-1.0, 1.0]
+    assert recheck_witness(E, w)
+    cert = certify_oka_complement(E, SMALL)
+    rechecks = recheck_certificate(E, cert)
+    assert rechecks and all(ok for *_, ok in rechecks)
+
+
+def test_recheck_rejects_representatives_on_one_side():
+    """Both representatives on one side, or one that meets E, fail the recheck."""
+    E = build_example("disc-tube-prop49")
+    w = check_connectivity(E, SMALL).witnesses[0]
+    first, second = w["representatives"]
+    assert not recheck_witness(E, dict(w, representatives=[first, first]))
+    meets = dict(second, offset=[0.0, 0.0])
+    assert not recheck_witness(E, dict(w, representatives=[first, meets]))
+    assert not recheck_witness(E, dict(w, direction=[0.0, 1.0, 0.0, 0.0]))
+
+
+def test_connectivity_without_a_count_is_inconclusive():
+    """No count past the vertex cap, where a pointed cone cut out by 2,000
+    rows has no generators, nor when no sign class holds a hyperplane stable
+    by ``PLANAR_MARGIN``: the rays (0, +-1, 1e-8, 0) leave both classes, but
+    only to covectors with |c.v| near 1e-8 |c|."""
+    rng = np.random.default_rng(8213)
+    d = rng.normal(size=4)
+    A = rng.normal(size=(2000, 4))
+    A[A @ d > 0] *= -1.0
+    res = check_connectivity(HPolyhedron(A, np.ones(2000)), SMALL)
+    assert (res.verdict, res.witnesses) == ("inconclusive", [])
+    assert res.detail == "unknown cone: no generators past the vertex cap"
+    thin = HPolyhedron([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0],
+                        [0.0, 1e-8, -1.0, 0.0], [0.0, -1e-8, -1.0, 0.0]], np.ones(4))
+    res = check_connectivity(thin, SMALL)
+    assert (res.verdict, res.witnesses) == ("inconclusive", [])
+    assert res.detail == "line-and-rays cone: no sign class has a stable hyperplane"
+
+
+def test_default_cone_ex14_certificate_calls_is_stable_rarely(monkeypatch):
+    """A default-plan cone-ex14 certificate makes at most 600 ``is_stable`` calls."""
+    calls, real = [], certify.is_stable
+    monkeypatch.setattr(certify, "is_stable", lambda *a: calls.append(1) or real(*a))
+    certify_oka_complement(build_example("cone-ex14"))
+    assert 0 < len(calls) <= 600
 
 
 # ---------------------------------------------------------------------------

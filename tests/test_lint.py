@@ -161,14 +161,17 @@ def test_benchmark_tracer_installs_on_this_source():
 def test_benchmark_tracer_reads_what_it_wraps():
     """With perfbench's tracer installed and active, certifying a smooth and a
     polyhedral set, then reading every per-layer metric, runs to the end: a
-    hook that can no longer read a wrapped function's return value raises."""
+    hook that can no longer read a wrapped function's return value raises.
+    No check calls ``hyperplane_disjoint``, so it is called once directly."""
     code = ("import sys; sys.path[:0] = sys.argv[1:]\n"
             "from tracing import Tracer, install\n"
             "tracer = Tracer(); install(tracer); tracer.active = True\n"
-            "from okacert.certify import SamplingPlan, certify_oka_complement\n"
+            "from okacert.certify import (Hyperplane, SamplingPlan, certify_oka_complement,\n"
+            "                             hyperplane_disjoint)\n"
             "from okacert.gallery import build_example\n"
             "for name in ('ball', 'cone-ex14'):\n"
             "    certify_oka_complement(build_example(name), SamplingPlan().scaled(30))\n"
+            "hyperplane_disjoint(build_example('ball'), Hyperplane([1.0, 0.0], 3.0))\n"
             "metrics = tracer.metrics(1)\n"
             "assert metrics['certify.hyperplane_disjoint.calls']['value'] > 0, metrics\n")
     run = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
