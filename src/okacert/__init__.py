@@ -19,7 +19,6 @@ from .errors import (  # noqa: F401
     ProjectionDidNotConverge,
     SchemaError,
     SeparatorNotFound,
-    SliceUnbounded,
     UnsupportedVariant,
     ZeroGradient,
 )
@@ -54,7 +53,6 @@ from .sets import (  # noqa: F401
 from .stability import (  # noqa: F401
     StabilityVerdict,
     SupportingTranslate,
-    TubeFound,
     halfline_in_intersection,
     is_stable,
     tube_or_support,

@@ -45,7 +45,6 @@ from .lp import solve_lp
 from .sets import PLANAR_MARGIN, ConvexSet
 from .stability import (
     StabilityVerdict,
-    TubeFound,
     halfline_in_intersection,
     is_stable,
     stability_states,
@@ -383,23 +382,57 @@ def check_tangent_slice_halflines(E: ConvexSet, plan: SamplingPlan) -> CheckResu
     return CheckResult(VERIFIED, samples=checked, detail="no halfline in any sampled tangent slice")
 
 
-def _canonical_exterior_hyperplane(E: ConvexSet, q: np.ndarray):
-    """Translate of the complex tangent at the metric projection of q, through
-    q; None when the projection fails or lands on q."""
+def _canonical_exterior_hyperplane(E: ConvexSet, q: np.ndarray, eta=None, h=0.0):
+    """Translate of the complex tangent at the metric projection p of q,
+    through q; None when the projection fails or lands on q.  Given eta in
+    int K° and h = h_E(eta), its normal q - p is repaired along eta (README)."""
     try:
         nu = q - E.nearest_boundary(q)
         if np.linalg.norm(nu) < 1e-12:
             return None
+        if eta is not None:
+            gap = h - eta @ q
+            nu = nu + (nu @ nu / (2.0 * gap) if gap > 0 else 1.0) * eta
         return Hyperplane.from_real_normal(q, nu)
     except (ProjectionDidNotConverge, PointInsideSet, UnsupportedVariant, ZeroGradient):
         return None
 
 
+def _stable_plane_witness(q, H, theta, margin, aperture):
+    return {
+        "kind": "stable-hyperplane",
+        "hyperplane": H.to_jsonable(),
+        "theta": float(theta),
+        "margin": float(margin),
+        # None where no aperture is proven: past the vertex cap, or on a
+        # plane that only ``is_stable`` calls stable
+        "aperture": float(aperture) if np.isfinite(aperture) else None,
+        "through": [float(t) for t in q],
+    }
+
+
 @_check()
 def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
-    """Each sampled exterior point must lie on a stable complex hyperplane
-    missing E; the hyperplane is constructed from the metric projection."""
+    """Each exterior point must lie on a stable complex hyperplane missing E.
+    A theorem on a line-free E (README), whose repaired planes of the first
+    exterior samples are kept as evidence; elsewhere checked on the metric
+    projection planes of sampled exterior points."""
     rng = plan.rng("projective")
+    rows, exact = E.lineality_exact()
+    if not rows.shape[0]:
+        ineq = E.recession_cone().ineq  # eta_1, the sum of its unit rows, lies in int K°
+        eta = (ineq / np.linalg.norm(ineq, axis=1, keepdims=True)).sum(axis=0)
+        h = E.support(eta).value if eta.any() else 0.0
+        qs = E.sample_exterior(rng, min(plan.exterior, max(8, plan.hyperplanes)), plan.window)
+        planes = [(q, H) for q in qs if (H := _canonical_exterior_hyperplane(E, q, eta, h))]
+        C, b, stripped = _hyperplane_rows([H for _, H in planes], E.complex_n())
+        ok, theta, margin = _disjoint_rows(E, C, b, stripped)
+        stable, aperture = stability_states(E, C)
+        evidence = [_stable_plane_witness(q, H, *row) for (q, H), keep, *row
+                    in zip(planes, ok & stable, theta, margin, aperture) if keep]
+        return CheckResult(CERTIFIED if exact else VERIFIED, witnesses=evidence,
+                           detail="no affine line: every exterior point lies on a stable "
+                                  "disjoint hyperplane (repaired projection plane)")
     qs = E.sample_exterior(rng, plan.exterior, window=plan.window)
     if qs.shape[0] == 0:
         return CheckResult(INCONCLUSIVE, detail="no exterior samples inside the window")
@@ -441,16 +474,7 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
                 entry["common_point"] = [float(t) for t in common]
             failures.append(entry)
             continue
-        verified_planes.append({
-            "kind": "stable-hyperplane",
-            "hyperplane": H.to_jsonable(),
-            "theta": float(theta),
-            "margin": float(margin),
-            # None where no aperture is proven: past the vertex cap, or on a
-            # plane that only ``is_stable`` calls stable
-            "aperture": float(aperture) if np.isfinite(aperture) else None,
-            "through": [float(t) for t in q],
-        })
+        verified_planes.append(_stable_plane_witness(q, H, theta, margin, aperture))
     note = f"; {skipped} exterior samples skipped (projection failed)" if skipped else ""
     if failures:
         return CheckResult(REFUTED, witnesses=failures, samples=len(planes),
@@ -463,8 +487,9 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
 
 @_check()
 def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
-    """Every sampled stable complex line must admit a parallel translate inside
-    a stable complex hyperplane disjoint from (a translate off) E.
+    """Every stable complex line must admit a parallel translate inside a
+    stable complex hyperplane disjoint from (a translate off) E: a theorem on a
+    line-free E (README), inconclusive when dim L >= 2, sampled when dim L = 1.
 
     Construction: squeeze the line against E (tube_or_support), take the
     complex tangent of the supporting real hyperplane at the contact point
@@ -472,20 +497,24 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     the line direction), verify it is stable, then push it off E along that
     normal and re-verify disjointness.
     """
+    rows, exact = E.lineality_exact()
+    if not rows.shape[0]:
+        return CheckResult(CERTIFIED if exact else VERIFIED,
+                           detail="no affine line: every stable line lifts along a "
+                                  "covector of int K polar vanishing on it")
+    if rows.shape[0] >= 2:
+        return CheckResult(INCONCLUSIVE, detail=_empty_family(rows.shape[0]))
     n = E.complex_n()
     stable_lines, attempts = _stable_lines(E, plan)
     if not stable_lines:
         return CheckResult(INCONCLUSIVE, samples=attempts, detail="no stable lines found")
-    tubes = skipped = lifted = 0
+    skipped = lifted = 0
     lifts, witnesses = [], []
     for line in stable_lines:
         try:
             outcome = tube_or_support(E, line)
         except UnsupportedVariant:
             skipped += 1
-            continue
-        if isinstance(outcome, TubeFound):
-            tubes += 1
             continue
         H = Hyperplane.from_real_normal(outcome.contact, outcome.normal)
         delta = 1e-3 * (1.0 + np.linalg.norm(outcome.contact))  # pushed off E along the normal
@@ -527,12 +556,13 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     if witnesses:
         return CheckResult(REFUTED, witnesses=witnesses[:5], samples=lifted + len(witnesses),
                            detail="a stable line failed to lift into a stable disjoint hyperplane")
+    # the details keep their tube count, 0 with dim L = 1 (``tube_or_support``)
     if lifted == 0:
         return CheckResult(INCONCLUSIVE, samples=len(stable_lines),
                            detail=f"no line produced a usable supporting translate "
-                                  f"(tubes={tubes}, skipped={skipped})")
+                                  f"(tubes=0, skipped={skipped})")
     return CheckResult(VERIFIED, samples=lifted,
-                       detail=f"{lifted} stable lines lifted (tubes={tubes})")
+                       detail=f"{lifted} stable lines lifted (tubes=0)")
 
 
 def _stable_lines(E: ConvexSet, plan: SamplingPlan):
@@ -619,6 +649,10 @@ def _strip_hyperplane(E, c, v, side):
     return Hyperplane(c, normal * (h + 1.0))
 
 
+def _empty_family(d):  # the reason of a cone with dim L = d >= 2
+    return f"lineality-{d} cone: no stable hyperplane misses E"
+
+
 @_check()
 def check_connectivity(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Count the components of the family of stable complex hyperplanes
@@ -641,7 +675,7 @@ def check_connectivity(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     kind = ("zero" if not rays.shape[0] else "pointed") if d == 0 else (
         ("line" if not rays.shape[0] else "line-and-rays") if d == 1 else f"lineality-{d}")
     if d >= 2:
-        return CheckResult(REFUTED, detail=f"{kind} cone: no stable hyperplane misses E",
+        return CheckResult(REFUTED, detail=_empty_family(d),
                            witnesses=[{"kind": "line-direction", "direction": [float(t) for t in r]}
                                       for r in L])
     reps = [] if d == 0 else _side_representatives(E, rays, L[0])

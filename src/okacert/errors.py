@@ -40,10 +40,6 @@ class ProjectionDidNotConverge(OkacertError):
     secular Newton steps onto a quadratic epigraph ran past 100."""
 
 
-class SliceUnbounded(OkacertError):
-    """An operation required a bounded slice but the slice is unbounded."""
-
-
 class NotStronglyConvex(OkacertError):
     """A strong-convexity precondition failed on sampled Hessians."""
 

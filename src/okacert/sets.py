@@ -143,12 +143,13 @@ class RecessionCone:
         orthonormal basis B of that space (the identity without eq rows and
         lineality), the null lines of the (d-1)-row subsystems of rank d-1 of
         the ``_unit_rows`` of ineq B^T, signed to keep every row <= 1e-9, each
-        once.  A {0} cone (``is_zero``) enumerates nothing."""
+        once.  A {0} cone enumerates nothing; ``is_zero`` is asked only when
+        L is {0}."""
         L = self.lineality_rows()
         B = _nullspace_rows(np.vstack([self.eq, L])) if self.eq.shape[0] or L.shape[0] else None
         U = self._unit_rows(self.ineq if B is None else self.ineq @ B.T)
         k, d = U.shape
-        if self.is_zero or not d:
+        if not d or (not L.shape[0] and self.is_zero):
             return np.zeros((0, self.m)), L
         if math.comb(k, d - 1) > MAX_VERTEX_SUBSYSTEMS:
             return None
@@ -425,8 +426,13 @@ class ConvexSet:
         return self.recession_cone().lineality_rows()
 
     def lineality_exact(self):
-        """(lineality rows, exact): exact when the rational nullspace of the
-        cone's stacked eq/ineq rows has as many rows as ``lineality()``."""
+        """(lineality rows, exact), memoized as ``recession_cone`` is."""
+        return self._lineality_exact
+
+    @cached_property
+    def _lineality_exact(self):
+        """Exact when the rational nullspace of the cone's stacked eq/ineq
+        rows has as many rows as ``lineality()``."""
         rows = self.lineality()
         cone = self.recession_cone()
         stacked = np.vstack([cone.eq, cone.ineq])
@@ -480,9 +486,9 @@ class HPolyhedron(ConvexSet):
     def _build_cone(self):
         return RecessionCone(self.m, ineq=self.A)
 
-    def lineality_exact(self):
-        rows = _fraction_nullspace(self.A_raw)
-        return rows, True
+    @cached_property
+    def _lineality_exact(self):
+        return _fraction_nullspace(self.A_raw), True
 
     def support(self, c):
         res = solve_lp(np.asarray(c, float), A_ub=self.A, b_ub=self.b, maximize=True)

@@ -11,10 +11,8 @@ certification layer ultimately consumes.  This module provides:
   complex hyperplanes at once, exactly from the generators of the recession
   cone,
 * ``halfline_in_intersection`` -- a halfline witness inside E intersect L,
-* ``tube_or_support`` -- the dichotomy between "E is a tube over E intersect L"
-  and "some parallel translate of L supports E", the first read off the
-  lineality space of E, the second from the support of E in a polar
-  direction of its recession cone.
+* ``tube_or_support`` -- a parallel translate of a stable L that supports E,
+  from the support of E in a polar direction of its recession cone.
 
 Subspaces may be given over C (``AffineSubspaceC``) or over R; all cone
 arithmetic happens on the interleaved realification.
@@ -27,13 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SliceUnbounded, UnsupportedVariant
+from .errors import UnsupportedVariant
 from .geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
     complex_tangent,
     complexify,
-    mgs,
     realify,
 )
 from .sets import PLANAR_MARGIN, ConvexSet, _nullspace_rows, _widest_gap
@@ -49,14 +46,6 @@ class StabilityVerdict:
     @property
     def stable(self) -> bool:
         return self.tag == "stable"
-
-
-@dataclass
-class TubeFound:
-    """E equals (E intersect L) + span(fiber rows); fiber rows are orthonormal
-    and lie in the lineality space of E."""
-
-    fiber: np.ndarray
 
 
 @dataclass
@@ -170,39 +159,13 @@ def halfline_in_intersection(E: ConvexSet, subspace, base_point=None):
     return x0, v
 
 
-def _fiber_from_lineality(L: np.ndarray, W: np.ndarray):
-    """Rows v_j in span(L) with v_j . w_k = delta_jk, or None if there are none."""
-    if not L.shape[0] or not W.shape[0]:
-        return None
-    I = np.eye(W.shape[0])
-    gamma, _, _, _ = np.linalg.lstsq(W @ L.T, I, rcond=None)
-    V = gamma.T @ L
-    if np.linalg.norm(V @ W.T - I, axis=1).max() > 1e-9:
-        return None
-    return V
-
-
 def tube_or_support(E: ConvexSet, subspace):
-    """Dichotomy for a subspace whose slice of E is bounded.
-
-    Either E decomposes as (E intersect L) + V for a fiber subspace V
-    complementary to L (``TubeFound``), or some parallel translate of L
-    supports E at a contact point (``SupportingTranslate``): the support of E
-    in the recession cone's polar direction across L, when it is finite.
-    Raises ``SliceUnbounded`` when E intersect L already contains a halfline
-    and ``UnsupportedVariant`` when no finite supporting direction is found.
-    """
+    """A parallel translate of a stable subspace L that supports E: the
+    support of E in the recession cone's polar direction across L, or
+    ``UnsupportedVariant`` when none is finite.  E is no tube over L when
+    dim lin E <= 1, as in ``check_line_lift``: codim L >= 2 (README)."""
     S = _to_real_subspace(subspace)
-    if halfline_in_intersection(E, subspace) is not None:
-        raise SliceUnbounded("E meets the subspace along a halfline")
     W = _nullspace_rows(S.directions, cols=E.m)
-
-    V = _fiber_from_lineality(E.lineality(), W)
-    if V is not None:
-        # V spans a complement of L inside lin E, and E + lin E = E: every
-        # x in E is s + beta V with s in L, and s = x - beta V is in E.
-        return TubeFound(fiber=mgs(V))
-
     eta = E.recession_cone().polar_direction_in(W)
     res = E.support(eta) if eta is not None else None
     if res is None or not res.finite or res.point is None:

@@ -1,4 +1,4 @@
-"""Subspace stability: cones, recession criterion, halflines, tube dichotomy."""
+"""Subspace stability: cones, recession criterion, halflines, supporting translates."""
 
 import sys
 
@@ -7,11 +7,6 @@ import pytest
 
 import okacert.functions
 import okacert.sets
-from okacert.errors import (
-    OkacertError,
-    SliceUnbounded,
-    UnsupportedVariant,
-)
 from okacert.geometry import (
     AffineSubspaceC,
     AffineSubspaceR,
@@ -25,11 +20,10 @@ from okacert.certify import (Hyperplane, SamplingPlan, _canonical_exterior_hyper
                              certify_oka_complement)
 from okacert.gallery import build_example, gallery_names
 from okacert.lp import solve_lp
-from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure, Tube,
+from okacert.sets import (Dilation, HPolyhedron, QuadricBall, RecessionCone, SiegelClosure,
                           _nullspace_rows)
 from okacert.stability import (
     SupportingTranslate,
-    TubeFound,
     halfline_in_intersection,
     is_stable,
     stability_states,
@@ -350,23 +344,6 @@ def test_real_tangent_carries_halfline_complex_tangent_does_not():
 # tube_or_support
 # ---------------------------------------------------------------------------
 
-def test_slab_decomposes_as_vertical_tube():
-    E = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
-    S = AffineSubspaceR(np.zeros(2), np.array([[1.0, 0.0]]))
-    out = tube_or_support(E, S)
-    assert isinstance(out, TubeFound)
-    assert out.fiber.shape == (1, 2)
-    assert abs(abs(out.fiber[0, 1]) - 1.0) < 1e-9 and abs(out.fiber[0, 0]) < 1e-9
-    # independent decomposition check: strip the fiber component, membership
-    # must be unchanged
-    rng = np.random.default_rng(64)
-    f = out.fiber[0]
-    for _ in range(300):
-        x = rng.uniform(-6, 6, size=2)
-        y = x - (x @ f) * f
-        assert E.contains(x) == E.contains(y)
-
-
 def test_disc_yields_supporting_translate():
     E = QuadricBall(np.zeros(2), 1.0)
     S = AffineSubspaceR(np.zeros(2), np.array([[1.0, 0.0]]))
@@ -409,129 +386,6 @@ def test_tube_or_support_is_deterministic(name):
         assert np.array_equal(o.contact, outs[0].contact)
         assert np.array_equal(o.normal, outs[0].normal)
         assert o.support_value == outs[0].support_value
-
-
-def test_unbounded_slice_is_rejected():
-    with pytest.raises(SliceUnbounded):
-        tube_or_support(_imz2_halfspace(), Z2_AXIS)
-
-
-# Reference: the sampled tube test that the lineality-space decision replaced.
-# It probes translated slices along each candidate fiber row, checks the rank
-# of the split, and re-tests the decomposition on a 500-point boundary sample
-# and 500 random fiber points.
-_REF_PROBE_OFFSETS = tuple(float(2 ** k) for k in range(11))
-_REF_RAY_FIT_TOL = 1e-6
-_REF_TUBE_SAMPLE_SEED = 20240823
-
-
-def _ref_fiber_from_lineality(L, W):
-    if not L.shape[0] or not W.shape[0]:
-        return None
-    M = W @ L.T
-    fibers = []
-    for j in range(W.shape[0]):
-        rhs = np.zeros(W.shape[0])
-        rhs[j] = 1.0
-        gamma, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
-        v = gamma @ L
-        if np.linalg.norm(v @ W.T - rhs) > 1e-9:
-            return None
-        fibers.append(v)
-    return np.array(fibers)
-
-
-def _ref_tube_sample(E, memo):
-    """(boundary sample, rng just after drawing it); the sample is memoized."""
-    if id(E) not in memo:
-        rng = np.random.default_rng(_REF_TUBE_SAMPLE_SEED)
-        try:
-            xs = E.sample_boundary(rng, 500, window=10.0)
-        except OkacertError:
-            xs = np.empty((0, E.m))
-        memo[id(E)] = (E, xs, rng.bit_generator.state)
-    _, xs, state = memo[id(E)]
-    rng = np.random.default_rng(_REF_TUBE_SAMPLE_SEED)
-    rng.bit_generator.state = state
-    return xs, rng
-
-
-def _ref_try_tube(E, S, memo):
-    D = S.directions
-    W = _nullspace_rows(D, cols=E.m)
-    V = _ref_fiber_from_lineality(E.lineality(), W)
-    if V is None:
-        return None
-    x0 = E.slice_point(S)
-    if x0 is None:
-        return None
-    for v in V:
-        for t in _REF_PROBE_OFFSETS:
-            for sgn in (1.0, -1.0):
-                viol = float(np.max(np.atleast_1d(E._violation((x0 + sgn * t * v)[None, :]))))
-                if viol > _REF_RAY_FIT_TOL * (1.0 + t):
-                    return None
-    B = np.vstack([D, mgs(V)])
-    if B.shape[0] != E.m or np.linalg.matrix_rank(B) != E.m:
-        return None
-    xs, rng = _ref_tube_sample(E, memo)
-    Vn = mgs(V)
-    for x in xs:
-        if not E.contains(x - ((x - x0) @ Vn.T) @ Vn, tol=1e-6):
-            return None
-    extra = rng.standard_normal((500, Vn.shape[0])) * 4.0
-    base_pts = [x0] + [x0 + d for d in 0.5 * rng.standard_normal((4, E.m))
-                       if E.contains(x0 + d, tol=1e-9)]
-    for k, coeff in enumerate(extra):
-        if not E.contains(base_pts[k % len(base_pts)] + coeff @ Vn, tol=1e-6):
-            return None
-    return Vn
-
-
-def _polyhedron_with_lineality(rng, k, rows=8):
-    """{A x <= b} in R^4 whose rows are orthogonal to a random k-dim subspace."""
-    lin = mgs(rng.normal(size=(k, 4)))
-    A = rng.normal(size=(rows, 4))
-    A = A - (A @ lin.T) @ lin
-    return HPolyhedron(A, rng.uniform(0.5, 3.0, size=rows))
-
-
-def _agreement_sets():
-    rng = np.random.default_rng(8115)
-    sets = [build_example("r2-in-c2"),
-            Tube(QuadricBall(np.array([0.3, -0.2]), 1.5), [1, 3], [0, 2])]
-    for k in (1, 2, 3):
-        sets += [_polyhedron_with_lineality(rng, k) for _ in range(3)]
-    return sets
-
-
-def test_tube_decision_matches_sampled_reference():
-    """On seeded complex lines, ``tube_or_support`` finds a tube exactly when
-    the sampled reference does, with the same fiber rows."""
-    rng = np.random.default_rng(4471)
-    memo = {}
-    lines = tubes = supports = 0
-    for E in _agreement_sets():
-        for _ in range(50):
-            d = rng.normal(size=2) + 1j * rng.normal(size=2)
-            b = (rng.normal(size=2) + 1j * rng.normal(size=2)) * 1.5
-            line = AffineSubspaceC(b, d[None, :] / np.linalg.norm(d))
-            lines += 1
-            try:
-                out = tube_or_support(E, line)
-            except SliceUnbounded:
-                assert halfline_in_intersection(E, line) is not None
-                continue
-            except UnsupportedVariant:
-                out = None
-            ref = _ref_try_tube(E, line.to_real(), memo)
-            assert isinstance(out, TubeFound) == (ref is not None)
-            if ref is not None:
-                tubes += 1
-                np.testing.assert_allclose(out.fiber, ref, rtol=0, atol=1e-12)
-            elif out is not None:
-                supports += 1
-    assert lines >= 500 and tubes >= 40 and supports >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +592,12 @@ def test_member_in_span_drops_rows_that_vanish_on_the_span():
 def test_recession_cone_solves_only_the_farkas_lp(monkeypatch, name):
     """A whole certificate asks the recession cone for members, samples and
     polar directions; of those only ``polar_direction_in``'s Farkas LP is an
-    LP, the rest are projections.  r2-in-c2's certificate solves no LP at
-    all: its exterior planes are decided unstable, its random conormals do
-    not vanish on its lineality space, and its stable lines are tubes."""
+    LP, the rest are projections.  Two certificates solve no LP in
+    ``okacert.sets`` at all: r2-in-c2's, whose exterior planes are decided
+    unstable, whose random conormals do not vanish on its lineality space,
+    and whose lines are not drawn (dim L = 2); and cone-ex14's, whose
+    lines are not drawn either (line-free) and whose support values are
+    closed forms.  The pointed cones solve one support LP at eta_1."""
     E = _RANK_SETS[name]() if name in _RANK_SETS else build_example(name)
     callers = []
 
@@ -753,7 +610,7 @@ def test_recession_cone_solves_only_the_farkas_lp(monkeypatch, name):
     certify_oka_complement(E, SamplingPlan().scaled(30))
     cone_callers = {c for c in callers if c.startswith("RecessionCone.")}
     assert cone_callers <= {"RecessionCone.polar_direction_in"}
-    if name == "r2-in-c2":
+    if name in ("r2-in-c2", "cone-ex14"):
         assert callers == []
     else:
         assert callers
