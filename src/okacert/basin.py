@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from typing import List, Optional
 
 import numpy as np
@@ -78,9 +79,6 @@ class AutomorphismSpec:
 
     def to_jsonable(self):
         raise NotImplementedError
-
-    def __call__(self, z, safe: bool = False):
-        return self.apply(z, safe=safe)
 
 
 @dataclass
@@ -360,13 +358,19 @@ def _sphere_dirs(count: int = 60) -> np.ndarray:
     return dirs
 
 
+def _dist(z, f):
+    """Rows |z - f| from the two columns: ``np.linalg.norm(z - f, axis=-1)`` bit for bit."""
+    d1, d2 = z[:, 0] - f[..., 0], z[:, 1] - f[..., 1]
+    return np.sqrt((d1.conj() * d1).real + (d2.conj() * d2).real)
+
+
 def _sphere_ratios(psi, f, radius):
     """(rho, |psi(z) - f| / rho over 60 sphere directions) for the spheres of
     radius rho = radius/4, radius/2, radius around f, in that order."""
     dirs = _sphere_dirs(60)
     for rho in (radius / 4, radius / 2, radius):
         z = f[None, :] + rho * dirs
-        yield rho, np.linalg.norm(psi.apply(z) - f[None, :], axis=-1) / rho
+        yield rho, _dist(psi.apply(z), f) / rho
 
 
 def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: float):
@@ -406,7 +410,7 @@ def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: fl
     # g(z1) = gamma * z1 * (1 - z1/k1)^P
     binom = np.zeros(Pexp + 1, dtype=complex)
     for j in range(Pexp + 1):
-        binom[j] = _choose(Pexp, j) * (-1.0 / k1) ** j
+        binom[j] = comb(Pexp, j) * (-1.0 / k1) ** j
     g = np.zeros(Pexp + 2, dtype=complex)
     g[1:] = gamma * binom
     psi = Composite([FiberScale(g), BaseScale(h, q)])
@@ -417,11 +421,6 @@ def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: fl
     params = {"N": N, "M": M, "P": Pexp, "d_shape": d_shape,
               "lambda": lam, "L": float(L.real), "Qd": float(Qd), "gamma": gamma}
     return psi, params
-
-
-def _choose(n, k):
-    from math import comb
-    return float(comb(n, k))
 
 
 def _verify_candidate(psi, config: BasinConfig, radius: float):
@@ -436,7 +435,7 @@ def _verify_candidate(psi, config: BasinConfig, radius: float):
     sv = np.linalg.svd(psi.jacobian(f), compute_uv=False)
     # near-identity on K (+ neighborhood)
     ks = _k_samples(config)
-    dev = float(np.max(np.linalg.norm(psi.apply(ks) - ks, axis=-1)))
+    dev = float(np.max(_dist(psi.apply(ks), ks)))
     if dev > config.epsilon:
         return None
     # sphere contraction ratios at the estimate radius
@@ -514,6 +513,10 @@ def classify_points(psi, points, config: BasinConfig):
     (left the escape radius or overflowed), undecided (iteration cap).
     steps: iteration count at the decision (cap for undecided).
 
+    A row escapes unless max(|z1|, |z2|) <= escape_radius and |z - f| is
+    finite; NaN, infinite and overflowing coordinates fail that test with no
+    mask of their own, and a NaN distance fails ``<= convergence_tol``.
+
     An orbit that lands on an exact floating-point fixed point of psi outside
     the convergence ball stops iterating early; it is still reported
     undecided with steps = max_iter, as iterating to the cap would give.
@@ -540,20 +543,17 @@ def classify_points(psi, points, config: BasinConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iter + 1):
             w = psi.apply(cur, safe=True)
-            finite = np.isfinite(w).all(axis=-1)
-            big = np.abs(np.where(np.isfinite(w), w, 0.0)).max(axis=-1)
-            dist = np.where(finite, np.linalg.norm(w - f[None, :], axis=-1), np.inf)
-            esc = (~finite) | (big > config.escape_radius) | ~np.isfinite(dist)
+            w1, w2 = w[:, 0], w[:, 1]
+            dist = _dist(w, f)
+            esc = ~(np.maximum(np.abs(w1), np.abs(w2)) <= config.escape_radius)
+            esc |= ~np.isfinite(dist)
             conv = dist <= config.convergence_tol
-            done_esc = active[esc]
-            done_conv = active[conv & ~esc]
-            labels[done_esc] = ESCAPE
-            labels[done_conv] = BASIN
-            steps[done_esc] = k
-            steps[done_conv] = k
+            labels[active[esc]] = ESCAPE
+            labels[active[conv & ~esc]] = BASIN
+            steps[active[esc | conv]] = k
             # psi acts row by row, so a row with psi(z) == z bit for bit repeats
             # this step's undecided answer until the cap
-            keep = ~(esc | conv | (w == cur).all(axis=-1))
+            keep = ~(esc | conv | ((w1 == cur[:, 0]) & (w2 == cur[:, 1])))
             if tube and k % 4 == 0:
                 keep &= ~_in_tube(*psi.factors, w, config)
             active, cur = active[keep], w[keep]
@@ -590,7 +590,7 @@ def rate_brackets(psi, config: BasinConfig, radius: float, k_max: int = 6,
     out = []
     for k in range(1, k_max + 1):
         z = psi.apply(z)
-        ratios = np.linalg.norm(z - f[None, :], axis=-1) / radius
+        ratios = _dist(z, f) / radius
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         ok = (a ** k) * (1 - slack) <= lo and hi <= (b ** k) * (1 + slack)
         out.append({"k": k, "count": len(dirs), "min_ratio": lo, "max_ratio": hi,
@@ -665,13 +665,12 @@ def basin_report(config: Optional[BasinConfig] = None, want_svg: bool = False):
     points, _, _ = slice_grid(config)
     labels, steps = classify_points(psi, points, config)
     n = config.grid_n
-    labels_grid = labels.reshape(n, n)
     counts = {lab: int(np.sum(labels == lab)) for lab in (BASIN, ESCAPE, UNDECIDED)}
     report["grid"] = {"n": n, "center": list(config.grid_center),
                       "halfwidth": config.grid_halfwidth,
                       "slice": config.slice_plane, "counts": counts}
 
-    in_k = np.linalg.norm(points - config.k_center[None, :], axis=-1) <= config.k_radius
+    in_k = _dist(points, config.k_center) <= config.k_radius
     near_line = np.abs(points[:, 1]) < 1e-6
     basin_mask = labels == BASIN
     report["assertions"] = {
@@ -683,5 +682,5 @@ def basin_report(config: Optional[BasinConfig] = None, want_svg: bool = False):
     report["brackets"] = rate_brackets(psi, config, radius / 2)
     report["status"] = "ok"
     csv_text = _csv_rows(points, labels, steps)
-    svg_text = _svg_raster(labels_grid) if want_svg else None
+    svg_text = _svg_raster(labels.reshape(n, n)) if want_svg else None
     return report, csv_text, svg_text

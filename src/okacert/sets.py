@@ -72,13 +72,14 @@ class RecessionCone:
 
     @cached_property
     def is_zero(self):
-        """True when the cone is {0}: the full-space member search finds nothing.
+        """True when the cone is {0}: it has no lineality and the full-space
+        member search finds nothing.
 
         Memoized; the search is the one ``intersect_subspace`` runs, so it
         costs at most 2m projections for an inequality cone and none when
-        ``eq`` has full rank (a ball).
+        ``eq`` has full rank (a ball) or the cone has lineality.
         """
-        return self._member_in_span(np.eye(self.m)) is None
+        return not self.lineality_rows().shape[0] and self._member_in_span(np.eye(self.m)) is None
 
     def intersect_subspace(self, directions):
         """A unit cone member inside span(directions), or None if only {0}."""
@@ -143,13 +144,12 @@ class RecessionCone:
         orthonormal basis B of that space (the identity without eq rows and
         lineality), the null lines of the (d-1)-row subsystems of rank d-1 of
         the ``_unit_rows`` of ineq B^T, signed to keep every row <= 1e-9, each
-        once.  A {0} cone enumerates nothing; ``is_zero`` is asked only when
-        L is {0}."""
+        once.  A {0} cone enumerates nothing."""
         L = self.lineality_rows()
         B = _nullspace_rows(np.vstack([self.eq, L])) if self.eq.shape[0] or L.shape[0] else None
         U = self._unit_rows(self.ineq if B is None else self.ineq @ B.T)
         k, d = U.shape
-        if not d or (not L.shape[0] and self.is_zero):
+        if not d or self.is_zero:
             return np.zeros((0, self.m)), L
         if math.comb(k, d - 1) > MAX_VERTEX_SUBSYSTEMS:
             return None

@@ -18,9 +18,12 @@ from okacert.basin import (
     Shear,
     _TUBE_DELTA,
     _csv_rows,
+    _dist,
     _in_tube,
+    _k_samples,
     _polyval,
     _sphere_dirs,
+    _sphere_ratios,
     automorphism_from_jsonable,
     basin_report,
     classify_points,
@@ -295,6 +298,58 @@ def test_classification_matches_the_loop_that_runs_to_the_cap(kwargs):
     assert np.array_equal(steps, ref_steps)
     if "k_center" in kwargs:
         assert np.sum(labels == ESCAPE) > 200 and np.sum(labels == BASIN) > 0
+
+
+def test_nonfinite_and_boundary_rows_match_the_reference():
+    """A row-wise stub psi hands classify_points NaN and infinite rows, a
+    finite row whose modulus overflows, rows exactly at the escape radius
+    and at the convergence tolerance from f, and signed zeros."""
+    cfg = BasinConfig(max_iter=5)
+    R, tol, inf, nan = cfg.escape_radius, cfg.convergence_tol, np.inf, np.nan
+    images = [
+        (inf, 0.5), (0.5, -inf), (nan, 0.5), (0.5, complex(0.0, nan)),
+        (complex(inf, nan), 0.5), (0.5, 1e308 + 1e308j),
+        (R, 0.5), (0.5, -1j * R), (np.nextafter(R, inf), 0.5),
+        (tol, 1.0), (-1j * tol, 1.0), (np.nextafter(tol, 1.0), 1.0),
+        (complex(-0.0, -0.0), complex(1.0, -0.0)), (-0.0, complex(-0.0, 0.0)),
+    ]
+    starts = [(3.0 + k * 1j, 0.5) for k in range(2 * len(images))]
+    # each image is reached at step 1, or at step 2 through a second start
+    table = dict(zip(starts, images + starts[:len(images)]))
+    table[(R, 0.5)] = (np.nextafter(R, inf), 0.5)  # at the radius, then past it
+
+    class Stub:
+        def apply(self, z, safe=False):
+            out = [table.get((complex(a), complex(b)), (a, b)) for a, b in z]
+            return np.array(out, dtype=complex).reshape(-1, 2)
+
+    points = np.array(starts, dtype=complex)
+    labels, steps = classify_points(Stub(), points, cfg)
+    ref_labels, ref_steps = _reference_classify(Stub(), points, cfg)
+    assert np.array_equal(labels, ref_labels) and np.array_equal(steps, ref_steps)
+    assert list(labels[:len(images)]) == [ESCAPE] * 6 + [ESCAPE, UNDECIDED, ESCAPE] \
+        + [BASIN, BASIN, UNDECIDED] + [BASIN, UNDECIDED]
+    assert list(steps[:9]) == [1] * 6 + [2, cfg.max_iter, 1]
+
+
+def test_row_distances_equal_numpy_norm_bit_for_bit():
+    cfg = BasinConfig()
+    design = design_contraction_step(cfg)
+    psi, f = design.psi, cfg.fixed_point
+    radius = design.diagnostics["estimate_radius"]
+    for rho, ratios in _sphere_ratios(psi, f, radius):
+        z = psi.apply(f[None, :] + rho * _sphere_dirs(60))
+        assert np.array_equal(ratios, np.linalg.norm(z - f[None, :], axis=-1) / rho)
+    ks = _k_samples(cfg)
+    dev = np.linalg.norm(psi.apply(ks) - ks, axis=-1)
+    assert np.array_equal(_dist(psi.apply(ks), ks), dev)
+    assert design.diagnostics["k_deviation"] == float(np.max(dev))
+    z = f[None, :] + radius / 2 * _sphere_dirs(16)
+    for b in rate_brackets(psi, cfg, radius / 2):
+        z = psi.apply(z)
+        ratios = np.linalg.norm(z - f[None, :], axis=-1) / (radius / 2)
+        assert np.array_equal(_dist(z, f) / (radius / 2), ratios)
+        assert (b["min_ratio"], b["max_ratio"]) == (float(ratios.min()), float(ratios.max()))
 
 
 def test_points_on_the_fixed_line_are_iterated_at_most_twice():

@@ -313,10 +313,10 @@ def test_projection_failure_makes_the_check_inconclusive(monkeypatch, tmp_path):
     """Near-degenerate planes of r2-in-c2 give a singular active set in the
     cone projection, which raises ProjectionDidNotConverge, and a check that
     meets a failed projection is inconclusive with the reason while the
-    certificate is still written.  On siegel2 line_lift meets it in the
-    recession cone's ``is_zero`` search, which ``polar_direction_in`` runs
-    first; connectivity reads the generators of a cone with lineality, which
-    need no projection, and stays certified-exact."""
+    certificate is still written.  On cone-ex14 weak_projective and
+    connectivity meet it.  Siegel2's recession cone has lineality, so
+    ``is_zero`` answers without its search: the Farkas LP and the generators
+    need no projection, and every check is decided."""
     E = build_example("r2-in-c2")
     for t in (0.3, 1.0, 3.0):
         H = Hyperplane(np.array([1.0, t * np.exp(1e-9j)]), 0.0)
@@ -327,15 +327,20 @@ def test_projection_failure_makes_the_check_inconclusive(monkeypatch, tmp_path):
         raise ProjectionDidNotConverge("active-set steps did not reach a feasible point")
 
     monkeypatch.setattr(sets, "_project", fail)
-    out = tmp_path / "cert.json"
-    assert cli_main(["certify", "siegel2", "--samples", "30", "--out", str(out)]) == 0
-    cert = json.loads(out.read_text())
-    failed = [c for c in cert["checks"] if c["detail"].startswith("projection failed: ")]
-    assert "line_lift" in {c["name"] for c in failed}
+    certs = {}
+    for name in ("siegel2", "cone-ex14"):
+        out = tmp_path / f"{name}.json"
+        assert cli_main(["certify", name, "--samples", "30", "--out", str(out)]) == 0
+        certs[name] = json.loads(out.read_text())
+    failed = [c for c in certs["cone-ex14"]["checks"]
+              if c["detail"].startswith("projection failed: ")]
+    assert {"weak_projective", "connectivity"} <= {c["name"] for c in failed}
     assert all(c["verdict"] == "inconclusive" for c in failed)
-    checks = {c["name"]: c for c in cert["checks"]}
+    checks = {c["name"]: c for c in certs["siegel2"]["checks"]}
+    assert not any(c["detail"].startswith("projection failed: ") for c in checks.values())
+    assert checks["line_lift"]["verdict"] == "verified-sampled"
     assert checks["connectivity"]["verdict"] == "certified-exact"
-    assert cert["overall"] == "verified-sampled"
+    assert certs["siegel2"]["overall"] == "verified-sampled"
 
 
 def test_line_lift_without_finite_support_is_skipped(monkeypatch):

@@ -177,3 +177,21 @@ def test_benchmark_tracer_reads_what_it_wraps():
     run = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def last_axis_reductions(source: str) -> list:
+    """Lines of the calls in ``source`` that pass ``axis=-1``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and any(k.arg == "axis" and ast.unparse(k.value) == "-1" for k in node.keywords))
+
+
+def test_last_axis_reduction_detector():
+    src = "a.max(axis=-1)\nnp.linalg.norm(a, axis=1)\nf(axis=- 1)\nb.all(axis=0)\n"
+    assert last_axis_reductions(src) == [1, 3]
+
+
+def test_basin_row_distances_go_through_one_helper():
+    """basin.py reduces over no length-2 coordinate axis: each row distance
+    is ``_dist`` on the two columns, and each row test is column arithmetic."""
+    assert last_axis_reductions((SRC / "basin.py").read_text(encoding="utf-8")) == []
