@@ -36,6 +36,8 @@ FIXED_POINT_MISMATCH = "family mismatch: fixed point must be (0, 1)"
 BASIN = "basin"
 ESCAPE = "escape"
 UNDECIDED = "undecided"
+_LABELS = np.array([BASIN, ESCAPE, UNDECIDED], dtype=object)
+_BASIN, _ESCAPE, _UNDECIDED = range(3)  # classify_points' label codes: indices into _LABELS
 
 
 def _coefs(c) -> np.ndarray:
@@ -44,11 +46,18 @@ def _coefs(c) -> np.ndarray:
 
 
 def _polyval(c: np.ndarray, z):
-    """Horner in place; equals ``P.polyval(z, c)`` bit for bit on finite z."""
-    acc = np.full(np.shape(z), c[-1], dtype=complex)
-    for coef in c[-2::-1]:
+    """Horner in place, skipping zero coefficients.  Adding +0 changes only
+    the sign of a zero, so on finite z this equals ``P.polyval(z, c)`` bit
+    for bit up to the signs of zero real or imaginary parts."""
+    if c.size == 1:
+        return np.full(np.shape(z), c[0], dtype=complex)
+    acc = z * c[-1]
+    for coef in c[-2:0:-1]:
+        if coef != 0:
+            acc += coef
         acc *= z
-        acc += coef
+    if c[0] != 0:
+        acc += c[0]
     return acc
 
 
@@ -68,8 +77,17 @@ def _check_finite(w, safe: bool):
 class AutomorphismSpec:
     """Base class: a holomorphic automorphism of C^2 fixing {z2 = 0} pointwise."""
 
-    def apply(self, z, safe: bool = False):
+    def columns(self, z1, z2):
+        """(w1, w2), the map on the coordinate columns; overflow and NaN pass
+        through, under the caller's ``np.errstate``."""
         raise NotImplementedError
+
+    def apply(self, z, safe: bool = False):
+        z = np.asarray(z, dtype=complex)
+        w = np.empty(z.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[..., 0], w[..., 1] = self.columns(z[..., 0], z[..., 1])
+        return _check_finite(w, safe)
 
     def jacobian(self, z):
         raise NotImplementedError
@@ -90,12 +108,8 @@ class Shear(AutomorphismSpec):
     def __post_init__(self):
         self.p = _coefs(self.p)
 
-    def apply(self, z, safe=False):
-        z = np.asarray(z, dtype=complex)
-        w = z.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            w[..., 0] = z[..., 0] + z[..., 1] * _polyval(self.p, z[..., 1])
-        return _check_finite(w, safe)
+    def columns(self, z1, z2):
+        return z1 + z2 * _polyval(self.p, z2), z2
 
     def jacobian(self, z):
         z = np.asarray(z, dtype=complex)
@@ -122,14 +136,9 @@ class FiberScale(AutomorphismSpec):
     def __post_init__(self):
         self.g = _coefs(self.g)
 
-    def apply(self, z, safe=False):
-        z = np.asarray(z, dtype=complex)
-        w = z.copy()
-        z2 = z[..., 1]
-        # rows on the fixed line keep their copied z2: 0 * exp(g) is nan where exp overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(z2, np.exp(_polyval(self.g, z[..., 0])), out=w[..., 1], where=z2 != 0)
-        return _check_finite(w, safe)
+    def columns(self, z1, z2):
+        # rows on the fixed line keep their z2: 0 * exp(g) is nan where exp overflows
+        return z1, np.where(z2 != 0, z2 * np.exp(_polyval(self.g, z1)), z2)
 
     def jacobian(self, z):
         z = np.asarray(z, dtype=complex)
@@ -161,14 +170,8 @@ class BaseScale(AutomorphismSpec):
         if abs(self.h[0]) > 0:
             raise ValueError("h(0) must vanish so the line {z2=0} stays fixed")
 
-    def apply(self, z, safe=False):
-        z = np.asarray(z, dtype=complex)
-        w = z.copy()
-        z2 = z[..., 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            w[..., 0] = z[..., 0] * np.exp(_polyval(self.h, z2)) \
-                + z2 * _polyval(self.q, z2)
-        return _check_finite(w, safe)
+    def columns(self, z1, z2):
+        return z1 * np.exp(_polyval(self.h, z2)) + z2 * _polyval(self.q, z2), z2
 
     def jacobian(self, z):
         z = np.asarray(z, dtype=complex)
@@ -195,7 +198,13 @@ class Composite(AutomorphismSpec):
 
     factors: List[AutomorphismSpec]
 
+    def columns(self, z1, z2):
+        for f in reversed(self.factors):
+            z1, z2 = f.columns(z1, z2)
+        return z1, z2
+
     def apply(self, z, safe=False):
+        # factor by factor, so that safe=False raises Overflow after any factor
         w = np.asarray(z, dtype=complex)
         for f in reversed(self.factors):
             w = f.apply(w, safe=safe)
@@ -358,9 +367,10 @@ def _sphere_dirs(count: int = 60) -> np.ndarray:
     return dirs
 
 
-def _dist(z, f):
-    """Rows |z - f| from the two columns: ``np.linalg.norm(z - f, axis=-1)`` bit for bit."""
-    d1, d2 = z[:, 0] - f[..., 0], z[:, 1] - f[..., 1]
+def _dist(z1, z2, f):
+    """Rows |(z1, z2) - f| from the two columns: ``np.linalg.norm(z - f, axis=-1)``
+    bit for bit."""
+    d1, d2 = z1 - f[..., 0], z2 - f[..., 1]
     return np.sqrt((d1.conj() * d1).real + (d2.conj() * d2).real)
 
 
@@ -370,7 +380,7 @@ def _sphere_ratios(psi, f, radius):
     dirs = _sphere_dirs(60)
     for rho in (radius / 4, radius / 2, radius):
         z = f[None, :] + rho * dirs
-        yield rho, _dist(psi.apply(z), f) / rho
+        yield rho, _dist(*psi.apply(z).T, f) / rho
 
 
 def _build_candidate(config: BasinConfig, N: int, M: int, Pexp: int, d_shape: float):
@@ -435,7 +445,7 @@ def _verify_candidate(psi, config: BasinConfig, radius: float):
     sv = np.linalg.svd(psi.jacobian(f), compute_uv=False)
     # near-identity on K (+ neighborhood)
     ks = _k_samples(config)
-    dev = float(np.max(_dist(psi.apply(ks), ks)))
+    dev = float(np.max(_dist(*psi.apply(ks).T, ks)))
     if dev > config.epsilon:
         return None
     # sphere contraction ratios at the estimate radius
@@ -534,46 +544,46 @@ def classify_points(psi, points, config: BasinConfig):
     """
     f = config.fixed_point
     tube = isinstance(psi, Composite) and list(map(type, psi.factors)) == [FiberScale, BaseScale]
-    cur = np.array(points, dtype=complex)  # iterates of the live rows only
-    m = cur.shape[0]
-    labels = np.full(m, UNDECIDED, dtype=object)
+    points = np.asarray(points, dtype=complex)
+    c1, c2 = points[:, 0].copy(), points[:, 1].copy()  # iterates of the live rows only
+    m = len(c1)
+    codes = np.full(m, _UNDECIDED, dtype=np.int8)
     steps = np.full(m, config.max_iter, dtype=int)
     active = np.arange(m)
     # overflow while measuring runaway orbits is the escape signal itself
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iter + 1):
-            w = psi.apply(cur, safe=True)
-            w1, w2 = w[:, 0], w[:, 1]
-            dist = _dist(w, f)
+            w1, w2 = psi.columns(c1, c2)
+            dist = _dist(w1, w2, f)
             esc = ~(np.maximum(np.abs(w1), np.abs(w2)) <= config.escape_radius)
             esc |= ~np.isfinite(dist)
             conv = dist <= config.convergence_tol
-            labels[active[esc]] = ESCAPE
-            labels[active[conv & ~esc]] = BASIN
+            codes[active[esc]] = _ESCAPE
+            codes[active[conv & ~esc]] = _BASIN
             steps[active[esc | conv]] = k
             # psi acts row by row, so a row with psi(z) == z bit for bit repeats
             # this step's undecided answer until the cap
-            keep = ~(esc | conv | ((w1 == cur[:, 0]) & (w2 == cur[:, 1])))
+            keep = ~(esc | conv | ((w1 == c1) & (w2 == c2)))
             if tube and k % 4 == 0:
-                keep &= ~_in_tube(*psi.factors, w, config)
-            active, cur = active[keep], w[keep]
+                keep &= ~_in_tube(*psi.factors, w1, w2, config)
+            active, c1, c2 = active[keep], w1[keep], w2[keep]
             if active.size == 0:
                 break
-    return labels, steps
+    return _LABELS[codes], steps
 
 
-def _in_tube(fiber: FiberScale, base: BaseScale, z, config: BasinConfig):
-    """Rows of z whose orbits provably stay in the tube of ``classify_points``."""
-    out = np.abs(z[:, 1]) <= _TUBE_DELTA
+def _in_tube(fiber: FiberScale, base: BaseScale, z1, z2, config: BasinConfig):
+    """Rows (z1, z2) whose orbits provably stay in the tube of ``classify_points``."""
+    out = np.abs(z2) <= _TUBE_DELTA
     if not out.any():
         return out
-    a1, s = np.abs(z[out]).T
+    a1, s = np.abs(z1[out]), np.abs(z2[out])
     N = max(int(np.argmax(base.h != 0)), 1)  # h(0) = 0
     M = 1 + int(np.argmax(base.q != 0))
     A = np.expm1(P.polyval(s, np.abs(base.h))) / -np.expm1(-N * _TUBE_KAPPA)
     B = s * P.polyval(s, np.abs(base.q)) / -np.expm1(-M * _TUBE_KAPPA)
     r = (a1 * A + B) / (1 - A)
-    re_g = _polyval(fiber.g, z[out, 0]).real + r * P.polyval(a1 + r, np.abs(_polyder(fiber.g)))
+    re_g = _polyval(fiber.g, z1[out]).real + r * P.polyval(a1 + r, np.abs(_polyder(fiber.g)))
     out[out] = ((A < 1) & (re_g <= -_TUBE_KAPPA) & (a1 + r <= config.escape_radius)
                 & (np.abs(config.fixed_point[1]) - s > config.convergence_tol))
     return out
@@ -590,7 +600,7 @@ def rate_brackets(psi, config: BasinConfig, radius: float, k_max: int = 6,
     out = []
     for k in range(1, k_max + 1):
         z = psi.apply(z)
-        ratios = _dist(z, f) / radius
+        ratios = _dist(*z.T, f) / radius
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         ok = (a ** k) * (1 - slack) <= lo and hi <= (b ** k) * (1 + slack)
         out.append({"k": k, "count": len(dirs), "min_ratio": lo, "max_ratio": hi,
@@ -602,16 +612,20 @@ def rate_brackets(psi, config: BasinConfig, radius: float, k_max: int = 6,
 # report
 # ---------------------------------------------------------------------------
 
+def _formatted(values, fmt):
+    """``fmt % v`` for each v of values, formatting each distinct bit pattern
+    once (so -0 and 0 keep their own text)."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([fmt % v for v in keys.view(values.dtype).tolist()], dtype=object)[inverse]
+
+
 def _csv_rows(points, labels, steps):
-    """CSV text, 4096 rows at a time (whole-grid column lists raise peak memory)."""
-    row = "%.6g,%.6g,%.6g,%.6g,%s,%d\n".__mod__
-    lines = ["re_z1,im_z1,re_z2,im_z2,label,steps\n"]
-    for i in range(0, len(points), 4096):
-        j = slice(i, i + 4096)
-        z1, z2 = points[j, 0], points[j, 1]
-        lines.extend(map(row, zip(z1.real.tolist(), z1.imag.tolist(), z2.real.tolist(),
-                                  z2.imag.tolist(), labels[j].tolist(), steps[j].tolist())))
-    return "".join(lines)
+    """CSV text; a slice grid has at most n distinct values per column."""
+    z1, z2 = points[:, 0], points[:, 1]
+    cols = [_formatted(x, "%.6g").tolist() for x in (z1.real, z1.imag, z2.real, z2.imag)]
+    body = map("%s,%s,%s,%s,%s,%s\n".__mod__,
+               zip(*cols, labels.tolist(), _formatted(steps, "%d").tolist()))
+    return "re_z1,im_z1,re_z2,im_z2,label,steps\n" + "".join(body)
 
 
 _SVG_COLORS = {BASIN: "#2a9d8f", ESCAPE: "#e76f51", UNDECIDED: "#dddddd"}
@@ -670,7 +684,7 @@ def basin_report(config: Optional[BasinConfig] = None, want_svg: bool = False):
                       "halfwidth": config.grid_halfwidth,
                       "slice": config.slice_plane, "counts": counts}
 
-    in_k = _dist(points, config.k_center) <= config.k_radius
+    in_k = _dist(*points.T, config.k_center) <= config.k_radius
     near_line = np.abs(points[:, 1]) < 1e-6
     basin_mask = labels == BASIN
     report["assertions"] = {

@@ -11,6 +11,7 @@ from okacert.basin import (
     ESCAPE,
     FIXED_POINT_MISMATCH,
     UNDECIDED,
+    AutomorphismSpec,
     BasinConfig,
     BaseScale,
     Composite,
@@ -32,7 +33,7 @@ from okacert.basin import (
     slice_grid,
 )
 from okacert.cli import EXIT_INCONCLUSIVE, main
-from okacert.errors import DesignFailed
+from okacert.errors import DesignFailed, Overflow
 
 
 def _sample_maps():
@@ -93,6 +94,34 @@ def test_composition_applies_rightmost_factor_first():
     assert np.allclose(Composite([A, B]).apply(z), A.apply(B.apply(z)))
     assert not np.allclose(Composite([A, B]).apply(z),
                            B.apply(A.apply(z)))
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.int64)
+
+
+def test_columns_equal_apply_bit_for_bit():
+    rng = np.random.default_rng(607)
+    for scale in (0.1, 1.0, 30.0, 1e60):
+        z = scale * (rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2)))
+        z[::7, 1] = 0.0
+        for psi in _sample_maps() + [design_contraction_step(BasinConfig()).psi]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                w1, w2 = psi.columns(z[:, 0].copy(), z[:, 1].copy())
+            assert np.array_equal(_bits(np.stack([w1, w2], axis=-1)),
+                                  _bits(psi.apply(z, safe=True)))
+
+
+def test_composite_raises_overflow_after_any_factor():
+    """The first factor applied overflows and the last one undoes it: the
+    composite's columns are finite, but apply with safe=False raises."""
+    psi = Composite([FiberScale([-300.0]), FiberScale([300.0])])
+    z = np.array([[0.5 + 0j, 1e30 + 0j]])
+    w1, w2 = psi.columns(z[:, 0], z[:, 1])
+    assert np.isfinite(w2).all() and np.allclose(w2, z[:, 1])
+    assert np.allclose(psi.apply(z, safe=True), z)
+    with pytest.raises(Overflow):
+        psi.apply(z)
 
 
 def test_jsonable_roundtrip():
@@ -318,10 +347,11 @@ def test_nonfinite_and_boundary_rows_match_the_reference():
     table = dict(zip(starts, images + starts[:len(images)]))
     table[(R, 0.5)] = (np.nextafter(R, inf), 0.5)  # at the radius, then past it
 
-    class Stub:
-        def apply(self, z, safe=False):
-            out = [table.get((complex(a), complex(b)), (a, b)) for a, b in z]
-            return np.array(out, dtype=complex).reshape(-1, 2)
+    class Stub(AutomorphismSpec):
+        def columns(self, z1, z2):
+            out = [table.get((complex(a), complex(b)), (a, b)) for a, b in zip(z1, z2)]
+            out = np.array(out, dtype=complex).reshape(-1, 2)
+            return out[:, 0], out[:, 1]
 
     points = np.array(starts, dtype=complex)
     labels, steps = classify_points(Stub(), points, cfg)
@@ -342,13 +372,13 @@ def test_row_distances_equal_numpy_norm_bit_for_bit():
         assert np.array_equal(ratios, np.linalg.norm(z - f[None, :], axis=-1) / rho)
     ks = _k_samples(cfg)
     dev = np.linalg.norm(psi.apply(ks) - ks, axis=-1)
-    assert np.array_equal(_dist(psi.apply(ks), ks), dev)
+    assert np.array_equal(_dist(*psi.apply(ks).T, ks), dev)
     assert design.diagnostics["k_deviation"] == float(np.max(dev))
     z = f[None, :] + radius / 2 * _sphere_dirs(16)
     for b in rate_brackets(psi, cfg, radius / 2):
         z = psi.apply(z)
         ratios = np.linalg.norm(z - f[None, :], axis=-1) / (radius / 2)
-        assert np.array_equal(_dist(z, f) / (radius / 2), ratios)
+        assert np.array_equal(_dist(*z.T, f) / (radius / 2), ratios)
         assert (b["min_ratio"], b["max_ratio"]) == (float(ratios.min()), float(ratios.max()))
 
 
@@ -358,38 +388,60 @@ def test_points_on_the_fixed_line_are_iterated_at_most_twice():
     rows = []
 
     class Counted:
-        def apply(self, z, safe=False):
-            rows.append(len(z))
-            return psi.apply(z, safe=safe)
+        def columns(self, z1, z2):
+            rows.append(len(z1))
+            return psi.columns(z1, z2)
 
     rng = np.random.default_rng(605)
     z1 = rng.uniform(-3, 3, 500) + 1j * rng.uniform(-3, 3, 500)
     pts = np.stack([z1, np.zeros(500, dtype=complex)], axis=-1)
     labels, steps = classify_points(Counted(), pts, cfg)
     assert np.all(labels == UNDECIDED) and np.all(steps == cfg.max_iter)
-    assert sum(rows) <= 2 * len(pts)
+    assert 0 < sum(rows) <= 2 * len(pts)
 
 
 def test_polyval_matches_numpy_bit_for_bit_on_finite_input():
+    """Also on the designed h = L (z/f2)^12 and q, whose zero coefficients
+    Horner skips; inf and NaN inputs give NaN where numpy's does."""
     psi = design_contraction_step(BasinConfig()).psi
     fiber, base = psi.factors
+    assert np.count_nonzero(base.h) == 1 and np.count_nonzero(base.q) == 2
     rng = np.random.default_rng(606)
     z = rng.normal(scale=2.0, size=2000) + 1j * rng.normal(scale=2.0, size=2000)
+    bad = np.array([np.inf, -np.inf, 1j * np.inf, np.nan, complex(np.inf, np.nan),
+                    complex(0.5, np.nan), complex(np.inf, -np.inf)])
     for c in (fiber.g, base.h, base.q, np.array([0.5 - 0.25j])):
-        assert np.array_equal(_polyval(c, z), P.polyval(z, c))
+        assert np.array_equal(_bits(_polyval(c, z)), _bits(P.polyval(z, c)))
         assert _polyval(c, z[7]) == P.polyval(z[7], c)
+        if c.size > 1:  # numpy's constant term is c[0] + 0 * z, NaN at inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.array_equal(_polyval(c, bad), P.polyval(bad, c), equal_nan=True)
 
 
 def test_csv_rows_match_per_row_formatting():
-    cfg = BasinConfig(grid_n=70, slice_plane="z2", grid_center=(-0.5, 0.0))
-    points, _, _ = slice_grid(cfg)
-    labels, steps = classify_points(design_contraction_step(cfg).psi, points, cfg)
-    assert len(points) > 4096 and len(set(labels)) == 3
-    lines = ["re_z1,im_z1,re_z2,im_z2,label,steps"]
-    for p, lab, k in zip(points, labels, steps):
-        lines.append(f"{p[0].real:.6g},{p[0].imag:.6g},"
-                     f"{p[1].real:.6g},{p[1].imag:.6g},{lab},{int(k)}")
-    assert _csv_rows(points, labels, steps) == "\n".join(lines) + "\n"
+    """On every slice plane: the im plane writes -0 real parts beside 0 ones,
+    and the z1 and z2 planes constant columns."""
+    seen = set()
+    for plane in ("re", "im", "z1", "z2"):
+        cfg = BasinConfig(grid_n=70, slice_plane=plane, grid_center=(-0.5, 0.0))
+        points, _, _ = slice_grid(cfg)
+        labels, steps = classify_points(design_contraction_step(cfg).psi, points, cfg)
+        seen |= set(labels)
+        if plane == "z2":
+            assert len(set(labels)) == 3
+        lines = ["re_z1,im_z1,re_z2,im_z2,label,steps"]
+        for p, lab, k in zip(points, labels, steps):
+            lines.append(f"{p[0].real:.6g},{p[0].imag:.6g},"
+                         f"{p[1].real:.6g},{p[1].imag:.6g},{lab},{int(k)}")
+        text = _csv_rows(points, labels, steps)
+        assert text.endswith("\n")
+        got = text.splitlines()
+        bad = next((i for i, (a, b) in enumerate(zip(got, lines)) if a != b), None)
+        assert bad is None, f"{plane} plane, line {bad}: {got[bad]!r} != {lines[bad]!r}"
+        assert len(got) == len(lines), f"{plane} plane: {len(got)} lines, expected {len(lines)}"
+        if plane == "im":  # a dedupe keyed on values would write one text for both
+            assert {line.split(",")[0] for line in lines[1:]} == {"-0", "0"}
+    assert seen == {BASIN, ESCAPE, UNDECIDED}
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +465,20 @@ _TUBE_CONFIGS += [_seeded_config(seed) for seed in (1, 2, 3)]
 
 
 def _counting_rows(monkeypatch):
-    """Rows handed to ``Composite.apply`` from then on."""
-    rows, real = [0], Composite.apply
+    """Rows handed to ``Composite.columns`` (``classify_points``) or to
+    ``Composite.apply`` (``_reference_classify``) from then on."""
+    rows, columns, apply = [0], Composite.columns, Composite.apply
 
-    def counted(self, z, safe=False):
+    def counted_columns(self, z1, z2):
+        rows[0] += len(z1)
+        return columns(self, z1, z2)
+
+    def counted_apply(self, z, safe=False):
         rows[0] += len(z)
-        return real(self, z, safe=safe)
+        return apply(self, z, safe=safe)
 
-    monkeypatch.setattr(Composite, "apply", counted)
+    monkeypatch.setattr(Composite, "columns", counted_columns)
+    monkeypatch.setattr(Composite, "apply", counted_apply)
     return rows
 
 
@@ -434,7 +492,7 @@ def test_tube_stop_matches_the_loop_that_runs_to_the_cap(cfg, monkeypatch):
     ref_labels, ref_steps = _reference_classify(psi, points, cfg)
     assert np.array_equal(labels, ref_labels)
     assert np.array_equal(steps, ref_steps)
-    assert applied < rows[0] - applied  # the tube retired rows the reference iterated
+    assert 0 < applied < rows[0] - applied  # the tube retired rows the reference iterated
 
 
 def test_composites_outside_the_family_take_no_tube(monkeypatch):
@@ -454,13 +512,13 @@ def test_composites_outside_the_family_take_no_tube(monkeypatch):
 
 def test_default_config_applies_psi_to_at_most_a_million_rows(monkeypatch):
     """Iterating every near-line orbit to the cap applies psi to 2,496,550
-    rows on this grid."""
+    rows on this grid; the tube and the fixed-row stop leave 926,193."""
     cfg = BasinConfig()
     psi = design_contraction_step(cfg).psi
     points, _, _ = slice_grid(cfg)
     rows = _counting_rows(monkeypatch)
     classify_points(psi, points, cfg)
-    assert rows[0] <= 1_000_000
+    assert rows[0] == 926_193
 
 
 def test_retired_rows_stay_in_their_tube():
@@ -476,7 +534,7 @@ def test_retired_rows_stay_in_their_tube():
             cur = psi.apply(cur, safe=True)
             cur = cur[np.isfinite(cur).all(axis=-1)]
             if k % 4 == 0:
-                retired.append(cur[_in_tube(fiber, base, cur, cfg)])
+                retired.append(cur[_in_tube(fiber, base, cur[:, 0], cur[:, 1], cfg)])
     start = np.concatenate(retired)
     assert len(start) > 10_000
     z1, s = start[:, 0], np.abs(start[:, 1])

@@ -195,3 +195,43 @@ def test_basin_row_distances_go_through_one_helper():
     """basin.py reduces over no length-2 coordinate axis: each row distance
     is ``_dist`` on the two columns, and each row test is column arithmetic."""
     assert last_axis_reductions((SRC / "basin.py").read_text(encoding="utf-8")) == []
+
+
+def column_primitive_bypasses(source: str) -> list:
+    """Ways ``source`` leaves the column primitive of the automorphisms:
+    ``classify_points`` calling ``.apply(``, an ``AutomorphismSpec`` subclass
+    (direct or not) defining no ``columns``, or one other than ``Composite``
+    defining its own ``apply``."""
+    found, specs = [], {"AutomorphismSpec"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "classify_points":
+            found += [f"classify_points calls apply (line {c.lineno})" for c in ast.walk(node)
+                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                      and c.func.attr == "apply"]
+        elif isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & specs:
+            specs.add(node.name)
+            methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+            if "columns" not in methods:
+                found.append(f"{node.name} defines no columns")
+            if "apply" in methods and node.name != "Composite":
+                found.append(f"{node.name} defines apply")
+    return sorted(found)
+
+
+def test_column_primitive_bypass_detector():
+    src = ("class AutomorphismSpec:\n    def apply(self, z): pass\n"
+           "class Kept(AutomorphismSpec):\n    def columns(self, a, b): pass\n"
+           "class Old(AutomorphismSpec):\n    def apply(self, z): pass\n"
+           "class Sub(Kept):\n    def columns(self, a, b): pass\n    def apply(self, z): pass\n"
+           "class Composite(AutomorphismSpec):\n    def columns(self, a, b): pass\n"
+           "    def apply(self, z): pass\n"
+           "class Other:\n    def apply(self, z): pass\n"
+           "def classify_points(psi, z):\n    psi.columns(z, z)\n    return psi.apply(z)\n")
+    assert column_primitive_bypasses(src) == ["Old defines apply", "Old defines no columns",
+                                              "Sub defines apply",
+                                              "classify_points calls apply (line 17)"]
+
+
+def test_basin_iterates_on_the_column_primitive():
+    """A new factor cannot fall back to the interleaved ``(m, 2)`` path."""
+    assert column_primitive_bypasses((SRC / "basin.py").read_text(encoding="utf-8")) == []
