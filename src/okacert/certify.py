@@ -44,7 +44,6 @@ from .geometry import (
 from .lp import solve_lp
 from .sets import PLANAR_MARGIN, ConvexSet
 from .stability import (
-    StabilityVerdict,
     halfline_in_intersection,
     is_stable,
     stability_states,
@@ -116,8 +115,9 @@ class Hyperplane:
     given, which for ``from_real_normal`` is the real normal itself.  It is
     the angle the hyperplane was built with.  On a shadow that
     ``E.shadow_angles`` leaves undecided, ``_disjoint_rows`` tries that angle
-    only: a projection hyperplane through an exterior point, and its
-    ``translated`` lifts, miss E there by exactly their distance from E.
+    only.  A hyperplane built from a real normal that separates its point
+    from E misses E there; a projection hyperplane through an exterior point
+    misses it by exactly the point's distance from E.
     """
 
     __slots__ = ("coeffs", "offset", "stripped_theta")
@@ -160,11 +160,6 @@ class Hyperplane:
     def real_eta(self, theta: float) -> np.ndarray:
         """Real covector of x -> Re(e^{-i theta} (coeffs . z))."""
         return realify(np.conj(np.exp(-1j * theta) * self.coeffs))
-
-    def translated(self, delta_offset: complex) -> "Hyperplane":
-        H = Hyperplane(self.coeffs, self.offset + delta_offset)
-        H.stripped_theta = self.stripped_theta
-        return H
 
     def to_jsonable(self):
         return {
@@ -222,20 +217,6 @@ def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
     does not separate."""
     ok, theta, margin = _disjoint_rows(E, *_hyperplane_rows([H], H.n))
     return bool(ok[0]), float(theta[0]), float(margin[0])
-
-
-def hyperplane_common_point(E: ConvexSet, H: Hyperplane):
-    """A point of E on H, or None; used to make 'H meets E' concrete."""
-    try:
-        x = E.slice_point(H.subspace().to_real())
-    except UnsupportedVariant:
-        return None
-    if x is None:
-        return None
-    z = complexify(x)
-    if abs(H.eval(z)) > 1e-6 * (1 + np.linalg.norm(x)):
-        return None
-    return x
 
 
 @dataclass
@@ -404,19 +385,29 @@ def _stable_plane_witness(q, H, theta, margin, aperture):
         "hyperplane": H.to_jsonable(),
         "theta": float(theta),
         "margin": float(margin),
-        # None where no aperture is proven: past the vertex cap, or on a
-        # plane that only ``is_stable`` calls stable
+        # None past the vertex cap, where no aperture is proven
         "aperture": float(aperture) if np.isfinite(aperture) else None,
         "through": [float(t) for t in q],
     }
+
+
+def _evidence(E: ConvexSet, planes, stable, aperture):
+    """The stable-hyperplane witnesses of the (q, H) ``planes`` that are
+    ``stable`` and that ``_disjoint_rows`` separates from E."""
+    ok, theta, margin = _disjoint_rows(E, *_hyperplane_rows([H for _, H in planes], E.complex_n()))
+    return [_stable_plane_witness(q, H, *row) for (q, H), keep, *row
+            in zip(planes, ok & stable, theta, margin, aperture) if keep]
 
 
 @_check()
 def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     """Each exterior point must lie on a stable complex hyperplane missing E.
     A theorem on a line-free E (README), whose repaired planes of the first
-    exterior samples are kept as evidence; elsewhere checked on the metric
-    projection planes of sampled exterior points."""
+    exterior samples are kept as evidence.  With dim L >= 2 no stable
+    hyperplane misses E, and the unstable projection planes of the first
+    samples are the witnesses.  With dim L = 1 each sampled exterior point
+    lies on its metric projection plane, repaired along a strip covector
+    where it is unstable (README)."""
     rng = plan.rng("projective")
     rows, exact = E.lineality_exact()
     if not rows.shape[0]:
@@ -425,12 +416,9 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
         h = E.support(eta).value if eta.any() else 0.0
         qs = E.sample_exterior(rng, min(plan.exterior, max(8, plan.hyperplanes)), plan.window)
         planes = [(q, H) for q in qs if (H := _canonical_exterior_hyperplane(E, q, eta, h))]
-        C, b, stripped = _hyperplane_rows([H for _, H in planes], E.complex_n())
-        ok, theta, margin = _disjoint_rows(E, C, b, stripped)
-        stable, aperture = stability_states(E, C)
-        evidence = [_stable_plane_witness(q, H, *row) for (q, H), keep, *row
-                    in zip(planes, ok & stable, theta, margin, aperture) if keep]
-        return CheckResult(CERTIFIED if exact else VERIFIED, witnesses=evidence,
+        C = np.array([H.coeffs for _, H in planes]).reshape(-1, E.complex_n())
+        return CheckResult(CERTIFIED if exact else VERIFIED,
+                           witnesses=_evidence(E, planes, *stability_states(E, C)),
                            detail="no affine line: every exterior point lies on a stable "
                                   "disjoint hyperplane (repaired projection plane)")
     qs = E.sample_exterior(rng, plan.exterior, window=plan.window)
@@ -440,47 +428,44 @@ def check_weak_projective(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     skipped = qs.shape[0] - len(planes)
     if not planes:
         return CheckResult(INCONCLUSIVE, detail=f"all {skipped} exterior samples unusable")
-    states, apertures = stability_states(E, np.array([H.coeffs for _, H in planes]))
-    verdicts, unstable = [], 0
-    for (_, H), ok in zip(planes, states):
-        if unstable == 5:
-            break  # the loop below stops by the fifth failure, so here at the latest
-        verdicts.append(StabilityVerdict("stable") if ok else is_stable(E, H.subspace()))
-        unstable += not verdicts[-1].stable
-    stable = [H for (_, H), verdict in zip(planes, verdicts) if verdict.stable]
-    disjoint = zip(*_disjoint_rows(E, *_hyperplane_rows(stable, E.complex_n())))
-    verified_planes = []
-    failures = []
-    for (q, H), verdict, aperture in zip(planes, verdicts, apertures):
-        if len(failures) == 5:
-            break  # every plane counts as a sample; only five failures are written
-        if not verdict.stable:
-            failures.append({
-                "kind": "unstable-hyperplane",
-                "exterior_point": [float(t) for t in q],
-                "hyperplane": H.to_jsonable(),
-                "recession_direction": [float(t) for t in verdict.witness],
-            })
-            continue
-        ok, theta, margin = next(disjoint)
-        if not ok:
-            common = hyperplane_common_point(E, H)
-            entry = {
-                "kind": "hyperplane-meets-set",
-                "exterior_point": [float(t) for t in q],
-                "hyperplane": H.to_jsonable(),
-            }
-            if common is not None:
-                entry["common_point"] = [float(t) for t in common]
-            failures.append(entry)
-            continue
-        verified_planes.append(_stable_plane_witness(q, H, theta, margin, aperture))
+    if rows.shape[0] >= 2:
+        witnesses = []
+        for q, H in planes:
+            v = is_stable(E, H.subspace()).witness
+            if v is not None:
+                witnesses.append({"kind": "unstable-hyperplane",
+                                  "exterior_point": [float(t) for t in q],
+                                  "hyperplane": H.to_jsonable(),
+                                  "recession_direction": [float(t) for t in v]})
+                if len(witnesses) == 5:
+                    break
+        return CheckResult(REFUTED, witnesses=witnesses, samples=len(planes),
+                           detail=_empty_family(rows.shape[0]))
+    stable, aperture = stability_states(E, np.array([H.coeffs for _, H in planes]))
+    unstable = np.flatnonzero(~stable)
+    if unstable.size:
+        cone = E.recession_cone()
+        why = f"{unstable.size} unstable projection planes and no "
+        if cone.generators is None:
+            return CheckResult(INCONCLUSIVE, detail=why + "generators past the vertex cap")
+        rays, L = cone.generators
+        reps = _side_representatives(E, rays, L[0])
+        if not reps:
+            return CheckResult(INCONCLUSIVE, detail=why + "stable sign class to repair them along")
+        jv = realify(1j * complexify(L[0]))
+        strips = [(eta, E.support(eta).value)
+                  for eta in (_strip_covector(c, L[0], side)[1] for c, side in reps)]
+        for i in unstable:
+            q, H = planes[i]
+            # the class of the projection normal nu: eta . Jv of the sign of nu . Jv
+            sign = H.real_eta(H.stripped_theta) @ jv
+            eta, h = next((s for s in strips if s[0] @ jv * sign > 0), strips[0])
+            planes[i] = (q, _canonical_exterior_hyperplane(E, q, eta, h))
+        stable[unstable], aperture[unstable] = stability_states(
+            E, np.array([planes[i][1].coeffs for i in unstable]))
     note = f"; {skipped} exterior samples skipped (projection failed)" if skipped else ""
-    if failures:
-        return CheckResult(REFUTED, witnesses=failures, samples=len(planes),
-                           detail="projection hyperplane fails at sampled exterior point" + note)
-    return CheckResult(VERIFIED, witnesses=verified_planes[:max(8, plan.hyperplanes)],
-                       samples=len(planes),
+    evidence = _evidence(E, planes, stable, aperture)
+    return CheckResult(VERIFIED, witnesses=evidence[:max(8, plan.hyperplanes)], samples=len(planes),
                        detail="stable disjoint hyperplane through every sampled exterior point"
                               + note)
 
@@ -491,11 +476,12 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
     stable complex hyperplane disjoint from (a translate off) E: a theorem on a
     line-free E (README), inconclusive when dim L >= 2, sampled when dim L = 1.
 
-    Construction: squeeze the line against E (tube_or_support), take the
-    complex tangent of the supporting real hyperplane at the contact point
-    (its unit normal vanishes on the line's real span, so the lift contains
-    the line direction), verify it is stable, then push it off E along that
-    normal and re-verify disjointness.
+    Construction: squeeze the line against E (tube_or_support) and take the
+    complex tangent of the supporting real hyperplane at the contact point:
+    its unit normal vanishes on the line's real span, so the lift contains
+    the line direction, and pushed off E along that normal it misses E.  A
+    line counts as lifted when its lift is stable; a line without a finite
+    supporting translate, or with an unstable lift, is skipped.
     """
     rows, exact = E.lineality_exact()
     if not rows.shape[0]:
@@ -504,65 +490,21 @@ def check_line_lift(E: ConvexSet, plan: SamplingPlan) -> CheckResult:
                                   "covector of int K polar vanishing on it")
     if rows.shape[0] >= 2:
         return CheckResult(INCONCLUSIVE, detail=_empty_family(rows.shape[0]))
-    n = E.complex_n()
     stable_lines, attempts = _stable_lines(E, plan)
     if not stable_lines:
         return CheckResult(INCONCLUSIVE, samples=attempts, detail="no stable lines found")
-    skipped = lifted = 0
-    lifts, witnesses = [], []
+    lifts = []
     for line in stable_lines:
         try:
-            outcome = tube_or_support(E, line)
+            lifts.append(np.conj(complexify(tube_or_support(E, line).normal)))
         except UnsupportedVariant:
-            skipped += 1
-            continue
-        H = Hyperplane.from_real_normal(outcome.contact, outcome.normal)
-        delta = 1e-3 * (1.0 + np.linalg.norm(outcome.contact))  # pushed off E along the normal
-        lifts.append((line.directions[0], H,
-                      H.translated(complex(np.dot(H.coeffs, complexify(outcome.normal))) * delta)))
-    stable = stability_states(E, np.array([H.coeffs for _, H, _ in lifts]).reshape(-1, n))[0]
-    vs, unstable = [None] * len(lifts), 0
-    for k, (_, H, _) in enumerate(lifts):
-        if not stable[k] and unstable < 5:  # a witness to write
-            verdict = is_stable(E, H.subspace())
-            stable[k], vs[k] = verdict.stable, verdict.witness
-        unstable += not stable[k]
-    offs = [H_off for (*_, H_off), ok in zip(lifts, stable) if ok]
-    disjoint = zip(*_disjoint_rows(E, *_hyperplane_rows(offs, n)))
-    for (d, H, H_off), stable_lift, v in zip(lifts, stable, vs):
-        if not stable_lift:
-            witnesses.append({
-                "kind": "unstable-lift",
-                "line_direction": _cvec(d),
-                "hyperplane": H.to_jsonable(),
-                # past the fifth unstable lift none is written
-                "recession_direction": [] if v is None else [float(t) for t in v],
-            })
-            continue
-        ok, theta, margin = next(disjoint)
-        if not ok:
-            if not np.isfinite(margin):
-                # no finite support value at the angles tried: no evidence either way
-                skipped += 1
-                continue
-            witnesses.append({
-                "kind": "lift-not-disjoint",
-                "line_direction": _cvec(d),
-                "hyperplane": H_off.to_jsonable(),
-                "margin": float(margin),
-            })
-            continue
-        lifted += 1
-    if witnesses:
-        return CheckResult(REFUTED, witnesses=witnesses[:5], samples=lifted + len(witnesses),
-                           detail="a stable line failed to lift into a stable disjoint hyperplane")
-    # the details keep their tube count, 0 with dim L = 1 (``tube_or_support``)
+            pass
+    lifted = int(stability_states(E, np.array(lifts).reshape(-1, E.complex_n()))[0].sum())
     if lifted == 0:
         return CheckResult(INCONCLUSIVE, samples=len(stable_lines),
                            detail=f"no line produced a usable supporting translate "
-                                  f"(tubes=0, skipped={skipped})")
-    return CheckResult(VERIFIED, samples=lifted,
-                       detail=f"{lifted} stable lines lifted (tubes=0)")
+                                  f"(skipped={len(stable_lines)})")
+    return CheckResult(VERIFIED, samples=lifted, detail=f"{lifted} stable lines lifted")
 
 
 def _stable_lines(E: ConvexSet, plan: SamplingPlan):
@@ -585,10 +527,6 @@ def _stable_lines(E: ConvexSet, plan: SamplingPlan):
                 if len(stable_lines) == plan.lines:
                     break
     return stable_lines, attempts
-
-
-def _cvec(z):
-    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(z)]
 
 
 def _class_covector(rays, v, sigma):
@@ -639,14 +577,22 @@ def _side_representatives(E, rays, v):
     return [(c, -np.sign(np.imag((c @ R[0]) / (c @ vc)))) for c in cands]
 
 
-def _strip_hyperplane(E, c, v, side):
-    """The hyperplane {c.z = beta} on ``side`` of the shadow c.E, with
-    beta = side u (h + 1) for the strip normal u = i (c.v) / |c.v| and h the
-    support value of E along side u: it misses E by 1 at that angle."""
+def _strip_covector(c, v, side):
+    """(u, eta): the normal u = side i (c.v) / |c.v| of the shadow c.E on
+    ``side``, and the real covector eta of x -> Re(conj(u) c.x).  So eta
+    vanishes on v, eta . Jv = side |c.v|, and for the (c, side) of a sign
+    class (``_side_representatives``) eta . r < 0 on every ray r."""
     cv = complex(c @ complexify(v))
     normal = side * 1j * cv / abs(cv)
-    h = E.support(realify(np.conj(np.conj(normal) * c))).value
-    return Hyperplane(c, normal * (h + 1.0))
+    return normal, realify(np.conj(np.conj(normal) * c))
+
+
+def _strip_hyperplane(E, c, v, side):
+    """The hyperplane {c.z = beta} on ``side`` of the shadow c.E, with
+    beta = u (h + 1) for the strip normal u and h the support value of E
+    along its covector (``_strip_covector``): it misses E by 1 at that angle."""
+    normal, eta = _strip_covector(c, v, side)
+    return Hyperplane(c, normal * (E.support(eta).value + 1.0))
 
 
 def _empty_family(d):  # the reason of a cone with dim L = d >= 2
@@ -828,19 +774,13 @@ def recheck_witness(E: ConvexSet, witness: dict) -> bool:
             if not E.contains(x0 + t * v, tol=1e-6 * (1 + t)):
                 return False
         return True
-    if kind in ("unstable-hyperplane", "unstable-lift"):
+    if kind == "unstable-hyperplane":
         H = Hyperplane.from_jsonable(witness["hyperplane"])
         v = np.asarray(witness["recession_direction"], dtype=float)
         vc = complexify(v)
         if abs(np.dot(H.coeffs, vc)) > 1e-6:
             return False
         return _recession_brute(E, v)
-    if kind == "hyperplane-meets-set":
-        if "common_point" not in witness:
-            return False
-        x = np.asarray(witness["common_point"], dtype=float)
-        H = Hyperplane.from_jsonable(witness["hyperplane"])
-        return bool(E.contains(x, tol=1e-6)) and abs(H.eval(complexify(x))) < 1e-5
     if kind == "line-direction":
         v = np.asarray(witness["direction"], dtype=float)
         return _recession_brute(E, v) and _recession_brute(E, -v)

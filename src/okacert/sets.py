@@ -1,9 +1,9 @@
 """Closed convex set variants over R^m (complex ambient space realified).
 
 Every variant provides membership, an explicit polyhedral recession cone
-{v : E v = 0, I v <= 0}, a support function with attainer, boundary sampling,
-nearest-boundary projection and affine-slice feasibility. Complex sets use the
-interleaved realification from :mod:`okacert.geometry` (m = 2n).
+{v : E v = 0, I v <= 0}, a support function with attainer, boundary sampling
+and nearest-boundary projection. Complex sets use the interleaved
+realification from :mod:`okacert.geometry` (m = 2n).
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InfeasiblePolyhedron, LPNumericalFailure,
                      PointInsideSet, ProjectionDidNotConverge, UnsupportedVariant)
-from .functions import (MAX_VERTEX_SUBSYSTEMS, MaxAffine, NormCombo, Quadratic,
-                        midpoint_convexity_check)
-from .geometry import AffineSubspaceR, complexify, mgs
+from .functions import MAX_VERTEX_SUBSYSTEMS, NormCombo, Quadratic, midpoint_convexity_check
+from .geometry import complexify, mgs
 from .lp import feasible_point, solve_lp
 
 DEFAULT_TOL = 1e-9
@@ -398,9 +397,6 @@ class ConvexSet:
     def boundary_gradient(self, p):
         raise UnsupportedVariant(f"{self.json_type} has no C1 boundary gradient")
 
-    def slice_point(self, S: AffineSubspaceR):
-        raise UnsupportedVariant(f"{self.json_type} has no affine-slice solver")
-
     def to_jsonable(self):
         raise NotImplementedError
 
@@ -604,22 +600,6 @@ class HPolyhedron(ConvexSet):
             raise UnsupportedVariant("boundary point is on an edge or corner")
         return self.A[active[0]].copy()
 
-    def slice_point(self, S):
-        D = S.directions
-        if not D.shape[0]:
-            return S.base.copy() if self.contains(S.base, tol=1e-8) else None
-        A = self.A @ D.T
-        b = self.b - self.A @ S.base
-        keep = np.linalg.norm(A, axis=1) > 1e-12
-        if np.any(~keep) and np.any(b[~keep] < -1e-9):
-            return None
-        if not np.any(keep):
-            return S.base.copy()
-        alpha = feasible_point(A_ub=A[keep], b_ub=b[keep])
-        if alpha is None:
-            return None
-        return S.base + alpha @ D
-
     def to_jsonable(self):
         return {"type": "polyhedron", "A": self.A_raw.tolist(), "b": self.b_raw.tolist()}
 
@@ -673,13 +653,6 @@ class QuadricBall(ConvexSet):
 
     def boundary_gradient(self, p):
         return 2.0 * (np.asarray(p, float) - self.center)
-
-    def slice_point(self, S):
-        d = self.center - S.base
-        proj = S.base + (S.directions @ d) @ S.directions if S.dim else S.base
-        if np.linalg.norm(proj - self.center) <= self.radius + 1e-12:
-            return proj
-        return None
 
     def to_jsonable(self):
         return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -838,69 +811,6 @@ class Epigraph(ConvexSet):
         g[self.gi] = -1.0
         return g
 
-    def slice_point(self, S):
-        D = S.directions
-        k = D.shape[0]
-        base_u = S.base[self.bi]
-        base_g = S.base[self.gi]
-        Du = D[:, self.bi] if k else np.zeros((0, self.bi.shape[0]))
-        Dg = D[:, self.gi] if k else np.zeros(0)
-        if isinstance(self.phi, Quadratic):
-            # minimize alpha^T M alpha + w.alpha + c0  (phi(u(alpha)) - g(alpha))
-            Q, l = self.phi.Q, self.phi.l
-            M = Du @ Q @ Du.T
-            w = 2.0 * Du @ Q @ base_u + Du @ l - Dg
-            c0 = float(self.phi.value(base_u)) - base_g
-            alpha = None
-            if k:
-                sol, *_ = np.linalg.lstsq(2.0 * M, -w, rcond=None)
-                if np.linalg.norm(2.0 * M @ sol + w) <= 1e-8 * (1.0 + np.linalg.norm(w)):
-                    alpha = sol
-                else:
-                    ns = _nullspace_rows(M, cols=k)
-                    dirs = [v for v in ns if abs(v @ w) > 1e-10]
-                    if dirs:
-                        v = dirs[0] * (-np.sign(dirs[0] @ w))
-                        t = (abs(c0) + 1.0) / max(abs(v @ w), 1e-12)
-                        alpha = t * v
-                    else:
-                        alpha = np.zeros(k)
-            else:
-                alpha = np.zeros(0)
-            val = float(alpha @ M @ alpha + w @ alpha + c0) if k else c0
-            if val <= 1e-9:
-                x = S.base + (alpha @ D if k else 0.0)
-                return x
-            return None
-        if isinstance(self.phi, MaxAffine):
-            A, b = self.phi.A, self.phi.b
-            rows = A @ Du.T - np.outer(np.ones(A.shape[0]), Dg) if k else np.zeros((A.shape[0], 0))
-            rhs = base_g - (A @ base_u + b)
-            alpha = feasible_point(A_ub=rows, b_ub=rhs)
-            if alpha is None:
-                return None
-            return S.base + (alpha @ D if k else 0.0)
-        if isinstance(self.phi, NormCombo):
-            T = self.phi.terms
-            Wv, coefs = self.phi.vectors, self.phi.coefs
-            # vars: alpha (k), s (T)
-            rows, rhs = [], []
-            for i in range(T):
-                wu = Wv[i] @ Du.T if k else np.zeros(0)
-                w0 = float(Wv[i] @ base_u)
-                rows.append(np.concatenate([wu, -_unit(T, i)]))
-                rhs.append(-w0)
-                rows.append(np.concatenate([-wu, -_unit(T, i)]))
-                rhs.append(w0)
-            rows.append(np.concatenate([-Dg if k else np.zeros(0), coefs]))
-            rhs.append(base_g)
-            alpha = feasible_point(A_ub=np.array(rows), b_ub=np.array(rhs))
-            if alpha is None:
-                return None
-            a = alpha[:k]
-            return S.base + (a @ D if k else 0.0)
-        raise UnsupportedVariant("no slice solver for this phi")
-
     def to_jsonable(self):
         if self.meta:
             return dict(self.meta)
@@ -1015,23 +925,6 @@ class Tube(ConvexSet):
         g[self.bi] = self.base.boundary_gradient(np.asarray(p, float)[self.bi])
         return g
 
-    def slice_point(self, S):
-        D = S.directions
-        pb = S.base[self.bi]
-        Db = mgs(D[:, self.bi]) if D.shape[0] else np.zeros((0, self.bi.shape[0]))
-        SB = AffineSubspaceR(pb, Db)
-        y = self.base.slice_point(SB)
-        if y is None:
-            return None
-        if not D.shape[0]:
-            return S.base.copy()
-        M = D[:, self.bi].T  # (mb, k)
-        alpha, *_ = np.linalg.lstsq(M, y - pb, rcond=None)
-        x = S.base + alpha @ D
-        if not self.contains(x, tol=1e-7):
-            return None
-        return x
-
     def to_jsonable(self):
         return {"type": "tube", "base": self.base.to_jsonable(),
                 "base_indices": self.bi.tolist(), "fiber_indices": self.fi.tolist()}
@@ -1107,11 +1000,6 @@ class Dilation(ConvexSet):
 
     def boundary_gradient(self, p):
         return self.base.boundary_gradient(self.pull(p))
-
-    def slice_point(self, S):
-        SP = AffineSubspaceR(self.pull(S.base), S.directions)
-        y = self.base.slice_point(SP)
-        return None if y is None else self.push(y)
 
     def to_jsonable(self):
         return {"type": "dilation", "base": self.base.to_jsonable(),

@@ -10,7 +10,8 @@ certification layer ultimately consumes.  This module provides:
 * ``stability_states`` -- stable or not, with a proven aperture, for many
   complex hyperplanes at once, exactly from the generators of the recession
   cone,
-* ``halfline_in_intersection`` -- a halfline witness inside E intersect L,
+* ``halfline_in_intersection`` -- a halfline witness inside E intersect L
+  from a given point of E in L,
 * ``tube_or_support`` -- a parallel translate of a stable L that supports E,
   from the support of E in a polar direction of its recession cone.
 
@@ -132,26 +133,18 @@ def stability_states(E: ConvexSet, coeffs):
     return stable, np.where(stable, aperture, unproven)
 
 
-def halfline_in_intersection(E: ConvexSet, subspace, base_point=None):
-    """A halfline contained in E intersect L, as (point, unit direction), or None.
+def halfline_in_intersection(E: ConvexSet, subspace, base_point):
+    """A halfline contained in E intersect L from ``base_point``, as (point,
+    unit direction), or None.
 
-    Convexity makes the construction complete: a halfline exists in the closed
-    convex set E intersect L iff some recession direction of E lies in L's
-    direction span and the intersection is nonempty.
+    Convexity makes the construction complete: with a point of E in L, a
+    halfline exists in the closed convex set E intersect L iff some recession
+    direction of E lies in L's direction span.  None also when the base point
+    is not in E to 1e-7.
     """
-    S = _to_real_subspace(subspace)
-    v = E.recession_cone().intersect_subspace(S.directions)
-    if v is None:
-        return None
-    if base_point is not None:
-        x0 = np.asarray(base_point, dtype=float)
-        if not E.contains(x0, tol=1e-7):
-            x0 = None
-    else:
-        x0 = None
-    if x0 is None:
-        x0 = E.slice_point(S)
-    if x0 is None:
+    v = E.recession_cone().intersect_subspace(_to_real_subspace(subspace).directions)
+    x0 = np.asarray(base_point, dtype=float)
+    if v is None or not E.contains(x0, tol=1e-7):
         return None
     for t in (1.0, 8.0, 64.0):
         if not E.contains(x0 + t * v, tol=1e-6 * (1.0 + t)):

@@ -20,7 +20,6 @@ from okacert.certify import (
     check_no_affine_line,
     check_normcombo_smoothing,
     check_weak_projective,
-    hyperplane_common_point,
     hyperplane_disjoint,
     is_stable,
     recheck_certificate,
@@ -94,7 +93,7 @@ def test_hyperplane_real_covector_and_roundtrip():
     assert np.allclose(H.coeffs, H2.coeffs) and abs(H.offset - H2.offset) < 1e-12
 
 
-def test_hyperplane_disjoint_and_common_point():
+def test_hyperplane_disjoint():
     E = QuadricBall(np.zeros(4), 1.0)  # unit ball of C^2
     far = Hyperplane(np.array([1.0 + 0j, 0.0]), 3.0)
     ok, theta, margin = hyperplane_disjoint(E, far)
@@ -102,10 +101,6 @@ def test_hyperplane_disjoint_and_common_point():
     near = Hyperplane(np.array([1.0 + 0j, 0.0]), 0.5)
     ok, _, margin = hyperplane_disjoint(E, near)
     assert not ok and margin > -1e-9
-    x = hyperplane_common_point(E, near)
-    assert x is not None
-    assert E.contains(x, tol=1e-6)
-    assert abs(near.eval(complexify(x))) < 1e-6
 
 
 def test_hyperplane_disjoint_tries_the_stripped_phase():
@@ -344,9 +339,14 @@ def test_projection_failure_makes_the_check_inconclusive(monkeypatch, tmp_path):
 
 
 def test_line_lift_without_finite_support_is_skipped(monkeypatch):
-    """No finite support value at any angle is no evidence: on the disc tube,
-    whose lines are sampled, the line is skipped, and the certificate stays
-    finite JSON."""
+    """No finite support value is no evidence: on the disc tube, whose lines
+    and exterior points are sampled, a line without a finite supporting
+    translate is skipped, a plane without a finite margin is not written,
+    and the certificate stays finite JSON."""
+    def unsupported(E, line):
+        raise UnsupportedVariant("no finite supporting direction across the subspace")
+
+    monkeypatch.setattr(certify, "tube_or_support", unsupported)
     monkeypatch.setattr(certify, "_disjoint_rows", lambda E, C, *_: (
         np.zeros(len(C), dtype=bool), np.zeros(len(C)), np.full(len(C), np.inf)))
     cert = certify_oka_complement(build_example("disc-tube-prop49"), SamplingPlan().scaled(30))
@@ -362,6 +362,7 @@ def test_line_lift_without_finite_support_is_skipped(monkeypatch):
     assert all(np.isfinite(x) for c in cert.checks for w in c.witnesses for x in floats(w))
     lift = cert.check("line_lift")
     assert lift.verdict == "inconclusive" and not lift.witnesses
+    assert lift.detail.endswith(f"(skipped={lift.samples})")
 
 
 def test_numerical_lp_failure_makes_the_check_inconclusive(monkeypatch):
@@ -519,9 +520,7 @@ def test_line_free_repairs_and_lifts_are_stable_and_disjoint(name, E):
     sets, on the planes they no longer sample.  eta_1, the sum of the
     recession cone's unit ineq rows, is < 0 on every generator ray.  The
     repaired projection planes of 200 exterior points, and the lifts of 100
-    sampled stable lines (the complex tangent of the supporting real
-    hyperplane, pushed off E along its normal, as in ``check_line_lift``),
-    are all stable by ``stability_states`` and disjoint by ``_disjoint_rows``."""
+    sampled stable lines (``_pushed_off_lift``), are all stable by ``stability_states`` and disjoint by ``_disjoint_rows``."""
     plan = SamplingPlan()
     rays, L = E.recession_cone().generators
     ineq = E.recession_cone().ineq
@@ -532,14 +531,54 @@ def test_line_free_repairs_and_lifts_are_stable_and_disjoint(name, E):
     planes = [certify._canonical_exterior_hyperplane(E, q, eta, h) for q in qs]
     lines = _stable_lines(E, plan)[0]
     assert len(qs) == 200 and None not in planes and len(lines) == 100
-    for line in lines:
-        out = tube_or_support(E, line)
-        H = Hyperplane.from_real_normal(out.contact, out.normal)
-        delta = 1e-3 * (1.0 + np.linalg.norm(out.contact))
-        planes.append(H.translated(complex(H.coeffs @ complexify(out.normal)) * delta))
+    planes += [_pushed_off_lift(E, line) for line in lines]
     C, b, stripped = certify._hyperplane_rows(planes, E.complex_n())
     assert stability_states(E, C)[0].all()
     assert certify._disjoint_rows(E, C, b, stripped)[0].all()
+
+
+def _pushed_off_lift(E, line):
+    """The lift of ``line`` that ``check_line_lift`` counts: the complex
+    tangent of the real hyperplane supporting E at the contact point of
+    ``tube_or_support``, pushed off E along its unit normal."""
+    out = tube_or_support(E, line)
+    delta = 1e-3 * (1.0 + np.linalg.norm(out.contact))
+    return Hyperplane.from_real_normal(out.contact + delta * out.normal, out.normal)
+
+
+def _seeded_lineality_sets():
+    """(name, E): siegel2, siegel3, the disc tube, and the certify-smooth
+    workload's seeded Siegel dilations and disc tubes at seeds 1-5, drawn as
+    perfbench draws them."""
+    out = [(name, build_example(name)) for name in ("siegel2", "siegel3", "disc-tube-prop49")]
+    for seed in range(1, 6):
+        rng = np.random.default_rng([seed, zlib.crc32(b"dilation")])
+        a, b, c = rng.uniform(-1.0, 1.0, 3)
+        center = [a, b, c, a * a + b * b + rng.uniform(0.1, 1.0)]
+        out.append((f"seeded-siegel-dilation-{seed}",
+                    Dilation(SiegelClosure(2), float(rng.uniform(1.5, 3.0)), center=center)))
+        rng = np.random.default_rng([seed, zlib.crc32(b"disc-tube")])
+        out.append((f"seeded-disc-tube-{seed}",
+                     Tube(QuadricBall(rng.uniform(-1.0, 1.0, 3), float(rng.uniform(0.5, 1.5))),
+                          [1, 2, 3], [0])))
+    return out
+
+
+@pytest.mark.parametrize("name,E", _seeded_lineality_sets(),
+                         ids=[name for name, _ in _seeded_lineality_sets()])
+def test_line_lifts_are_stable_and_disjoint_with_one_line(name, E):
+    """What ``check_line_lift`` no longer checks on a set with dim L = 1:
+    the lift of every sampled stable line at the benchmark's plan
+    (scaled(30), seed 42) and at SMALL is stable by ``stability_states``
+    and, pushed off E along its normal, separated by ``_disjoint_rows``."""
+    assert E.lineality_exact()[0].shape[0] == 1
+    for plan in (SamplingPlan().scaled(30), SMALL):
+        planes = [_pushed_off_lift(E, line) for line in _stable_lines(E, plan)[0]]
+        assert len(planes) == plan.lines
+        C, b, stripped = certify._hyperplane_rows(planes, E.complex_n())
+        assert stability_states(E, C)[0].all()
+        assert certify._disjoint_rows(E, C, b, stripped)[0].all()
+        assert check_line_lift(E, plan).samples == plan.lines
 
 
 def test_weak_projective_reports_skipped_exterior_samples(monkeypatch):
@@ -856,6 +895,47 @@ def test_connectivity_without_a_count_is_inconclusive():
     res = check_connectivity(thin, SMALL)
     assert (res.verdict, res.witnesses) == ("inconclusive", [])
     assert res.detail == "line-and-rays cone: no sign class has a stable hyperplane"
+
+
+@pytest.mark.parametrize("E", _skew_ray_cones(), ids=["one-class", "two-classes"])
+def test_repaired_planes_with_rays_are_stable_and_disjoint(E, monkeypatch):
+    """On the skew-ray cones, where dim L = 1 and the rays leave the complex
+    line of e0, most projection planes read unstable at the default plan.
+    Each is repaired along the strip covector of its own sign class, and
+    every repaired plane is stable by ``stability_states`` and separated by
+    ``_disjoint_rows``."""
+    repaired, real = [], certify._canonical_exterior_hyperplane
+
+    def record(E, q, eta=None, h=0.0):
+        H = real(E, q, eta, h)
+        if eta is not None:
+            repaired.append(H)
+        return H
+
+    monkeypatch.setattr(certify, "_canonical_exterior_hyperplane", record)
+    res = check_weak_projective(E, SamplingPlan())
+    assert res.verdict == "verified-sampled" and len(res.witnesses) == 60
+    assert len(repaired) > 100 and None not in repaired
+    C, b, stripped = certify._hyperplane_rows(repaired, 2)
+    assert stability_states(E, C)[0].all()
+    assert certify._disjoint_rows(E, C, b, stripped)[0].all()
+
+
+def test_weak_projective_without_a_repair_is_inconclusive(monkeypatch):
+    """With dim L = 1 an unstable projection plane is repaired, never a
+    refutation: where no sign class holds a hyperplane stable by
+    ``PLANAR_MARGIN`` (the thin set above), or no generators are known, the
+    check is inconclusive with the reason."""
+    thin = HPolyhedron([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0],
+                        [0.0, 1e-8, -1.0, 0.0], [0.0, -1e-8, -1.0, 0.0]], np.ones(4))
+    res = check_weak_projective(thin, SMALL)
+    assert (res.verdict, res.witnesses) == ("inconclusive", [])
+    assert res.detail == (f"{SMALL.exterior} unstable projection planes and no stable sign "
+                          f"class to repair them along")
+    monkeypatch.setattr(sets.RecessionCone, "generators", property(lambda cone: None))
+    res = check_weak_projective(_polyhedral_tube(), SamplingPlan())
+    assert (res.verdict, res.witnesses) == ("inconclusive", [])
+    assert res.detail.endswith(" unstable projection planes and no generators past the vertex cap")
 
 
 def test_default_cone_ex14_certificate_calls_is_stable_rarely(monkeypatch):

@@ -10,11 +10,13 @@ one frame and inconclusive in another, so verdicts are compared, not floats.
 import numpy as np
 import pytest
 
+from okacert import certify
 from okacert.certify import (SamplingPlan, certify_oka_complement, check_connectivity,
-                             recheck_certificate, recheck_witness)
+                             check_weak_projective, recheck_certificate, recheck_witness)
 from okacert.gallery import build_example
 from okacert.geometry import realify
 from okacert.sets import HPolyhedron
+from okacert.stability import stability_states
 
 # The two pointed six-facet cones {A x <= b} of the polyhedral benchmark
 # (tests/test_stability.py::_POINTED_CONES).
@@ -30,11 +32,16 @@ _POINTED_CONES = [
 ]
 
 
+# The cube [-1, 1]^3 in x1..x3 times the free line R e0
+_POLYHEDRAL_TUBE = (np.hstack([np.zeros((6, 1)), np.vstack([np.eye(3), -np.eye(3)])]), np.ones(6))
+
+
 def _sets():
     """(A, b) of each polyhedron {A x <= b}, by name: cone-ex14 is
-    {x3 >= |x0| + |x1| + |x2|} and the seeded polytope a box cut by four
-    random halfspaces."""
+    {x3 >= |x0| + |x1| + |x2|}, the seeded polytope a box cut by four
+    random halfspaces and the polyhedral tube [-1, 1]^3 x R e0."""
     sets = {f"pointed-cone-{k}": Ab for k, Ab in enumerate(_POINTED_CONES)}
+    sets["polyhedral-tube"] = _POLYHEDRAL_TUBE
     sets["cube"] = (np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
     sets["cone-ex14"] = ([[s0, s1, s2, -1.0] for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1)],
                          np.zeros(8))
@@ -106,13 +113,36 @@ def _images(A, b):
 def test_polyhedral_tube_has_two_components_in_every_frame():
     """The cube [-1, 1]^3 in x1..x3 times the free line R e0: connectivity is
     refuted with two components in all five frames, and each witness
-    rechecks in its own frame.  (Its weak_projective verdict is left out:
-    a projection plane that holds the line reads unstable in some frames.)"""
-    A = np.hstack([np.zeros((6, 1)), np.vstack([np.eye(3), -np.eye(3)])])
-    for E in _images(A, np.ones(6)):
+    rechecks in its own frame."""
+    for E in _images(*_POLYHEDRAL_TUBE):
         res = check_connectivity(E, SamplingPlan().scaled(30))
         assert (res.verdict, _components(res)) == ("refuted", 2), res.detail
         assert recheck_witness(E, res.witnesses[0])
+
+
+def test_polyhedral_tube_repairs_are_stable_and_disjoint_in_every_frame(monkeypatch):
+    """What weak_projective no longer checks on a set with dim L = 1: in all
+    five frames of the polyhedral tube at the default plan, where some
+    projection planes hold the line and read unstable, every plane repaired
+    along a strip covector is stable by ``stability_states`` and separated
+    by ``_disjoint_rows``, and the check is verified-sampled."""
+    repaired, real = [], certify._canonical_exterior_hyperplane
+
+    def record(E, q, eta=None, h=0.0):
+        H = real(E, q, eta, h)
+        if eta is not None:
+            repaired.append(H)
+        return H
+
+    monkeypatch.setattr(certify, "_canonical_exterior_hyperplane", record)
+    for E in _images(*_POLYHEDRAL_TUBE):
+        repaired.clear()
+        res = check_weak_projective(E, SamplingPlan())
+        assert res.verdict == "verified-sampled" and len(res.witnesses) == 60, res.detail
+        assert repaired and None not in repaired
+        C, b, stripped = certify._hyperplane_rows(repaired, 2)
+        assert stability_states(E, C)[0].all()
+        assert certify._disjoint_rows(E, C, b, stripped)[0].all()
 
 
 def _components(res):

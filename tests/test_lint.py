@@ -113,23 +113,33 @@ def _strings(node) -> set:
     return {e.value for e in elts if isinstance(e, ast.Constant) and isinstance(e.value, str)}
 
 
+def _witness_kinds(source: str, function: str):
+    """(compared, emitted): the witness kinds that ``function`` compares the
+    name ``kind`` against, and those ``source`` emits as a ``"kind": "<k>"``
+    entry of a dict literal."""
+    compared, emitted = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            for k, v in zip(node.keys, node.values):
+                if k is not None and _strings(k) == {"kind"}:
+                    emitted |= _strings(v)
+        elif isinstance(node, ast.FunctionDef) and node.name == function:
+            for cmp in ast.walk(node):
+                if isinstance(cmp, ast.Compare) and isinstance(cmp.left, ast.Name) \
+                        and cmp.left.id == "kind":
+                    for c in cmp.comparators:
+                        compared |= _strings(c)
+    return compared, emitted
+
+
 def stale_recheck_kinds(sources: dict, function: str = "recheck_witness") -> list:
     """Witness kinds that ``function`` compares the name ``kind`` against
     but that no module of ``sources`` (name -> text) emits as a
     ``"kind": "<k>"`` entry of a dict literal."""
     compared, emitted = set(), set()
     for source in sources.values():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Dict):
-                for k, v in zip(node.keys, node.values):
-                    if k is not None and _strings(k) == {"kind"}:
-                        emitted |= _strings(v)
-            elif isinstance(node, ast.FunctionDef) and node.name == function:
-                for cmp in ast.walk(node):
-                    if isinstance(cmp, ast.Compare) and isinstance(cmp.left, ast.Name) \
-                            and cmp.left.id == "kind":
-                        for c in cmp.comparators:
-                            compared |= _strings(c)
+        c, e = _witness_kinds(source, function)
+        compared, emitted = compared | c, emitted | e
     return sorted(compared - emitted)
 
 
@@ -145,6 +155,32 @@ def test_stale_recheck_kind_detector():
 def test_every_rechecked_witness_kind_is_emitted():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert stale_recheck_kinds(sources) == []
+
+
+def unrechecked_kinds(source: str, function: str = "recheck_witness") -> list:
+    """Witness kinds that ``source`` emits as a ``"kind": "<k>"`` entry of a
+    dict literal but that its ``function`` never compares ``kind`` against."""
+    compared, emitted = _witness_kinds(source, function)
+    return sorted(emitted - compared)
+
+
+def test_unrechecked_kind_detector():
+    src = ("def emit():\n    return [{'kind': 'kept'}, {'kind': 'evidence'}, {'x': 'other'}]\n"
+           "def recheck_witness(w):\n    kind = w['kind']\n"
+           "    if kind in ('kept', 'never-emitted'):\n        return True\n"
+           "    return False\n")
+    assert unrechecked_kinds(src) == ["evidence"]
+
+
+def test_refutation_witness_kinds_are_rechecked():
+    """The witness kinds ``certify.py`` writes that ``recheck_witness``
+    cannot recheck are its evidence of verified checks, plus two refutation
+    kinds of the smoothing check that no recheck covers yet (ROADMAP item
+    5).  A new refutation kind without a recheck fails here."""
+    evidence = {"stable-hyperplane", "compact-chart", "cone-components", "smoothing-evidence"}
+    open_debt = {"reducible-family", "smoothing-failure"}
+    source = (SRC / "certify.py").read_text(encoding="utf-8")
+    assert unrechecked_kinds(source) == sorted(evidence | open_debt)
 
 
 def test_benchmark_tracer_installs_on_this_source():

@@ -764,14 +764,13 @@ def test_siegel_boundary_gradient_matches_graph():
 def test_slice_point_and_halfline_direction():
     E = HPolyhedron(np.array([[0.0, 1.0]]), np.array([0.0]))  # lower halfplane
     S_in = AffineSubspaceR(np.array([0.0, -1.0]), np.array([[1.0, 0.0]]))
-    hit = halfline_in_intersection(E, S_in)
+    hit = halfline_in_intersection(E, S_in, S_in.base)
     assert hit is not None
     x0, v = hit
     assert E.contains(x0) and abs(x0[1] + 1.0) < 1e-9 and abs(v[1]) < 1e-9
-    # a line strictly above the halfplane misses it
+    # a line strictly above the halfplane misses it, so its base point is not in E
     S_out = AffineSubspaceR(np.array([0.0, 2.0]), np.array([[1.0, 0.0]]))
-    assert E.slice_point(S_out) is None
-    assert halfline_in_intersection(E, S_out) is None
+    assert halfline_in_intersection(E, S_out, S_out.base) is None
 
 
 def test_exterior_sampling_is_exterior():

@@ -299,12 +299,12 @@ def test_every_proven_aperture_holds_on_cone_members(name):
 
 def test_no_halfline_in_siegel_complex_tangent_slice():
     # the complex tangent at the vertex slices the paraboloid set in one point
-    assert halfline_in_intersection(SiegelClosure(2), Z2_AXIS) is None
+    assert halfline_in_intersection(SiegelClosure(2), Z2_AXIS, np.zeros(4)) is None
 
 
 def test_halfline_found_in_halfspace_slice():
     E = _imz2_halfspace()
-    out = halfline_in_intersection(E, Z2_AXIS)
+    out = halfline_in_intersection(E, Z2_AXIS, np.zeros(4))
     assert out is not None
     x0, v = out
     S = Z2_AXIS.to_real()
@@ -327,7 +327,7 @@ def test_real_tangent_carries_halfline_complex_tangent_does_not():
     g = g / np.linalg.norm(g)
     _, _, vh = np.linalg.svd(g[None, :])
     real_tan = AffineSubspaceR(pr, vh[1:])
-    out = halfline_in_intersection(E, real_tan)
+    out = halfline_in_intersection(E, real_tan, pr)
     assert out is not None
     x0, v = out
     # the only recession directions inside the tangent are +- the x2 axis
@@ -336,7 +336,7 @@ def test_real_tangent_carries_halfline_complex_tangent_does_not():
         assert E.contains(x0 + t * v, tol=1e-7)
     # complex tangent at the same point: gradient (conj z1, i/2) at p
     ct = complex_tangent(np.array([np.conj(p[0]), 0.5j]), p)
-    assert halfline_in_intersection(E, ct) is None
+    assert halfline_in_intersection(E, ct, pr) is None
     assert is_stable(E, ct).stable
 
 
@@ -422,7 +422,7 @@ def test_halfline_absent_iff_stable_on_supporting_slices():
         q = np.asarray(res.point, float)
         _, _, vh = np.linalg.svd(c[None, :])
         L = AffineSubspaceR(q, vh[1:])
-        halfline = halfline_in_intersection(E, L)
+        halfline = halfline_in_intersection(E, L, q)
         verdict = is_stable(E, L)
         assert (halfline is None) == verdict.stable
         if verdict.stable:
