@@ -623,9 +623,8 @@ def _csv_rows(points, labels, steps):
     """CSV text; a slice grid has at most n distinct values per column."""
     z1, z2 = points[:, 0], points[:, 1]
     cols = [_formatted(x, "%.6g").tolist() for x in (z1.real, z1.imag, z2.real, z2.imag)]
-    body = map("%s,%s,%s,%s,%s,%s\n".__mod__,
-               zip(*cols, labels.tolist(), _formatted(steps, "%d").tolist()))
-    return "re_z1,im_z1,re_z2,im_z2,label,steps\n" + "".join(body)
+    rows = map(",".join, zip(*cols, labels.tolist(), _formatted(steps, "%d").tolist()))
+    return "\n".join(["re_z1,im_z1,re_z2,im_z2,label,steps", *rows]) + "\n"
 
 
 _SVG_COLORS = {BASIN: "#2a9d8f", ESCAPE: "#e76f51", UNDECIDED: "#dddddd"}

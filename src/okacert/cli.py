@@ -2,7 +2,7 @@
 
 Subcommands: certify, approx, basin, cayley, examples.
 Exit codes: 0 = verified / success, 1 = refuted, 2 = inconclusive or a
-documented analysis failure, 64 = usage or input-schema error.
+documented analysis failure, 64 = usage, input-schema or output-write error.
 
 Primary outputs (certificates, approximation states, basin reports) are
 canonical JSON and contain no timestamps; a side-car run manifest carries
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -134,13 +135,11 @@ def _cmd_basin(args, argv) -> int:
     outputs.append(report_path)
     if csv_text is not None:
         csv_path = os.path.join(args.outdir, "basin_grid.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _emit(csv_text, csv_path)
         outputs.append(csv_path)
     if svg_text is not None:
         svg_path = os.path.join(args.outdir, "basin_slice.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg_text)
+        _emit(svg_text, svg_path)
         outputs.append(svg_path)
     if args.manifest:
         _write_manifest(args.outdir, argv, outputs, time.time() - args._t0)
@@ -252,6 +251,7 @@ def _cmd_examples(args, argv) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parse_args stores nothing on it, nor may callers
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="okacert",
                  description="certify geometric hypotheses making the "
@@ -319,8 +319,9 @@ def main(argv=None) -> int:
     args._t0 = time.time()
     try:
         return args.func(args, argv)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except (SchemaError, OSError) as exc:  # an input, or an output that cannot be written
+        side = "input" if isinstance(exc, SchemaError) else "output"
+        print(f"{side} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OkacertError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)

@@ -31,16 +31,16 @@ def plain(obj: Any) -> Any:
     """Recursively convert numpy scalars/arrays to plain Python values."""
     if isinstance(obj, dict):
         return {str(k): plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        if obj.dtype.kind in "biuf":
+            return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return list(obj)
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     return obj
@@ -195,6 +195,6 @@ def parse_set_spec(data, path: str = "$") -> ConvexSet:
 def load_set(path) -> ConvexSet:
     try:
         data = read_json(path)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}")
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError("$", f"cannot read a JSON set: {exc}")
     return parse_set_spec(data)

@@ -3,12 +3,18 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from okacert.cli import main
 from okacert.gallery import gallery_names
 from okacert.specjson import write_json
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -218,3 +224,47 @@ def test_usage_errors_exit_64(capsys):
 def test_version_flag(capsys):
     assert run("--version") == 0
     assert capsys.readouterr().out.startswith("okacert ")
+
+
+def test_unwritable_certificate_exits_usage_not_refuted(tmp_path, capsys):
+    """A write that fails is a usage error (64), not the refuted code (1)."""
+    missing = tmp_path / "no" / "such" / "dir"
+    assert run("certify", "ball", "--out", str(missing / "cert.json")) == 64
+    assert capsys.readouterr().err.startswith("output error: ")
+    # an unreadable set file is an input error, not an output one
+    assert run("certify", str(tmp_path)) == 64
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_unwritable_basin_outputs_exit_usage(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    blocker = tmp_path / "a-file"
+    blocker.write_text("x", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"grid_n": 20, "max_iter": 40})
+    assert run("basin", str(cfg), "--outdir", str(blocker / "o")) == 64
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert run("basin", str(cfg), "--outdir", str(tmp_path / "o"),
+               "--out", str(missing / "report.json")) == 64
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
+def test_repeated_main_calls_carry_no_options_over(tmp_path, capsys):
+    """main builds its parser once per process; no call's options reach the next."""
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    assert run("certify", "ball", "--seed", "7", "--out", str(a)) == 0
+    assert run("certify", "ball", "--seed", "not-a-number") == 64
+    assert run("certify", "ball", "--out", str(b)) == 0
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"grid_n": 20, "max_iter": 40})
+    assert run("basin", str(cfg), "--outdir", str(tmp_path / "svg"), "--svg") == 0
+    assert (tmp_path / "svg" / "basin_slice.svg").exists()
+    assert run("basin", str(cfg), "--outdir", str(tmp_path / "plain")) == 0
+    assert (tmp_path / "plain" / "basin_grid.csv").exists()
+    assert not (tmp_path / "plain" / "basin_slice.svg").exists()
+    # b ran with the default seed: its bytes are a fresh process's, not a's
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "okacert.cli", "certify", "ball", "--out", str(c)],
+                   env=env, check=True, timeout=300)
+    assert b.read_bytes() == c.read_bytes()
+    assert a.read_bytes() != b.read_bytes()

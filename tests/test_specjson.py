@@ -30,11 +30,38 @@ def test_plain_converts_numpy_and_complex():
         "d": np.array([[1.0, 2.0], [3.0, 4.0]]),
         "e": complex(2.0, -3.0),
         "f": [np.float32(0.25)],
+        "g": np.array([3.0 - 4.0j, 0.5 + 0.0j]),
+        "h": np.array([True, False]),
+        "i": np.array([3, -4], dtype=np.int64),
+        "j": np.array([[0.5, 0.25], [1.0, -2.0]], dtype=np.float32),
+        "k": (0.5, -1.0),
+        "l": [0.5, np.float64(2.5)],
     }
     out = plain(blob)
     assert out == {"a": 1.5, "b": 7, "c": True,
                    "d": [[1.0, 2.0], [3.0, 4.0]],
-                   "e": [2.0, -3.0], "f": [0.25]}
+                   "e": [2.0, -3.0], "f": [0.25],
+                   "g": [[3.0, -4.0], [0.5, 0.0]],
+                   "h": [True, False], "i": [3, -4],
+                   "j": [[0.5, 0.25], [1.0, -2.0]],
+                   "k": [0.5, -1.0], "l": [0.5, 2.5]}
+
+    def types(v):
+        """The same nesting with each leaf replaced by its exact type; a tuple,
+        an array or a numpy scalar shows up as itself."""
+        if type(v) is dict:
+            return {k: types(x) for k, x in v.items()}
+        if type(v) is list:
+            return [types(x) for x in v]
+        return type(v)
+
+    assert types(out) == {"a": float, "b": int, "c": bool,
+                          "d": [[float, float], [float, float]],
+                          "e": [float, float], "f": [float],
+                          "g": [[float, float], [float, float]],
+                          "h": [bool, bool], "i": [int, int],
+                          "j": [[float, float], [float, float]],
+                          "k": [float, float], "l": [float, float]}
     json.dumps(out)  # encodable without custom hooks
 
 
