@@ -290,6 +290,12 @@ class BasinConfig:
             raise ValueError("fixed point must lie outside K and its neighborhood")
         if self.slice_plane not in ("re", "im", "z1", "z2"):
             raise ValueError("slice_plane must be 're', 'im', 'z1' or 'z2'")
+        for name in ("grid_n", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+        if not self.grid_halfwidth > 0:
+            raise ValueError("grid_halfwidth must be positive")
 
     def to_jsonable(self):
         return {

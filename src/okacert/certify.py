@@ -113,11 +113,9 @@ class Hyperplane:
     ``stripped_theta`` is the phase divided out of the given coefficients:
     ``real_eta(stripped_theta)`` is the real covector of the coefficients as
     given, which for ``from_real_normal`` is the real normal itself.  It is
-    the angle the hyperplane was built with.  On a shadow that
-    ``E.shadow_angles`` leaves undecided, ``_disjoint_rows`` tries that angle
-    only.  A hyperplane built from a real normal that separates its point
-    from E misses E there; a projection hyperplane through an exterior point
-    misses it by exactly the point's distance from E.
+    the angle the hyperplane was built with, and the one ``_disjoint_rows``
+    separates it at: built from a real normal that separates its point from
+    E, the hyperplane misses E at that angle.
     """
 
     __slots__ = ("coeffs", "offset", "stripped_theta")
@@ -174,32 +172,16 @@ class Hyperplane:
         return cls(c, beta)
 
 
-def _disjoint_rows(E: ConvexSet, coeffs, offsets, stripped):
-    """(ok, theta, margin) per hyperplane row {coeffs_i . z = offsets_i}:
-    does the offset lie outside the shadow coeffs_i . E in C?  The margin at
-    theta is sup_E Re(e^{-i theta}(coeffs_i . z - offsets_i)), ok is a margin
-    below -1e-10 (1 + |offsets_i|), and a row takes its least finite margin,
-    (False, 0.0, inf) when none is finite.
-
-    A row that ``E.shadow_angles`` decides is tried at its exact angles, so
-    theta is the best angle and the margin minus the offset's distance from
-    the shadow.  Any other row is tried at its stripped phase only, the angle
-    its hyperplane was built with (``Hyperplane``)."""
-    exact, decided = E.shadow_angles(coeffs, offsets)
-    angles = np.hstack([exact, stripped[:, None]])
-    angles[decided, -1] = np.nan
-    angles[~decided, :-1] = np.nan
-    r, j = np.nonzero(~np.isnan(angles))
-    rot = np.exp(-1j * angles[r, j])
-    values = np.fromiter(E.support_values(realify(np.conj(rot[:, None] * coeffs[r]))),
-                         float, count=r.size)
-    margins = np.full(angles.shape, np.inf)
-    margins[r, j] = np.where(np.isfinite(values), values - np.real(rot * offsets[r]), np.inf)
-    rows = np.arange(angles.shape[0])
-    pick = margins.argmin(axis=1)
-    margin = margins[rows, pick]
-    theta = np.where(np.isfinite(margin), angles[rows, pick], 0.0)
-    return margin < -1e-10 * (1.0 + np.abs(offsets)), theta, margin
+def _disjoint_rows(E: ConvexSet, coeffs, offsets, theta):
+    """(ok, margin) per hyperplane row {coeffs_i . z = offsets_i} at its
+    angle theta_i: the margin is sup_E Re(e^{-i theta_i}(coeffs_i . z - offsets_i)),
+    +inf where that support value is not finite, and ok is a margin below
+    -1e-10 (1 + |offsets_i|), the offset outside the shadow coeffs_i . E."""
+    rot = np.exp(-1j * theta)
+    values = np.fromiter(E.support_values(realify(np.conj(rot[:, None] * coeffs))),
+                         float, count=theta.size)
+    margin = np.where(np.isfinite(values), values - np.real(rot * offsets), np.inf)
+    return margin < -1e-10 * (1.0 + np.abs(offsets)), margin
 
 
 def _hyperplane_rows(planes, n):
@@ -210,12 +192,12 @@ def _hyperplane_rows(planes, n):
 
 
 def hyperplane_disjoint(E: ConvexSet, H: Hyperplane):
-    """``_disjoint_rows`` of the one hyperplane H, as (ok, theta, margin): at
-    the exact angles where ``E.shadow_angles`` decides H, else at its
-    stripped phase only.  Every hyperplane the certifier builds separates
+    """``_disjoint_rows`` of the one hyperplane H at its stripped phase, as
+    (ok, theta, margin).  Every hyperplane the certifier builds separates
     there when it misses E; for any other H, False shows only that this angle
     does not separate."""
-    ok, theta, margin = _disjoint_rows(E, *_hyperplane_rows([H], H.n))
+    C, b, theta = _hyperplane_rows([H], H.n)
+    ok, margin = _disjoint_rows(E, C, b, theta)
     return bool(ok[0]), float(theta[0]), float(margin[0])
 
 
@@ -394,7 +376,8 @@ def _stable_plane_witness(q, H, theta, margin, aperture):
 def _evidence(E: ConvexSet, planes, stable, aperture):
     """The stable-hyperplane witnesses of the (q, H) ``planes`` that are
     ``stable`` and that ``_disjoint_rows`` separates from E."""
-    ok, theta, margin = _disjoint_rows(E, *_hyperplane_rows([H for _, H in planes], E.complex_n()))
+    C, b, theta = _hyperplane_rows([H for _, H in planes], E.complex_n())
+    ok, margin = _disjoint_rows(E, C, b, theta)
     return [_stable_plane_witness(q, H, *row) for (q, H), keep, *row
             in zip(planes, ok & stable, theta, margin, aperture) if keep]
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DimensionMismatch, InfeasiblePolyhedron, LPNumericalFailure,
                      PointInsideSet, ProjectionDidNotConverge, UnsupportedVariant)
 from .functions import MAX_VERTEX_SUBSYSTEMS, NormCombo, Quadratic, midpoint_convexity_check
-from .geometry import complexify, mgs
+from .geometry import mgs
 from .lp import feasible_point, solve_lp
 
 DEFAULT_TOL = 1e-9
@@ -369,25 +369,6 @@ class ConvexSet:
         """
         return (self.support(c).value for c in np.atleast_2d(C))
 
-    def shadow_angles(self, C, b):
-        """(angles, decided): at most two exact separation angles (NaN padded)
-        per hyperplane {C_i . z = b_i}, and the rows they decide.  As E = E + L
-        for its lineality rows L, the support function sup_E Re(e^{-i theta} C_i . z)
-        of the shadow C_i . E is finite at most at arg d +- pi/2 when w = C_i . L
-        spans a real line through d, and nowhere when w spans C (decided, no
-        angle: the hyperplane meets E); w = 0 (to support_values' 1e-12) is undecided."""
-        L = self.lineality()
-        if not L.shape[0]:
-            return np.full((C.shape[0], 0), np.nan), np.zeros(C.shape[0], dtype=bool)
-        W = C @ complexify(L).T
-        d = W[np.arange(C.shape[0]), np.argmax(np.abs(W), axis=1)]
-        decided = np.abs(d) > 1e-12
-        line = decided & np.all(np.abs((np.conj(d)[:, None] * W).imag)
-                                <= 1e-12 * np.abs(d)[:, None], axis=1)
-        arg = np.angle(d)
-        arg[arg < 1e-12 - np.pi] += 2 * np.pi  # a real d < 0 is at pi, whatever the sign of Im d
-        return np.where(line[:, None], arg[:, None] + [np.pi / 2, -np.pi / 2], np.nan), decided
-
     def nearest_boundary(self, q):
         raise NotImplementedError
 
@@ -633,11 +614,6 @@ class QuadricBall(ConvexSet):
         C = np.atleast_2d(np.asarray(C, dtype=float))
         nc = np.linalg.norm(C, axis=1)
         return np.where(nc < 1e-14, 0.0, _rows_dot(C, self.center) + self.radius * nc)
-
-    def shadow_angles(self, C, b):
-        """The shadow is a disc about C_i . center: arg(b_i - C_i . center) decides."""
-        theta = np.angle(b - _rows_dot(C, complexify(self.center))) % (2 * np.pi)
-        return theta[:, None], np.ones(theta.shape[0], dtype=bool)
 
     def nearest_boundary(self, q):
         q = np.asarray(q, dtype=float)
@@ -983,11 +959,6 @@ class Dilation(ConvexSet):
         if isinstance(inner, np.ndarray):
             return cc + self.factor * (inner - cc)
         return (float(a + self.factor * (v - a)) for a, v in zip(cc, inner))
-
-    def shadow_angles(self, C, b):
-        """The base set's, at the offsets pulled back through the dilation."""
-        cc = _rows_dot(C, complexify(self.center))
-        return self.base.shadow_angles(C, cc + (b - cc) / self.factor)
 
     def nearest_boundary(self, q):
         if self.contains(q):

@@ -103,28 +103,8 @@ def test_hyperplane_disjoint():
     assert not ok and margin > -1e-9
 
 
-def test_hyperplane_disjoint_tries_the_stripped_phase():
-    """A projection hyperplane is separated at the phase its constructor
-    strips, the one angle tried on a shadow ``shadow_angles`` leaves
-    undecided.  Those are the shadows of a line-free set (with a lineality
-    row v, c.v = 0 puts v in the plane, which is then unstable), so the
-    planes are pointed-cone-0's: every stable projection plane of its
-    exterior samples misses E at that phase, and so does every repaired
-    plane that weak_projective writes."""
-    E = HPolyhedron(POINTED_CONE_A, POINTED_CONE_B)
-    plan = SamplingPlan().scaled(30)
-    qs = E.sample_exterior(plan.rng("projective"), plan.exterior, window=plan.window)
-    planes = [H for q in qs if (H := certify._canonical_exterior_hyperplane(E, q)) is not None]
-    C, b, stripped = certify._hyperplane_rows(planes, 2)
-    stable = stability_states(E, C)[0]
-    assert stable.any() and not E.shadow_angles(C, b)[1].any()
-    assert certify._disjoint_rows(E, C[stable], b[stable], stripped[stable])[0].all()
-    res = check_weak_projective(E, plan)
-    assert len(res.witnesses) == max(8, plan.hyperplanes)
-
-
 # ---------------------------------------------------------------------------
-# exact shadows
+# shadows at their separating angle
 # ---------------------------------------------------------------------------
 
 def _random_hyperplane(rng, n, scale=3.0):
@@ -132,22 +112,18 @@ def _random_hyperplane(rng, n, scale=3.0):
                       complex(*rng.normal(scale=scale, size=2)))
 
 
-def _scan_margins(E, H):
-    """The margins of an angle scan, kept here as a reference for the exact
-    shadows: 96 evenly spaced angles, four turns per nonzero coefficient and
-    the stripped phase."""
-    ang = np.angle(H.coeffs[np.abs(H.coeffs) > 1e-12])
-    thetas = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False),
-                             ang, ang + np.pi, ang + np.pi / 2, ang - np.pi / 2,
-                             [H.stripped_theta]])
-    values = np.fromiter(E.support_values(np.array([H.real_eta(t) for t in thetas])), float)
-    return values - np.real(np.exp(-1j * thetas) * H.offset)
+def _one_row(E, H, theta):
+    """``_disjoint_rows`` of the one hyperplane H at the angle theta, as (ok, margin)."""
+    ok, margin = certify._disjoint_rows(E, H.coeffs[None], np.array([H.offset]),
+                                        np.array([theta]))
+    return bool(ok[0]), float(margin[0])
 
 
 def test_siegel_shadow_margin_is_the_half_plane_distance():
     """For c_n != 0 the Siegel shadow is the half-plane
-    Im(w / c_n) >= -|c'|^2 / (4 |c_n|^2): at the one exact angle the margin
-    is the signed distance s |c_n| of the offset, minus the distance outside."""
+    Im(w / c_n) >= -|c'|^2 / (4 |c_n|^2), whose outward normal is
+    -i c_n / |c_n|: at that angle the margin is the signed distance s |c_n|
+    of the offset, minus the distance outside."""
     rng = np.random.default_rng(31)
     disjoint = 0
     for n in (2, 3):
@@ -156,7 +132,7 @@ def test_siegel_shadow_margin_is_the_half_plane_distance():
             H = _random_hyperplane(rng, n)
             c, beta = H.coeffs, H.offset
             s = (beta / c[-1]).imag + np.sum(np.abs(c[:-1]) ** 2) / (4 * abs(c[-1]) ** 2)
-            ok, theta, margin = hyperplane_disjoint(E, H)
+            ok, margin = _one_row(E, H, np.angle(c[-1]) - np.pi / 2)
             assert margin == pytest.approx(s * abs(c[-1]), rel=1e-9, abs=1e-9)
             assert ok == (s < 0)
             disjoint += ok
@@ -164,95 +140,25 @@ def test_siegel_shadow_margin_is_the_half_plane_distance():
 
 
 def test_ball_shadow_margin_is_the_disc_distance():
-    """The ball's shadow is the disc of radius r about c . center: the margin
-    at the returned angle, in [0, 2 pi), is r - |offset - c . center|."""
+    """The ball's shadow is the disc of radius r about c . center: at the
+    angle of offset - c . center the margin is r - |offset - c . center|."""
     rng = np.random.default_rng(32)
     E = QuadricBall(np.array([0.5, -1.0, 0.2, 0.7]), 1.3)
     disjoint = 0
     for _ in range(40):
         H = _random_hyperplane(rng, 2)
-        dist = abs(H.offset - H.coeffs @ complexify(E.center))
-        ok, theta, margin = hyperplane_disjoint(E, H)
-        assert margin == pytest.approx(1.3 - dist, rel=1e-12, abs=1e-12)
-        assert ok == (dist > 1.3) and 0.0 <= theta < 2 * np.pi
+        gap = H.offset - H.coeffs @ complexify(E.center)
+        ok, margin = _one_row(E, H, np.angle(gap))
+        assert margin == pytest.approx(1.3 - abs(gap), rel=1e-12, abs=1e-12)
+        assert ok == (abs(gap) > 1.3)
         disjoint += ok
     assert 10 <= disjoint <= 35
-
-
-def test_exact_shadow_beats_the_angle_scan_on_tubes_and_dilations(monkeypatch):
-    """On disc tubes and dilations the margin at the returned angle is the
-    scalar support there, it is at most the scan's best margin, every
-    hyperplane the scan separates stays separated, and each call evaluates
-    at most 2 support rows."""
-    sets_ = [build_example("disc-tube-prop49"),
-             Tube(QuadricBall(np.array([0.3, -0.2, 0.5]), 0.8), [1, 2, 3], [0]),
-             Dilation(SiegelClosure(2), 2.2, center=[0.3, -0.4, 0.5, 0.6]),
-             Dilation(QuadricBall(np.array([0.5, 0.0, 0.0, -0.3]), 1.2), 1.7,
-                      center=[0.6, 0.1, 0.0, -0.2])]
-    rng = np.random.default_rng(33)
-    rows = []
-    separated = 0
-    for E in sets_:
-        real = type(E).support_values
-        for _ in range(40):
-            H = _random_hyperplane(rng, 2)
-            scan = _scan_margins(E, H)
-            with monkeypatch.context() as mp:
-                mp.setattr(type(E), "support_values",
-                           lambda self, C: rows.append(len(np.atleast_2d(C))) or real(self, C))
-                ok, theta, margin = hyperplane_disjoint(E, H)
-            assert rows.pop() <= 2 and not rows
-            want = E.support(H.real_eta(theta)).value - np.real(np.exp(-1j * theta) * H.offset)
-            assert margin == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert margin <= np.min(scan[np.isfinite(scan)]) + 1e-12
-            if np.min(scan) < -1e-10 * (1 + abs(H.offset)):
-                assert ok
-            separated += ok
-    assert separated >= 40
-
-
-def test_rows_whose_lineality_image_spans_C_are_never_disjoint(monkeypatch):
-    """When c . L spans C the shadow is all of C: decided with no angle and
-    no support LP, whatever the offset."""
-    rng = np.random.default_rng(34)
-    calls = []
-    real = sets.solve_lp
-    monkeypatch.setattr(sets, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
-    for name in ("r2-in-c2", "halfspace"):
-        E = build_example(name)
-        for _ in range(20):
-            H = _random_hyperplane(rng, 2, scale=50.0)
-            angles, decided = E.shadow_angles(H.coeffs[None], np.array([H.offset]))
-            assert decided[0] and np.isnan(angles).all()
-            assert hyperplane_disjoint(E, H) == (False, 0.0, np.inf)
-    assert not calls
-
-
-def test_lineality_line_rows_solve_at_most_two_support_lps(monkeypatch):
-    """Where c . L spans a real line the shadow of halfspace {Im z2 >= 0}
-    under c = (0, e^{ia}) is a half-plane and that of r2-in-c2 under real c
-    is the real line: at most 2 support LPs give the exact margin."""
-    rng = np.random.default_rng(35)
-    calls = []
-    real = sets.solve_lp
-    monkeypatch.setattr(sets, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
-    for _ in range(20):
-        beta = complex(*rng.normal(scale=3, size=2))
-        H = Hyperplane(np.array([0.0, np.exp(1j * rng.uniform(0, 2 * np.pi))]), beta)
-        ok, _, margin = hyperplane_disjoint(build_example("halfspace"), H)
-        assert len(calls) <= 2 and margin == pytest.approx((H.offset / H.coeffs[1]).imag)
-        del calls[:]
-        H = Hyperplane(np.array([1.0, rng.normal()]), beta)
-        ok, _, margin = hyperplane_disjoint(build_example("r2-in-c2"), H)
-        assert len(calls) <= 2 and margin == pytest.approx(-abs(H.offset.imag))
-        assert ok == (abs(H.offset.imag) > 1e-9)
-        del calls[:]
 
 
 def _mixed_rows(E, rng):
     """Hyperplanes for ``_disjoint_rows``: random ones, projection hyperplanes
     of exterior points, and, where E has lineality L, rows with c . L = 0,
-    which ``shadow_angles`` leaves to the scan."""
+    whose support values can be finite."""
     n = E.complex_n()
     planes = [_random_hyperplane(rng, n, scale=s) for s in (0.5, 3.0, 20.0) for _ in range(6)]
     for q in E.sample_exterior(rng, 12, window=6.0):
@@ -268,9 +174,9 @@ def _mixed_rows(E, rng):
 
 
 def test_batched_rows_equal_the_one_row_call_bit_for_bit():
-    """On mixed decided and scanned rows over the gallery, the benchmark's
-    pointed cones and a polytope with lazy support values, every row of one
-    ``_disjoint_rows`` call equals ``hyperplane_disjoint`` on that row alone."""
+    """On mixed rows over the gallery, the benchmark's pointed cones and a
+    polytope with lazy support values, every row of one ``_disjoint_rows``
+    call equals ``hyperplane_disjoint`` on that row alone."""
     rng = np.random.default_rng(36)
     sets_ = [build_example(name) for name in gallery_names()]
     sets_ += [HPolyhedron(POINTED_CONE_A, POINTED_CONE_B), HPolyhedron(*POINTED_CONE_2),
@@ -283,13 +189,12 @@ def test_batched_rows_equal_the_one_row_call_bit_for_bit():
     for E in sets_:
         planes = _mixed_rows(E, rng)
         C, b, stripped = certify._hyperplane_rows(planes, E.complex_n())
-        decided = E.shadow_angles(C, b)[1]
-        kinds |= {(E.lineality().shape[0] > 0, bool(d)) for d in decided}
-        got = certify._disjoint_rows(E, C, b, stripped)
+        ok, margin = certify._disjoint_rows(E, C, b, stripped)
+        kinds |= {(E.lineality().shape[0] > 0, bool(k)) for k in ok}
         for k, H in enumerate(planes):
             want = hyperplane_disjoint(E, H)
-            assert (bool(got[0][k]), got[1][k], got[2][k]) == want, (E.json_type, k)
-    assert kinds >= {(True, True), (True, False), (False, False)}
+            assert (bool(ok[k]), stripped[k], margin[k]) == want, (E.json_type, k)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("seed", [1, 5, 9])
@@ -348,7 +253,7 @@ def test_line_lift_without_finite_support_is_skipped(monkeypatch):
 
     monkeypatch.setattr(certify, "tube_or_support", unsupported)
     monkeypatch.setattr(certify, "_disjoint_rows", lambda E, C, *_: (
-        np.zeros(len(C), dtype=bool), np.zeros(len(C)), np.full(len(C), np.inf)))
+        np.zeros(len(C), dtype=bool), np.full(len(C), np.inf)))
     cert = certify_oka_complement(build_example("disc-tube-prop49"), SamplingPlan().scaled(30))
     canonical_json(cert.to_jsonable())
 
@@ -758,6 +663,43 @@ def _classifier_sets():
                ("skew-rays-one-class", one, 1), ("skew-rays-two-classes", two, 2)])
 
 
+def _evidence_sets():
+    """(name, E): line-free sets, with and without rays, and the dim L = 1
+    sets whose unstable projection planes are repaired."""
+    return ([("pointed-cone-0", HPolyhedron(POINTED_CONE_A, POINTED_CONE_B))]
+            + [(name, build_example(name))
+               for name in ("ball", "cone-ex14", "siegel2", "siegel3", "disc-tube-prop49")]
+            + [("polyhedral-tube", _polyhedral_tube()), _seeded_lineality_sets()[3]])
+
+
+@pytest.mark.parametrize("name,E", _evidence_sets(), ids=[name for name, _ in _evidence_sets()])
+def test_hyperplane_disjoint_tries_the_stripped_phase(name, E, monkeypatch):
+    """Every stable plane that weak_projective builds, repaired ones
+    included, misses E at the phase its constructor strips, the one angle
+    ``_disjoint_rows`` tries: ``hyperplane_disjoint`` separates it there,
+    its margin is the scalar support at that angle minus the offset, and no
+    stable plane is dropped from the evidence."""
+    seen, real = [], certify._evidence
+
+    def record(E, planes, stable, aperture):
+        evidence = real(E, planes, stable, aperture)
+        seen.append(([H for (_, H), keep in zip(planes, stable) if keep], evidence))
+        return evidence
+
+    monkeypatch.setattr(certify, "_evidence", record)
+    plan = SamplingPlan()
+    res = check_weak_projective(E, plan)
+    ((kept, evidence),) = seen
+    assert kept and len(evidence) == len(kept)
+    assert res.witnesses == evidence[:max(8, plan.hyperplanes)]
+    for H, w in zip(kept, evidence):
+        ok, theta, margin = hyperplane_disjoint(E, H)
+        want = E.support(H.real_eta(theta)).value - np.real(np.exp(-1j * theta) * H.offset)
+        assert ok and theta == H.stripped_theta
+        assert margin == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert (w["hyperplane"], w["theta"], w["margin"]) == (H.to_jsonable(), theta, margin)
+
+
 def _kept_rows(E, rng, draws=2000):
     """The seeded rows (c, beta), rotated by the angle that separates them,
     that ``stability_states`` calls stable and ``_disjoint_rows`` disjoint.
@@ -765,7 +707,7 @@ def _kept_rows(E, rng, draws=2000):
     the recession cone {eq x = 0, ineq x <= 0}: mu eq + lambda ineq with
     lambda >= 0.  beta is Gaussian, or, where the support value h at the
     stripped phase is finite, past it: Re beta = h + U(0.1, 3), as the one
-    angle tried on an undecided shadow is that phase."""
+    angle tried is that phase."""
     n, cone = E.complex_n(), E.recession_cone()
     eta = rng.normal(size=(draws, 2 * n))
     mu = rng.normal(size=(draws // 2, cone.eq.shape[0]))
@@ -777,9 +719,8 @@ def _kept_rows(E, rng, draws=2000):
     planes = [Hyperplane(np.conj(complexify(e)), beta) for e, beta in zip(eta, b)]
     C, b, stripped = certify._hyperplane_rows(planes, n)
     stable = stability_states(E, C)[0]
-    ok, theta, _ = certify._disjoint_rows(E, C, b, stripped)
-    keep = stable & ok
-    rot = np.exp(-1j * theta[keep])[:, None]
+    keep = stable & certify._disjoint_rows(E, C, b, stripped)[0]
+    rot = np.exp(-1j * stripped[keep])[:, None]
     return rot * C[keep], rot[:, 0] * b[keep]
 
 
@@ -844,7 +785,8 @@ def test_connectivity_counts_match_seeded_rows(name, E, components):
                          ids=["disc-tube", "seeded-disc-tube", "polyhedral-tube", "skew-rays"])
 def test_disconnected_family_is_refuted_with_recheckable_sides(E):
     """Two stable representatives on opposite sides of the shadow, each
-    missing E by 1 at its strip normal, and a certificate whose refutation
+    missing E by 1 at the angle of its strip normal (a plane read from JSON
+    has stripped phase about 0), and a certificate whose refutation
     witnesses all recheck."""
     res = check_connectivity(E, SMALL)
     assert res.verdict == "refuted"
@@ -857,9 +799,11 @@ def test_disconnected_family_is_refuted_with_recheckable_sides(E):
     for entry in w["representatives"]:
         H = Hyperplane.from_jsonable(entry)
         assert stability_states(E, H.coeffs[None])[0][0]
-        ok, _, margin = hyperplane_disjoint(E, H)
+        side = np.sign(np.imag((H.offset - H.coeffs @ x0) / (H.coeffs @ v)))
+        normal = certify._strip_covector(H.coeffs, np.array(w["direction"]), side)[0]
+        ok, margin = _one_row(E, H, np.angle(normal))
         assert ok and margin == pytest.approx(-1.0, rel=1e-9)
-        sides.append(np.sign(np.imag((H.offset - H.coeffs @ x0) / (H.coeffs @ v))))
+        sides.append(side)
     assert sorted(sides) == [-1.0, 1.0]
     assert recheck_witness(E, w)
     cert = certify_oka_complement(E, SMALL)

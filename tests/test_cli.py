@@ -1,6 +1,7 @@
 """Command line surface: subcommands, outputs, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -61,6 +62,32 @@ def test_certify_accepts_set_file(tmp_path):
     write_json(f, {"type": "ball", "center": [0.0, 0.0, 0.0, 0.0],
                    "radius": 1.0})
     assert run("certify", str(f), "--samples", "40") == 0
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py, imported once as it stands."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, ROOT / "perfbench" / f"{name}.py")
+        sys.modules[key] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_certificates_pass_the_independent_oracle(tmp_path, seed):
+    """A second reader: the benchmark's oracle, with its own set formulas and
+    SciPy's LP, finds no problem in any certificate of the certify-smooth and
+    certify-polyhedral operations, run as the benchmark runs them."""
+    oracle, workloads = _perfbench_module("oracle"), _perfbench_module("workloads")
+    ops = workloads.build("certify-smooth", seed) + workloads.build("certify-polyhedral", seed)
+    assert len(ops) == 14
+    spec, out = tmp_path / "spec.json", tmp_path / "cert.json"
+    for op in ops:
+        write_json(spec, op.spec)
+        code = run("certify", str(spec), "--samples", workloads.SAMPLES, "--out", str(out))
+        problems = oracle.check_certificate(op.spec, op.expect, out.read_text(), code)
+        assert problems == [], (op.name, problems)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +170,19 @@ def test_basin_rejects_bad_inputs(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"grid_n": 20})
     assert run("basin", str(cfg), "--slice", "diagonal") == 64
+
+
+@pytest.mark.parametrize("config", [{"grid_n": -3}, {"grid_n": 2.5}, {"grid_n": 0},
+                                    {"grid_n": True}, {"max_iter": 0, "grid_n": 10},
+                                    {"grid_halfwidth": -1, "grid_n": 10}])
+def test_basin_rejects_a_bad_grid_or_iteration_cap(tmp_path, capsys, config):
+    """A grid or iteration cap that is not a positive integer, or a grid
+    half-width that is not positive, is a usage error, not a report."""
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, config)
+    assert run("basin", str(cfg), "--outdir", str(tmp_path / "o")) == 64
+    assert "bad basin config" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "basin_report.json").exists()
 
 
 # ---------------------------------------------------------------------------
